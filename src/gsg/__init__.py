@@ -46,6 +46,7 @@ from .core import (
     completely_regular_witness,
     compose,
     identity_homomorphism,
+    injective,
     is_monomorphism,
     is_subsemigroup,
     left_identities,

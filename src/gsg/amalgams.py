@@ -18,8 +18,10 @@ a disproof.  Soundness rests on three facts about the moves:
 * splitting a letter z into a factor (x, g, y) with x g y = z inside one
   part leaves the represented element unchanged, as does merging such a
   factor back;
-* every sequence denotes the product of its letters, so normalisation
-  (merge everything mergeable, left to right) is confluent.
+* every sequence denotes the product of its letters, so normalisation is
+  confluent.  The search normalises with the free product's own
+  `FreeProduct.reduce`, the one normal-form routine shared with word
+  arithmetic, and runs over the same coded states.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     GammaHomomorphism,
     GammaSemigroup,
     check_associativity,
     classify,
+    injective,
     verify_homomorphism,
 )
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     NotAssociative,
     NotMonomorphism,
 )
-from .words import FreeProduct, GammaLetter, Letter, Mode, Word
+from .words import FreeProduct, Mode, Word
 
 __all__ = [
     "GammaAmalgam",
@@ -117,9 +118,10 @@ def validate_amalgam(a: GammaAmalgam) -> list[GsgError]:
         if w is not None:
             defects.append(NotMonomorphism(i, f"not a homomorphism, witness {tuple(w)}"))
         else:
-            if len(set(f.carrier_map.values())) != a.core.n:
+            carrier_inj, gamma_inj = injective(f)
+            if not carrier_inj:
                 defects.append(NotMonomorphism(i, "carrier map is not injective"))
-            if len(set(f.gamma_map.values())) != a.core.g:
+            if not gamma_inj:
                 defects.append(NotMonomorphism(i, "gamma map is not injective"))
     if a.mode is Mode.SAME_GAMMA:
         shared = a.core.gammas
@@ -205,195 +207,112 @@ class EqualityVerdict:
     budget: int
 
 
-# internal letter codes: ("e", pointer, element index) and
-# ("g", pointer or -1, gamma index); a state is a tuple of codes.
+# which slots of each move's data are gamma letters; the rest are elements
+_GAMMA_SLOTS = {"swap": (), "gswap": (0, 1), "merge": (1,), "unmerge": (2,)}
+
+
+def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
+    """Letter code -> the sorted codes it may be swapped for."""
+    out: dict[int, set[int]] = {}
+    for n1, n2 in pairs:
+        c1, c2 = names.index(n1), names.index(n2)
+        out.setdefault(c1, set()).add(c2)
+        out.setdefault(c2, set()).add(c1)
+    return {c: tuple(sorted(v)) for c, v in out.items()}
+
 
 class _Search:
-    """Move tables for one amalgam + relation set, and the BFS itself."""
+    """The moves of the bounded search over coded states of the amalgam's
+    free product, and the BFS itself.  A move is (kind, pos, codes); named
+    Steps are built only for the chains that are returned."""
 
-    def __init__(self, a: GammaAmalgam, rel: RelationSet):
-        self.mode = a.mode
-        self.parts = a.parts
-        self.tables = [p.table for p in a.parts]
-        s1, s2 = a.parts
-        subs: dict[tuple, list] = {}
-        for (e1, e2) in rel.element_pairs:
-            c1 = ("e", 0, s1.index(e1))
-            c2 = ("e", 1, s2.index(e2))
-            subs.setdefault(c1, []).append(c2)
-            subs.setdefault(c2, []).append(c1)
-        self.subs = {k: tuple(sorted(set(v))) for k, v in subs.items()}
-        gsubs: dict[tuple, list] = {}
-        for (h1, h2) in rel.gamma_pairs:
-            c1 = ("g", 0, s1.gamma_index(h1))
-            c2 = ("g", 1, s2.gamma_index(h2))
-            gsubs.setdefault(c1, []).append(c2)
-            gsubs.setdefault(c2, []).append(c1)
-        self.gsubs = {k: tuple(sorted(set(v))) for k, v in gsubs.items()}
-        # factorizations of each element inside its own part, in table order
-        self.facts: list[dict[int, tuple]] = []
-        for p, t in enumerate(self.tables):
-            gptr = -1 if self.mode is Mode.SAME_GAMMA else p
-            d: dict[int, list] = {}
-            for x, j, y in np.argwhere(t >= 0):
-                d.setdefault(int(t[x, j, y]), []).append(
-                    (int(x), int(j), int(y), gptr))
-            self.facts.append({z: tuple(v) for z, v in d.items()})
+    def __init__(self, a: GammaAmalgam, identify_elements: bool):
+        rel = relation_generators(a, identify_elements)
+        self.fp = fp = a.free_product()
+        self.subs = _partners(fp.element_names, rel.element_pairs)
+        self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
+        # factorizations x g y of each element inside its own part, in table order
+        self.facts: dict[int, list[tuple[int, int, int]]] = {}
+        codes = range(len(fp.element_names))
+        for x in codes:
+            for g in range(len(fp.gamma_names)):
+                for y in codes:
+                    z = fp.merge(x, g, y)
+                    if z is not None:
+                        self.facts.setdefault(z, []).append((x, g, y))
 
-    # code helpers --------------------------------------------------------
-
-    def encode(self, w: Word):
-        out = []
-        for l in w.letters:
-            if isinstance(l, Letter):
-                out.append(("e", l.pointer, self.parts[l.pointer].index(l.element)))
-            else:
-                p = -1 if l.pointer is None else l.pointer
-                src = self.parts[0] if p == -1 else self.parts[p]
-                out.append(("g", p, src.gamma_index(l.gamma)))
-        return tuple(out)
-
-    def decode(self, state) -> Word:
-        letters = []
-        for c in state:
-            if c[0] == "e":
-                letters.append(Letter(c[1], self.parts[c[1]].elements[c[2]]))
-            elif c[1] == -1:
-                letters.append(GammaLetter(self.parts[0].gammas[c[2]], None))
-            else:
-                letters.append(GammaLetter(self.parts[c[1]].gammas[c[2]], c[1]))
-        return Word(tuple(letters), self.mode)
-
-    def _ename(self, c) -> str:
-        return self.parts[c[1]].elements[c[2]]
-
-    def _gname(self, c) -> str:
-        return self.parts[0 if c[1] == -1 else c[1]].gammas[c[2]]
-
-    def _mergeable(self, x, g, y) -> bool:
-        if self.mode is Mode.SAME_GAMMA:
-            return x[1] == y[1]
-        return x[1] == g[1] == y[1]
-
-    def _merge(self, x, g, y):
-        z = int(self.tables[x[1]][x[2], g[2], y[2]])
-        return ("e", x[1], z)
-
-    def normal_form(self, state):
-        out: list = []
-        for c in state:
-            if c[0] == "e" and out and self._mergeable(out[-2], out[-1], c):
-                out[-2:] = [self._merge(out[-2], out[-1], c)]
-            else:
-                out.append(c)
-        return tuple(out)
-
-    def normal_steps(self, state) -> tuple[tuple, tuple[Step, ...]]:
-        """Normal form together with the merge moves that reach it."""
-        cur = list(state)
-        steps: list[Step] = []
-        changed = True
-        while changed:
-            changed = False
-            m = (len(cur) + 1) // 2
-            for k in range(m - 1):
-                x, g, y = cur[2 * k], cur[2 * k + 1], cur[2 * k + 2]
-                if self._mergeable(x, g, y):
-                    z = self._merge(x, g, y)
-                    steps.append(Step("merge", k, (self._ename(x), self._gname(g),
-                                                   self._ename(y), self._ename(z))))
-                    cur[2 * k:2 * k + 3] = [z]
-                    changed = True
-                    break
-        return tuple(cur), tuple(steps)
-
-    def is_reduced(self, state) -> bool:
-        return self.normal_form(state) == state
+    def _step(self, kind: str, pos: int, codes) -> Step:
+        """The named Step of a coded move."""
+        gammas = _GAMMA_SLOTS[kind]
+        return Step(kind, pos, tuple(
+            (self.fp.gamma_names if i in gammas else self.fp.element_names)[c]
+            for i, c in enumerate(codes)))
 
     def neighbors(self, state, bound: int):
-        """All one-move successors with their steps, in a fixed order:
+        """All one-move successors with their coded moves, in a fixed order:
         merges, then swaps, then gamma swaps, then unmerges."""
         out = []
+        merge = self.fp.merge
         m = (len(state) + 1) // 2
         for k in range(m - 1):
-            x, g, y = state[2 * k], state[2 * k + 1], state[2 * k + 2]
-            if self._mergeable(x, g, y):
-                z = self._merge(x, g, y)
-                ns = state[:2 * k] + (z,) + state[2 * k + 3:]
-                out.append((ns, Step("merge", k, (self._ename(x), self._gname(g),
-                                                  self._ename(y), self._ename(z)))))
+            x, g, y = state[2 * k:2 * k + 3]
+            z = merge(x, g, y)
+            if z is not None:
+                out.append((state[:2 * k] + (z,) + state[2 * k + 3:],
+                            ("merge", k, (x, g, y, z))))
         for k in range(m):
             x = state[2 * k]
             for r in self.subs.get(x, ()):
-                ns = state[:2 * k] + (r,) + state[2 * k + 1:]
-                out.append((ns, Step("swap", k, (self._ename(x), self._ename(r)))))
+                out.append((state[:2 * k] + (r,) + state[2 * k + 1:], ("swap", k, (x, r))))
         for k in range(m - 1):
             g = state[2 * k + 1]
             for r in self.gsubs.get(g, ()):
-                ns = state[:2 * k + 1] + (r,) + state[2 * k + 2:]
-                out.append((ns, Step("gswap", k, (self._gname(g), self._gname(r)))))
+                out.append((state[:2 * k + 1] + (r,) + state[2 * k + 2:], ("gswap", k, (g, r))))
         if m < bound:
             for k in range(m):
-                x = state[2 * k]
-                for (xi, j, yi, gptr) in self.facts[x[1]].get(x[2], ()):
-                    piece = (("e", x[1], xi), ("g", gptr, j), ("e", x[1], yi))
-                    ns = state[:2 * k] + piece + state[2 * k + 1:]
-                    out.append((ns, Step("unmerge", k, (
-                        self._ename(x), self.parts[x[1]].elements[xi],
-                        self._gname(piece[1]), self.parts[x[1]].elements[yi]))))
+                z = state[2 * k]
+                for piece in self.facts.get(z, ()):
+                    out.append((state[:2 * k] + piece + state[2 * k + 1:],
+                                ("unmerge", k, (z, *piece))))
         return out
 
     def apply_step(self, state, step: Step):
-        """Replay one move, checking its legality against the tables and the
-        relation set; raises ValueError on any mismatch."""
+        """Replay one named move, checking its legality against the tables
+        and the relation set; raises ValueError on any mismatch."""
         kind, k, data = step.kind, step.pos, tuple(step.data)
+        enames, gnames = self.fp.element_names, self.fp.gamma_names
+        if kind not in _GAMMA_SLOTS:
+            raise ValueError(f"unknown step kind {kind!r}")
         m = (len(state) + 1) // 2
-        if kind == "swap":
-            if not 0 <= k < m:
-                raise ValueError(f"swap position {k} out of range")
-            x = state[2 * k]
-            if self._ename(x) != data[0]:
-                raise ValueError(f"swap expects {data[0]!r} at position {k}")
-            for r in self.subs.get(x, ()):
-                if self._ename(r) == data[1]:
-                    return state[:2 * k] + (r,) + state[2 * k + 1:]
-            raise ValueError(f"{data[0]!r} ~ {data[1]!r} is not a relation pair")
-        if kind == "gswap":
-            if not 0 <= k < m - 1:
-                raise ValueError(f"gswap position {k} out of range")
-            g = state[2 * k + 1]
-            if self._gname(g) != data[0]:
-                raise ValueError(f"gswap expects {data[0]!r} at position {k}")
-            for r in self.gsubs.get(g, ()):
-                if self._gname(r) == data[1]:
-                    return state[:2 * k + 1] + (r,) + state[2 * k + 2:]
-            raise ValueError(f"{data[0]!r} ~ {data[1]!r} is not a gamma pair")
+        if not 0 <= k < (m - 1 if kind in ("gswap", "merge") else m):
+            raise ValueError(f"{kind} position {k} out of range")
+        if kind in ("swap", "gswap"):
+            i = 2 * k + (kind == "gswap")
+            subs, names = (self.gsubs, gnames) if kind == "gswap" else (self.subs, enames)
+            if names[state[i]] != data[0]:
+                raise ValueError(f"{kind} expects {data[0]!r} at position {k}")
+            for r in subs.get(state[i], ()):
+                if names[r] == data[1]:
+                    return state[:i] + (r,) + state[i + 1:]
+            raise ValueError(f"{data[0]!r} ~ {data[1]!r} is not a "
+                             f"{'gamma' if kind == 'gswap' else 'relation'} pair")
         if kind == "unmerge":
-            if not 0 <= k < m:
-                raise ValueError(f"unmerge position {k} out of range")
-            x = state[2 * k]
-            if self._ename(x) != data[0]:
+            z = state[2 * k]
+            if enames[z] != data[0]:
                 raise ValueError(f"unmerge expects {data[0]!r} at position {k}")
-            for (xi, j, yi, gptr) in self.facts[x[1]].get(x[2], ()):
-                piece = (("e", x[1], xi), ("g", gptr, j), ("e", x[1], yi))
-                if (self.parts[x[1]].elements[xi], self._gname(piece[1]),
-                        self.parts[x[1]].elements[yi]) == data[1:]:
-                    return state[:2 * k] + piece + state[2 * k + 1:]
+            for x, g, y in self.facts.get(z, ()):
+                if (enames[x], gnames[g], enames[y]) == data[1:]:
+                    return state[:2 * k] + (x, g, y) + state[2 * k + 1:]
             raise ValueError(f"{data[1:]} is not a factorization of {data[0]!r}")
-        if kind == "merge":
-            if not 0 <= k < m - 1:
-                raise ValueError(f"merge position {k} out of range")
-            x, g, y = state[2 * k], state[2 * k + 1], state[2 * k + 2]
-            if (self._ename(x), self._gname(g), self._ename(y)) != data[:3]:
-                raise ValueError(f"merge at {k} expects factor {data[:3]}")
-            if not self._mergeable(x, g, y):
-                raise ValueError(f"factor {data[:3]} is not mergeable")
-            z = self._merge(x, g, y)
-            if self._ename(z) != data[3]:
-                raise ValueError(f"product of {data[:3]} is {self._ename(z)!r}, "
-                                 f"not {data[3]!r}")
-            return state[:2 * k] + (z,) + state[2 * k + 3:]
-        raise ValueError(f"unknown step kind {kind!r}")
+        x, g, y = state[2 * k:2 * k + 3]
+        if (enames[x], gnames[g], enames[y]) != data[:3]:
+            raise ValueError(f"merge at {k} expects factor {data[:3]}")
+        z = self.fp.merge(x, g, y)
+        if z is None:
+            raise ValueError(f"factor {data[:3]} is not mergeable")
+        if enames[z] != data[3]:
+            raise ValueError(f"product of {data[:3]} is {enames[z]!r}, not {data[3]!r}")
+        return state[:2 * k] + (z,) + state[2 * k + 3:]
 
     # the search itself ---------------------------------------------------
 
@@ -404,46 +323,40 @@ class _Search:
         The third result slot is the stop reason: None (target found),
         "exhausted", or "budget"."""
         parents: dict = {start: None}
+        reduce = self.fp.reduce
         if target is not None:
-            nf, steps = self.normal_steps(start)
+            nf, merges = reduce(start)
             if nf == target:
-                return steps, None, None
+                return self._chain(parents, start, merges), None, None
         queue = deque([start])
         limit = "exhausted"
         while queue:
             cur = queue.popleft()
-            for ns, step in self.neighbors(cur, bound):
+            for ns, move in self.neighbors(cur, bound):
                 if ns in parents:
                     continue
                 if len(parents) >= budget:
                     limit = "budget"
                     queue.clear()
                     break
-                parents[ns] = (cur, step)
+                parents[ns] = (cur, move)
                 if target is not None:
-                    nf, extra = self.normal_steps(ns)
+                    nf, merges = reduce(ns)
                     if nf == target:
-                        chain: list[Step] = []
-                        node = ns
-                        while parents[node] is not None:
-                            node, st = parents[node]
-                            chain.append(st)
-                        chain.reverse()
-                        chain.extend(extra)
-                        return tuple(chain), None, None
+                        return self._chain(parents, ns, merges), None, None
                 queue.append(ns)
         return None, parents, limit
 
-
-def _prepared(a: GammaAmalgam, identify_elements: bool) -> _Search:
-    rel = relation_generators(a, identify_elements)
-    return _Search(a, rel)
-
-
-def _check_word_input(fp: FreeProduct, w: Word) -> None:
-    fp._check_word(w)
-    if not fp.is_reduced(w):
-        raise MalformedSequence(f"word {w} is not reduced")
+    def _chain(self, parents: dict, node, merges: list) -> tuple[Step, ...]:
+        """Named steps along the BFS tree from the start to node, then the
+        merges that normalise node."""
+        moves = []
+        while parents[node] is not None:
+            node, move = parents[node]
+            moves.append(move)
+        moves.reverse()
+        moves.extend(("merge", pos, codes) for pos, *codes in merges)
+        return tuple(self._step(*move) for move in moves)
 
 
 def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
@@ -457,11 +370,11 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     through longer words or not equal at all."""
     if bound < 1 or budget < 1:
         raise ValueError("bound and budget must be positive")
-    search = _prepared(a, identify_elements)
-    fp = a.free_product()
-    _check_word_input(fp, w1)
-    _check_word_input(fp, w2)
-    start, target = search.encode(w1), search.encode(w2)
+    search = _Search(a, identify_elements)
+    for w in (w1, w2):
+        if not search.fp.is_reduced(w):
+            raise MalformedSequence(f"word {w} is not reduced")
+    start, target = search.fp.encode(w1), search.fp.encode(w2)
     chain, _, limit = search.explore(start, bound, budget, target=target)
     if chain is not None:
         return EqualityVerdict(True, chain, None, bound, budget)
@@ -472,11 +385,11 @@ def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step],
                  identify_elements: bool = False) -> Word:
     """Run a chain against the tables and relation pairs, validating every
     move; returns the word it produces.  ValueError on any illegal step."""
-    search = _prepared(a, identify_elements)
-    state = search.encode(w1)
+    search = _Search(a, identify_elements)
+    state = search.fp.encode(w1)
     for step in chain:
         state = search.apply_step(state, step)
-    return search.decode(state)
+    return search.fp.decode(state)
 
 
 def mu(a: GammaAmalgam, part: int, element: str,
@@ -487,13 +400,14 @@ def mu(a: GammaAmalgam, part: int, element: str,
     bounded search can reach from it.  part is 1 or 2."""
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    search = _prepared(a, identify_elements)
-    fp = a.free_product()
-    start = search.encode(fp.embed(part - 1, element))
+    search = _Search(a, identify_elements)
+    fp = search.fp
+    start = fp.encode(fp.embed(part - 1, element))
     _, visited, _ = search.explore(start, bound, budget)
-    reduced = [st for st in visited if search.is_reduced(st)]
-    words = [search.decode(st) for st in reduced]
-    return min(words, key=fp.canonical_key)
+    # the order of FreeProduct.canonical_key, compared on coded states
+    least = min((st for st in visited if not fp.reduce(st)[1]),
+                key=lambda st: (len(st), st))
+    return fp.decode(least)
 
 
 @dataclass(frozen=True)
@@ -517,11 +431,15 @@ class CrossPair:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
+    """no_collision_within_bound[p] holds when every probe of part p+1
+    exhausted its bound without a proof.  The verdict is "violation-found"
+    when a collision was proven, else "inconclusive" when some probe ran out
+    of budget first, else "consistent-within-bound"."""
     amalgam: str
     collisions: tuple[Collision, ...]
     no_collision_within_bound: tuple[bool, bool]
     cross_pairs: tuple[CrossPair, ...]
-    verdict: str               # "violation-found" | "consistent-within-bound"
+    verdict: str
     bound: int
     budget: int
 
@@ -540,45 +458,54 @@ def check_natural_embedding(a: GammaAmalgam,
     definite violation.  Cross pairs record every proven identification
     between the parts, each with the core element that explains it when one
     is found within the bound; an unexplained pair is NOT a violation, only
-    unresolved at this bound.
+    unresolved at this bound.  A probe that runs out of budget proves
+    nothing, so it makes the report inconclusive unless a collision is
+    found elsewhere.
     """
     _require_valid(a)
     fp = a.free_product()
     f1, f2 = a.maps
+    stopped: list[bool] = []        # per probe: did it run out of budget?
+
+    def probe(w1: Word, w2: Word) -> EqualityVerdict:
+        v = words_equal_within(a, w1, w2, bound, budget, identify_elements)
+        stopped.append(v.limit == "budget")
+        return v
 
     collisions: list[Collision] = []
     clear = []
     for p, s in enumerate(a.parts):
         found = []
+        first = len(stopped)
         for i in range(s.n):
             for j in range(i + 1, s.n):
-                v = words_equal_within(a, fp.embed(p, s.elements[i]),
-                                       fp.embed(p, s.elements[j]),
-                                       bound, budget, identify_elements)
+                v = probe(fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j]))
                 if v.equal:
                     found.append(Collision(p + 1, s.elements[i], s.elements[j], v.chain))
         collisions.extend(found)
-        clear.append(not found)
+        clear.append(not found and not any(stopped[first:]))
 
     cross: list[CrossPair] = []
     s1, s2 = a.parts
     for e1 in s1.elements:
         w1 = fp.embed(0, e1)
         for e2 in s2.elements:
-            v = words_equal_within(a, w1, fp.embed(1, e2),
-                                   bound, budget, identify_elements)
+            v = probe(w1, fp.embed(1, e2))
             if not v.equal:
                 continue
             resolved = None
             for u in a.core.elements:
-                r = words_equal_within(a, fp.embed(0, f1.carrier_map[u]), w1,
-                                       bound, budget, identify_elements)
-                if r.equal:
+                if probe(fp.embed(0, f1.carrier_map[u]), w1).equal:
                     resolved = u
                     break
             cross.append(CrossPair(e1, e2, resolved))
 
-    verdict = "violation-found" if collisions else "consistent-within-bound"
+    if collisions:
+        verdict = "violation-found"
+    elif any(stopped):
+        verdict = "inconclusive"
+    else:
+        verdict = "consistent-within-bound"
     return EmbeddingReport(a.name, tuple(collisions), tuple(clear),
                            tuple(cross), verdict, bound, budget)
 

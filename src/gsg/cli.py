@@ -23,6 +23,7 @@ from .congruences import first_isomorphism_check, generate_congruence, quotient
 from .core import (
     check_associativity,
     classify,
+    injective,
     verify_homomorphism,
 )
 from .errors import GsgError, NotAHomomorphism, ParseError
@@ -106,10 +107,8 @@ def _cmd_validate(ws: Workspace) -> int:
     for f in ws.homs:
         w = verify_homomorphism(f)
         if w is None:
-            inj = (len(set(f.carrier_map.values())) == f.source.n
-                   and len(set(f.gamma_map.values())) == f.source.g)
             print(f"hom {f.name}: {f.source.name} -> {f.target.name}: "
-                  f"homomorphism, monomorphism={_yesno(inj)}")
+                  f"homomorphism, monomorphism={_yesno(all(injective(f)))}")
         else:
             ok = False
             a, g, b = w
@@ -158,8 +157,7 @@ def _cmd_hom_check(ws: Workspace, name: str) -> int:
         print(f"compatibility: fails at ({a} {g} {b})")
         print("hom-check: FAIL")
         return 1
-    carrier_inj = len(set(f.carrier_map.values())) == f.source.n
-    gamma_inj = len(set(f.gamma_map.values())) == f.source.g
+    carrier_inj, gamma_inj = injective(f)
     print("compatibility: ok")
     print(f"injective-carrier: {_yesno(carrier_inj)}")
     print(f"injective-gamma: {_yesno(gamma_inj)}")
@@ -194,6 +192,9 @@ def _cmd_word_mul(ws: Workspace, mode: str, gamma: str, left: str, right: str) -
 
 def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int,
                        identify: bool) -> int:
+    if bound < 1 or budget < 1:
+        raise GsgError(f"--bound and --budget must be positive integers, "
+                       f"got {bound} and {budget}")
     a = ws.amalgam(name)
     print(f"amalgam {a.name}: core {a.core.name}, parts {a.parts[0].name} "
           f"{a.parts[1].name}, mode {a.mode.value}")
@@ -217,6 +218,8 @@ def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int,
     for p, s in enumerate(a.parts):
         if report.no_collision_within_bound[p]:
             print(f"injectivity {s.name}: no collisions within bound {bound}")
+        elif all(c.part != p + 1 for c in report.collisions):
+            print(f"injectivity {s.name}: budget {budget} ran out before bound {bound}")
     for c in report.collisions:
         print(f"collision in {a.parts[c.part - 1].name}: {c.a} = {c.b} proven by:")
         for line in _chain_lines(c.chain):
@@ -233,7 +236,7 @@ def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int,
     if report.verdict == "violation-found":
         print("amalgam-check: FAIL")
         return 1
-    if report.unresolved:
+    if report.verdict == "inconclusive" or report.unresolved:
         print("amalgam-check: INCONCLUSIVE")
         return 3
     print("amalgam-check: PASS")

@@ -244,11 +244,10 @@ def first_isomorphism_check(f: GammaHomomorphism) -> IsoReport:
         for u in q.elements for h in q.gammas for v in q.elements
     )
     injective = len(set(psi.values())) == len(psi)
-    commutes = all(psi[proj.carrier_map[e]] == f.carrier_map[e]
-                   for e in f.source.elements)
-    image: list[str] = []
-    for e in tgt.elements:
-        if e in set(f.carrier_map.values()):
-            image.append(e)
+    # psi is f on each class's representative, so "f is constant on kernel
+    # classes" and "psi after the projection is f" are one predicate
+    commutes = well_defined
+    values = set(f.carrier_map.values())
+    image = [e for e in tgt.elements if e in values]
     return IsoReport(f.name, well_defined, is_hom, injective, commutes,
                      q, tuple(image), psi)

@@ -40,6 +40,7 @@ __all__ = [
     "check_associativity",
     "is_subsemigroup",
     "verify_homomorphism",
+    "injective",
     "is_monomorphism",
     "identity_homomorphism",
     "compose",
@@ -294,14 +295,18 @@ def verify_homomorphism(f: GammaHomomorphism) -> Optional[HomWitness]:
     return None
 
 
+def injective(f: GammaHomomorphism) -> tuple[bool, bool]:
+    """Whether the carrier map and the gamma map are injective, in that order."""
+    return (len(set(f.carrier_map.values())) == f.source.n,
+            len(set(f.gamma_map.values())) == f.source.g)
+
+
 def is_monomorphism(f: GammaHomomorphism) -> bool:
     """True when a verified homomorphism has injective carrier and gamma maps."""
     w = verify_homomorphism(f)
     if w is not None:
         raise NotAHomomorphism(f.name, w)
-    carrier_inj = len(set(f.carrier_map.values())) == f.source.n
-    gamma_inj = len(set(f.gamma_map.values())) == f.source.g
-    return carrier_inj and gamma_inj
+    return all(injective(f))
 
 
 def identity_homomorphism(s: GammaSemigroup, name: str = "id") -> GammaHomomorphism:

@@ -17,19 +17,21 @@ the family member it came from.  Two merge disciplines exist:
   refuses them in raw input, because a hand-written sequence of that shape
   is almost certainly a mistake.
 
-Products of words associate, which is what makes the left-to-right merge
-pass below well defined.
+Both disciplines share one normal form: `FreeProduct.reduce` merges every
+mergeable factor in a single left-to-right pass over the coded letters.
+Products of words associate, which is what makes that pass well defined.
+`normalize`, `is_reduced`, `gamma_multiply`, `canonical_key` and the
+bounded amalgam search in `amalgams` are all built on it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import GammaHomomorphism, GammaSemigroup, verify_homomorphism
 from .errors import (
-    AmbiguousIdentifier,
     CrossFamilyGamma,
     GammaMismatch,
     MalformedSequence,
@@ -94,6 +96,13 @@ class FreeProduct:
     plain name act as a letter).  In same-gamma mode every member must carry
     an identical gamma tuple; in disjoint mode the gamma names must be
     mutually disjoint as well.
+
+    Internally a word is a coded state: the tuple of its letter codes.
+    Element codes number the members' elements in member order; gamma codes
+    number the shared gamma list, or in disjoint mode the members' gamma
+    lists in member order.  `encode` and `decode` convert between words and
+    states, `merge` is the merge rule and `reduce` the normal form; every
+    word operation here, and the amalgam search, goes through them.
     """
 
     def __init__(self, members: Sequence[GammaSemigroup],
@@ -103,13 +112,12 @@ class FreeProduct:
             raise ValueError("a free product needs at least one member")
         self.members = members
         self.mode = mode
-        owner: dict[str, int] = {}
-        for p, s in enumerate(members):
-            for e in s.elements:
-                if e in owner:
-                    raise NameClash(e, "family element names must be disjoint")
-                owner[e] = p
-        self._owner = owner
+        eletters = [Letter(p, e) for p, s in enumerate(members) for e in s.elements]
+        self._ecode: dict[str, int] = {}
+        for c, l in enumerate(eletters):
+            if l.element in self._ecode:
+                raise NameClash(l.element, "family element names must be disjoint")
+            self._ecode[l.element] = c
         if mode is Mode.SAME_GAMMA:
             shared = members[0].gammas
             for s in members[1:]:
@@ -118,43 +126,88 @@ class FreeProduct:
                         f"same-gamma mode needs identical gamma lists, "
                         f"{s.name} has {s.gammas} vs {shared}")
             self.shared_gammas = shared
-            self._gowner: Optional[dict[str, int]] = None
+            gletters = [GammaLetter(h, None) for h in shared]
+            own = [range(len(shared))] * len(members)
         else:
-            gowner: dict[str, int] = {}
+            gletters, own = [], []
             for p, s in enumerate(members):
-                for h in s.gammas:
-                    if h in gowner:
-                        raise NameClash(h, "disjoint mode needs disjoint gamma names")
-                    gowner[h] = p
+                own.append(range(len(gletters), len(gletters) + s.g))
+                gletters.extend(GammaLetter(h, p) for h in s.gammas)
             self.shared_gammas = None
-            self._gowner = gowner
+        self._gcode: dict[str, int] = {}
+        for c, l in enumerate(gletters):
+            if l.gamma in self._gcode:
+                raise NameClash(l.gamma, "disjoint mode needs disjoint gamma names")
+            self._gcode[l.gamma] = c
+        self._eletters = tuple(eletters)
+        self._gletters = tuple(gletters)
+        self.element_names = tuple(l.element for l in eletters)
+        self.gamma_names = tuple(l.gamma for l in gletters)
+        # the merge rule as one table: _mul[g][x][y] is the code of x g y when
+        # x, y and (in disjoint mode) g come from one member, else None
+        n = len(eletters)
+        self._mul: list[list[list[Optional[int]]]] = [
+            [[None] * n for _ in range(n)] for _ in gletters]
+        for s, gammas in zip(members, own):
+            lo = self._ecode[s.elements[0]]
+            for x, by_gamma in enumerate(s.table.tolist()):
+                for g, products in zip(gammas, by_gamma):
+                    self._mul[g][lo + x][lo:lo + s.n] = [lo + z for z in products]
 
-    # letter resolution -------------------------------------------------
+    # the word kernel -----------------------------------------------------
 
-    def _element_letter(self, name: str) -> Letter:
-        if name not in self._owner:
-            raise UnknownIdentifier(name, "element of the family")
-        return Letter(self._owner[name], name)
-
-    def _gamma_letter(self, name: str) -> GammaLetter:
-        if self.mode is Mode.SAME_GAMMA:
-            if name not in self.shared_gammas:
-                raise UnknownIdentifier(name, "gamma of the family")
-            return GammaLetter(name, None)
-        if name not in self._gowner:
-            raise UnknownIdentifier(name, "gamma of the family")
-        return GammaLetter(name, self._gowner[name])
-
-    def _check_word(self, w: Word) -> None:
+    def encode(self, w: Word) -> tuple:
+        """The coded state of a word of this product; ModeMismatch or
+        UnknownIdentifier when the word belongs elsewhere."""
         if not isinstance(w, Word) or w.mode is not self.mode:
             raise ModeMismatch("word does not belong to this product's mode")
-        for l in w.element_letters():
-            if self._owner.get(l.element) != l.pointer:
-                raise UnknownIdentifier(l.element, "element of the family")
-        for l in w.gamma_letters():
-            check = self._gamma_letter(l.gamma)
-            if check.pointer != l.pointer:
-                raise UnknownIdentifier(l.gamma, "gamma of the family")
+        state = []
+        for k, l in enumerate(w.letters):
+            if k % 2 == 0:
+                c = self._ecode.get(l.element)
+                if c is None or self._eletters[c] != l:
+                    raise UnknownIdentifier(l.element, "element of the family")
+            else:
+                c = self._gcode.get(l.gamma)
+                if c is None or self._gletters[c] != l:
+                    raise UnknownIdentifier(l.gamma, "gamma of the family")
+            state.append(c)
+        return tuple(state)
+
+    def decode(self, state: tuple) -> Word:
+        """The word a coded state stands for."""
+        return Word(tuple((self._gletters if k % 2 else self._eletters)[c]
+                          for k, c in enumerate(state)), self.mode)
+
+    def merge(self, x: int, g: int, y: int) -> Optional[int]:
+        """Code of x g y when the factor merges in this product's mode, else
+        None.  Same-gamma: x and y come from one member.  Disjoint: x, g and
+        y all come from one member."""
+        return self._mul[g][x][y]
+
+    def reduce(self, state: tuple) -> tuple[tuple, list[tuple]]:
+        """Normal form of a coded state, and the merges that reach it.
+
+        One left-to-right pass merges each element letter into the letter
+        before it whenever the factor between them merges.  A merge keeps
+        the member of its left letter, so it never creates a mergeable site
+        to its left: the pass ends in the normal form and takes the same
+        merges, in the same order, as repeatedly merging the leftmost
+        mergeable site.  Each merge is (pos, x, g, y, x g y), pos counting
+        element letters from the left.
+        """
+        mul = self._mul
+        out = list(state[:1])
+        merges = []
+        for k in range(1, len(state), 2):
+            g, y = state[k], state[k + 1]
+            z = mul[g][out[-1]][y]
+            if z is None:
+                out += (g, y)
+            else:
+                merges.append((len(out) // 2, out[-1], g, y, z))
+                out[-1] = z
+        return tuple(out), merges
 
     # construction -------------------------------------------------------
 
@@ -165,73 +218,46 @@ class FreeProduct:
             raise UnknownIdentifier(a, f"element of {s.name}")
         return Word((Letter(i, a),), self.mode)
 
-    def _mergeable(self, x: Letter, g: GammaLetter, y: Letter) -> bool:
-        if self.mode is Mode.SAME_GAMMA:
-            return x.pointer == y.pointer
-        return x.pointer == g.pointer == y.pointer
-
-    def _merge(self, x: Letter, g: GammaLetter, y: Letter) -> Letter:
-        z = self.members[x.pointer].mul(x.element, g.gamma, y.element)
-        return Letter(x.pointer, z)
+    def _code(self, name: str, gamma: bool) -> int:
+        table = self._gcode if gamma else self._ecode
+        if name not in table:
+            raise UnknownIdentifier(name, f"{'gamma' if gamma else 'element'} of the family")
+        return table[name]
 
     def normalize(self, tokens: Sequence[str]) -> Word:
         """Canonical reduced word for a raw alternating name sequence.
 
-        Merges every mergeable factor left to right.  A merge can never
-        create a new mergeable site to its left, so one pass suffices.  In
-        disjoint mode a surviving site whose outer letters share a pointer
-        raises CrossFamilyGamma.
+        In disjoint mode a surviving factor whose outer letters share a
+        member (so its gamma is foreign) raises CrossFamilyGamma.
         """
         tokens = list(tokens)
         if not tokens:
             raise MalformedSequence("empty word")
         if len(tokens) % 2 == 0:
             raise MalformedSequence("a word must start and end with element letters")
-        out: list = []
-        for pos, tok in enumerate(tokens):
-            if pos % 2 == 0:
-                letter = self._element_letter(tok)
-                if out and self._mergeable(out[-2], out[-1], letter):
-                    merged = self._merge(out[-2], out[-1], letter)
-                    out[-2:] = [merged]
-                else:
-                    out.append(letter)
-            else:
-                out.append(self._gamma_letter(tok))
-        if self.mode is Mode.DISJOINT:
-            for k in range(0, len(out) - 2, 2):
-                x, g, y = out[k], out[k + 1], out[k + 2]
-                if x.pointer == y.pointer != g.pointer:
-                    raise CrossFamilyGamma(x.element, g.gamma, y.element)
-        return Word(tuple(out), self.mode)
+        state, _ = self.reduce(tuple(self._code(tok, k % 2 == 1)
+                                     for k, tok in enumerate(tokens)))
+        for x, g, y in zip(state[0::2], state[1::2], state[2::2]):
+            if self._eletters[x].pointer == self._eletters[y].pointer:
+                raise CrossFamilyGamma(self.element_names[x], self.gamma_names[g],
+                                       self.element_names[y])
+        return self.decode(state)
 
     def parse_word(self, text: str) -> Word:
         return self.normalize(text.split())
 
     def is_reduced(self, w: Word) -> bool:
-        letters = w.letters
-        if not letters or len(letters) % 2 == 0:
-            return False
-        for k in range(0, len(letters) - 2, 2):
-            if self._mergeable(letters[k], letters[k + 1], letters[k + 2]):
-                return False
-        return True
+        state = self.encode(w)
+        return len(state) % 2 == 1 and not self.reduce(state)[1]
 
     # arithmetic ----------------------------------------------------------
 
     def gamma_multiply(self, a: Word, gamma: str, b: Word) -> Word:
-        """The product a gamma b: merge at the junction when the mode's
-        merge condition holds there, otherwise insert the gamma letter."""
-        self._check_word(a)
-        self._check_word(b)
-        g = self._gamma_letter(gamma)
-        last, first = a.letters[-1], b.letters[0]
-        if self._mergeable(last, g, first):
-            merged = self._merge(last, g, first)
-            letters = a.letters[:-1] + (merged,) + b.letters[1:]
-        else:
-            letters = a.letters + (g,) + b.letters
-        return Word(letters, self.mode)
+        """The product a gamma b: the normal form of the concatenation.  For
+        reduced a and b only the junction can merge."""
+        left, right = self.encode(a), self.encode(b)
+        state, _ = self.reduce(left + (self._code(gamma, True),) + right)
+        return self.decode(state)
 
     def fold(self, w: Word, target: GammaSemigroup,
              homs: Sequence[Optional[GammaHomomorphism]]) -> str:
@@ -242,7 +268,7 @@ class FreeProduct:
         and every hom's gamma map must be the identity; in disjoint mode
         each gamma letter goes through its own member's gamma map.
         """
-        self._check_word(w)
+        self.encode(w)
         homs = list(homs)
         for i, member in enumerate(self.members):
             if i >= len(homs) or homs[i] is None:
@@ -278,17 +304,11 @@ class FreeProduct:
     # ordering ------------------------------------------------------------
 
     def canonical_key(self, w: Word):
-        """Sort key: length first, then the letter index sequence.
+        """Sort key: length first, then the letter codes.
 
-        Words of equal length alternate in step, so element letters only
-        ever compare against element letters and gammas against gammas.
+        Words of equal length alternate in step, so element codes only ever
+        compare against element codes and gamma codes against gamma codes;
+        codes follow member order, then the order inside each member.
         """
-        parts = []
-        for l in w.letters:
-            if isinstance(l, Letter):
-                parts.append((l.pointer, self.members[l.pointer].index(l.element)))
-            elif self.mode is Mode.SAME_GAMMA:
-                parts.append((0, self.members[0].gamma_index(l.gamma)))
-            else:
-                parts.append((l.pointer, self.members[l.pointer].gamma_index(l.gamma)))
-        return (w.m, tuple(parts))
+        state = self.encode(w)
+        return (len(state), state)

@@ -275,6 +275,34 @@ def test_equal_verdicts_are_monotone_in_bound():
             assert_equal_with_proof(a, w1, w2, bound=bound, budget=100_000)
 
 
+def test_equality_chains_are_pinned():
+    # captured from the search before it moved onto the shared word kernel:
+    # any change in move order, BFS order or the final merges shows up here
+    a = make_disjoint_amalgam()
+    fp = a.free_product()
+    v = assert_equal_with_proof(a, fp.parse_word("p g2 r"), fp.parse_word("r g2 q"),
+                                bound=4, budget=20_000)
+    assert v.chain == (
+        Step("swap", 0, ("p", "r")),
+        Step("swap", 1, ("r", "p")),
+        Step("unmerge", 1, ("p", "p", "g1", "q")),
+        Step("swap", 1, ("p", "r")),
+        Step("gswap", 1, ("g1", "g2")),
+        Step("merge", 0, ("r", "g2", "r", "r")),
+    )
+    a, *_ = make_embedded_z4_fixture()
+    fp = a.free_product()
+    v = assert_equal_with_proof(a, fp.parse_word("a0 g b1 g a2 g b3"),
+                                fp.parse_word("a2"), bound=4, budget=20_000)
+    assert v.chain == (
+        Step("swap", 1, ("b1", "a1")),
+        Step("swap", 3, ("b3", "a3")),
+        Step("merge", 0, ("a0", "g", "a1", "a1")),
+        Step("merge", 0, ("a1", "g", "a2", "a3")),
+        Step("merge", 0, ("a3", "g", "a3", "a2")),
+    )
+
+
 def test_replay_validates_each_step():
     a = make_trivial_amalgam()
     fp = a.free_product()
@@ -374,6 +402,14 @@ def test_embedding_report_disjoint():
     assert r.verdict == "consistent-within-bound"
     assert [(p.s1, p.s2, p.resolved_by) for p in r.cross_pairs] == [
         ("p", "r", "u")]
+
+
+def test_embedding_report_budget_stop_is_inconclusive():
+    # a probe that ran out of budget proves nothing either way
+    r = check_natural_embedding(make_two_copies(), budget=1)
+    assert r.verdict == "inconclusive"
+    assert r.collisions == ()
+    assert r.no_collision_within_bound == (False, False)
 
 
 def test_embedding_collision_chains_replay():

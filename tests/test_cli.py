@@ -173,6 +173,35 @@ amalgam-check: PASS
 """
 
 
+def test_amalgam_check_budget_stop_is_inconclusive(capsys):
+    # at the default budget this run proves a0 = b0 and a1 = b1; a budget of
+    # one state proves nothing, so it may claim neither absence nor PASS
+    code, out, _ = invoke(capsys, "amalgam-check", TWO_COPIES,
+                          "--amalgam", "two_copies", "--budget", "1")
+    assert code == 3
+    assert out == """\
+amalgam two_copies: core U, parts S1 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 2 element pair(s)
+  a0 ~ b0
+  a1 ~ b1
+injectivity S1: budget 1 ran out before bound 6
+injectivity S2: budget 1 ran out before bound 6
+intersection: no cross pairs proven equal
+verdict: inconclusive
+amalgam-check: INCONCLUSIVE
+"""
+
+
+@pytest.mark.parametrize("flags", [("--bound", "0"), ("--budget", "0"),
+                                   ("--bound", "-1"), ("--budget", "-5")])
+def test_amalgam_check_rejects_nonpositive_limits(capsys, flags):
+    code, out, err = invoke(capsys, "amalgam-check", TWO_COPIES,
+                            "--amalgam", "two_copies", *flags)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "must be positive" in err
+
+
 def test_amalgam_check_trivial_at_small_bound(capsys):
     code, out, _ = invoke(capsys, "amalgam-check",
                           str(DATA / "amalgam_trivial.gsg"),

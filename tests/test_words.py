@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trivial, words_up_to
+from conftest import (
+    make_disjoint_amalgam,
+    make_embedded_z4_fixture,
+    trivial,
+    words_up_to,
+)
 from gsg import (
     CrossFamilyGamma,
     FreeProduct,
@@ -15,8 +20,10 @@ from gsg import (
     Mode,
     ModeMismatch,
     NameClash,
+    Step,
     UnknownIdentifier,
     identity_homomorphism,
+    replay_chain,
 )
 from gsg.families import left_zero, zmod
 from gsg.words import GammaLetter, Letter, Word
@@ -113,6 +120,38 @@ def test_merge_order_does_not_matter(data):
 
     ref = brute_normalize(toks, owner, None, mul, merge_pos=pick)
     assert tuple(ref) == family().normalize(toks).tokens()
+
+
+@pytest.mark.parametrize("build", [lambda: make_embedded_z4_fixture()[0],
+                                   make_disjoint_amalgam],
+                         ids=["same-gamma", "disjoint"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_matches_reference_and_its_merges_replay(build, data):
+    # reduce on raw coded words: the reference normalizer must agree, and
+    # the merges it reports must replay as a chain onto its normal form
+    a = build()
+    fp = a.free_product()
+    m = data.draw(st.integers(1, 6))
+    state = []
+    for k in range(m):
+        if k:
+            state.append(data.draw(st.integers(0, len(fp.gamma_names) - 1)))
+        state.append(data.draw(st.integers(0, len(fp.element_names) - 1)))
+    nf, merges = fp.reduce(tuple(state))
+    raw = fp.decode(tuple(state))
+    owner = {e: p for p, s in enumerate(fp.members) for e in s.elements}
+    gowner = (None if fp.mode is Mode.SAME_GAMMA else
+              {h: p for p, s in enumerate(fp.members) for h in s.gammas})
+
+    def mul(i, x, g, y):
+        return fp.members[i].mul(x, g, y)
+
+    ref = brute_normalize(raw.tokens(), owner, gowner, mul)
+    assert fp.decode(nf).tokens() == tuple(ref)
+    e, g = fp.element_names, fp.gamma_names
+    chain = [Step("merge", pos, (e[x], g[h], e[y], e[z])) for pos, x, h, y, z in merges]
+    assert replay_chain(a, raw, chain) == fp.decode(nf)
 
 
 def test_gamma_multiply_three_cases():
