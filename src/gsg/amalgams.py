@@ -22,6 +22,23 @@ a disproof.  Soundness rests on three facts about the moves:
   confluent.  The search normalises with the free product's own
   `FreeProduct.reduce`, the one normal-form routine shared with word
   arithmetic, and runs over the same coded states.
+
+Every move has an inverse inside the bound: a swap or gamma swap undoes
+itself, because relation pairs are symmetric, and a merge is undone by the
+unmerge of its product, which is allowed because the merged sequence is
+one element letter shorter than the bound.  So a breadth-first search that
+exhausts its bound visits exactly one connected component, whichever state
+it starts from, and the one-letter states in it form the class of the
+start.  The reports (`check_natural_embedding`, `pushout_mediator`) run
+one exploration per class, not one search per element pair.  Budget
+semantics of those shared explorations:
+
+* a class is settled only by an exploration that exhausted its bound;
+* a one-letter start that lies only in explorations stopped by the budget
+  gets its own exploration, with its own budget;
+* two one-letter words are proven apart when one of them lies in a settled
+  class that does not hold the other; they are undecided when neither is
+  proven equal nor apart.
 """
 
 from __future__ import annotations
@@ -227,7 +244,7 @@ class _Search:
     Steps are built only for the chains that are returned."""
 
     def __init__(self, a: GammaAmalgam, identify_elements: bool):
-        rel = relation_generators(a, identify_elements)
+        self.rel = rel = relation_generators(a, identify_elements)
         self.fp = fp = a.free_product()
         self.subs = _partners(fp.element_names, rel.element_pairs)
         self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
@@ -347,6 +364,27 @@ class _Search:
                 queue.append(ns)
         return None, parents, limit
 
+    def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
+        """The one-letter states that an exploration from the one-letter
+        state (code,) reaches, as element codes, and its stop reason.  When
+        the stop reason is "exhausted" this is the whole class of code."""
+        _, visited, limit = self.explore((code,), bound, budget)
+        return frozenset(st[0] for st in visited if len(st) == 1), limit
+
+    def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
+        """Every element code of the product mapped to (class, stop reason).
+
+        Starts run in code order, part 1 first, and a code that a settled
+        class already holds gets no exploration of its own.  A code reached
+        only by budget-stopped explorations maps to its own exploration."""
+        out: dict[int, tuple[frozenset, str]] = {}
+        for code in range(len(self.fp.element_names)):
+            if code not in out:
+                members, limit = entry = self.component(code, bound, budget)
+                for c in members if limit == "exhausted" else (code,):
+                    out[c] = entry
+        return out
+
     def _chain(self, parents: dict, node, merges: list) -> tuple[Step, ...]:
         """Named steps along the BFS tree from the start to node, then the
         merges that normalise node."""
@@ -359,6 +397,11 @@ class _Search:
         return tuple(self._step(*move) for move in moves)
 
 
+def _check_limits(bound: int, budget: int) -> None:
+    if bound < 1 or budget < 1:
+        raise ValueError("bound and budget must be positive")
+
+
 def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
                        bound: int = DEFAULT_BOUND,
                        budget: int = DEFAULT_BUDGET,
@@ -368,8 +411,7 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     Equal means proven equal, with the move chain from w1 to w2 attached.
     An inconclusive verdict carries no claim at all: the pair may be equal
     through longer words or not equal at all."""
-    if bound < 1 or budget < 1:
-        raise ValueError("bound and budget must be positive")
+    _check_limits(bound, budget)
     search = _Search(a, identify_elements)
     for w in (w1, w2):
         if not search.fp.is_reduced(w):
@@ -397,17 +439,19 @@ def mu(a: GammaAmalgam, part: int, element: str,
        identify_elements: bool = False) -> Word:
     """Canonical representative of one part element's class: the least
     reduced word (length first, then letter indices) among everything the
-    bounded search can reach from it.  part is 1 or 2."""
+    bounded search can reach from it.  part is 1 or 2.
+
+    The search starts from a one-letter word, so that least word is the
+    least one-letter word it reaches.  It is the least of the whole class
+    only when the search exhausted its bound; `pushout_mediator` reports
+    which case its representatives are in."""
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
+    _check_limits(bound, budget)
     search = _Search(a, identify_elements)
     fp = search.fp
-    start = fp.encode(fp.embed(part - 1, element))
-    _, visited, _ = search.explore(start, bound, budget)
-    # the order of FreeProduct.canonical_key, compared on coded states
-    least = min((st for st in visited if not fp.reduce(st)[1]),
-                key=lambda st: (len(st), st))
-    return fp.decode(least)
+    members, _ = search.component(fp.encode(fp.embed(part - 1, element))[0], bound, budget)
+    return fp.decode((min(members),))
 
 
 @dataclass(frozen=True)
@@ -431,10 +475,10 @@ class CrossPair:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """no_collision_within_bound[p] holds when every probe of part p+1
-    exhausted its bound without a proof.  The verdict is "violation-found"
-    when a collision was proven, else "inconclusive" when some probe ran out
-    of budget first, else "consistent-within-bound"."""
+    """no_collision_within_bound[p] holds when part p+1 has no collision and
+    no undecided pair.  The verdict is "violation-found" when a collision
+    was proven, else "inconclusive" when some pair was left undecided,
+    else "consistent-within-bound"."""
     amalgam: str
     collisions: tuple[Collision, ...]
     no_collision_within_bound: tuple[bool, bool]
@@ -456,53 +500,74 @@ def check_natural_embedding(a: GammaAmalgam,
 
     A collision (two distinct elements of one part proven equal) is a
     definite violation.  Cross pairs record every proven identification
-    between the parts, each with the core element that explains it when one
-    is found within the bound; an unexplained pair is NOT a violation, only
-    unresolved at this bound.  A probe that runs out of budget proves
-    nothing, so it makes the report inconclusive unless a collision is
-    found elsewhere.
+    between the parts, each with the first core element (in core order)
+    whose part-1 image shares the class, when there is one; an unexplained
+    pair is NOT a violation, only unresolved at this bound.
+
+    Every answer is read off one exploration per class (see the module
+    docstring), under these budget semantics:
+
+    * a class is settled only by an exhausted exploration, and a start
+      that lies only in budget-stopped explorations gets its own
+      exploration and its own budget;
+    * a pair is undecided when it is neither proven equal nor separated by
+      exhausted explorations;
+    * a collision is reported only when `words_equal_within` returns its
+      chain; a pair whose chain is not returned stays undecided;
+    * no_collision_within_bound[p] holds exactly when part p+1 has no
+      collision and no undecided pair;
+    * the verdict is "inconclusive" exactly when no collision is proven
+      and some collision pair or cross pair is undecided.
     """
-    _require_valid(a)
-    fp = a.free_product()
-    f1, f2 = a.maps
-    stopped: list[bool] = []        # per probe: did it run out of budget?
+    _check_limits(bound, budget)
+    search = _Search(a, identify_elements)
+    fp = search.fp
+    classes = search.classes(bound, budget)
+    code = {e: c for c, e in enumerate(fp.element_names)}
 
-    def probe(w1: Word, w2: Word) -> EqualityVerdict:
-        v = words_equal_within(a, w1, w2, bound, budget, identify_elements)
-        stopped.append(v.limit == "budget")
-        return v
+    def same_class(x: int, y: int) -> Optional[bool]:
+        """Whether exhausted explorations prove x, y equal or apart; None
+        when neither is in a settled class."""
+        (cls_x, limit_x), (_, limit_y) = classes[x], classes[y]
+        if limit_x == "exhausted":
+            return y in cls_x
+        return False if limit_y == "exhausted" else None
 
+    undecided = False
     collisions: list[Collision] = []
     clear = []
     for p, s in enumerate(a.parts):
-        found = []
-        first = len(stopped)
+        found, open_pairs = [], False
         for i in range(s.n):
             for j in range(i + 1, s.n):
-                v = probe(fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j]))
-                if v.equal:
-                    found.append(Collision(p + 1, s.elements[i], s.elements[j], v.chain))
+                same = same_class(code[s.elements[i]], code[s.elements[j]])
+                if same:
+                    w1, w2 = fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j])
+                    v = words_equal_within(a, w1, w2, bound, budget, identify_elements)
+                    if v.equal:
+                        found.append(Collision(p + 1, s.elements[i], s.elements[j], v.chain))
+                        continue
+                open_pairs |= same is not False
         collisions.extend(found)
-        clear.append(not found and not any(stopped[first:]))
+        clear.append(not found and not open_pairs)
+        undecided |= open_pairs
 
     cross: list[CrossPair] = []
+    f1 = a.maps[0]
     s1, s2 = a.parts
     for e1 in s1.elements:
-        w1 = fp.embed(0, e1)
         for e2 in s2.elements:
-            v = probe(w1, fp.embed(1, e2))
-            if not v.equal:
-                continue
-            resolved = None
-            for u in a.core.elements:
-                if probe(fp.embed(0, f1.carrier_map[u]), w1).equal:
-                    resolved = u
-                    break
-            cross.append(CrossPair(e1, e2, resolved))
+            same = same_class(code[e1], code[e2])
+            undecided |= same is None
+            if same:
+                cls = classes[code[e1]][0]
+                resolved = next((u for u in a.core.elements
+                                 if code[f1.carrier_map[u]] in cls), None)
+                cross.append(CrossPair(e1, e2, resolved))
 
     if collisions:
         verdict = "violation-found"
-    elif any(stopped):
+    elif undecided:
         verdict = "inconclusive"
     else:
         verdict = "consistent-within-bound"
@@ -515,7 +580,11 @@ class MediatorReport:
     """Checks that folding through g1, g2 is a well defined map out of the
     amalgamated product: relation pairs collapse, the canonical
     representatives map where they must, and length-one products are
-    respected."""
+    respected.  limit is "exhausted" when every class behind the diagram
+    check was exhausted, else "budget": the representatives are then only
+    the least words the search reached, so a passing diagram check proves
+    less, while a failing one still exhibits two equal words that fold
+    apart."""
     amalgam: str
     target: str
     relations_respected: bool
@@ -525,6 +594,7 @@ class MediatorReport:
     products_respected: bool
     products_witness: Optional[tuple[str, str, str]]
     bound: int
+    limit: str
 
     @property
     def all_pass(self) -> bool:
@@ -537,7 +607,10 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
                      bound: int = DEFAULT_BOUND,
                      budget: int = DEFAULT_BUDGET) -> MediatorReport:
     """Given maps g_i from the parts into v agreeing on the core, fold words
-    through them and certify the mediating-map equations."""
+    through them and certify the mediating-map equations.  The canonical
+    representative of each part element is `mu`'s, read off one
+    exploration per class."""
+    _check_limits(bound, budget)
     _require_valid(a)
     f1, f2 = a.maps
     for u in a.core.elements:
@@ -547,53 +620,38 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
         if g1.gamma_map[f1.gamma_map[h]] != g2.gamma_map[f2.gamma_map[h]]:
             raise GammaMismatch(
                 f"gamma square does not commute on core gamma {h!r}")
-    fp = a.free_product()
-    homs = [g1, g2]
-    rel = relation_generators(a)
+    search = _Search(a, False)
+    fp = search.fp
 
     relations_ok, rel_witness = True, None
-    for (e1, e2) in rel.element_pairs:
+    for (e1, e2) in search.rel.element_pairs:
         if g1.carrier_map[e1] != g2.carrier_map[e2]:
             relations_ok, rel_witness = False, (e1, e2)
             break
 
+    fold = fp.folder(v, (g1, g2))
+    classes = search.classes(bound, budget)
+    limit = "exhausted" if all(lim == "exhausted" for _, lim in classes.values()) else "budget"
     diagram_ok, diagram_witness = True, None
-    for p, (s, g) in enumerate(zip(a.parts, (g1, g2))):
-        for e in s.elements:
-            rep = mu(a, p + 1, e, bound, budget)
-            if fp.fold(rep, v, homs) != g.carrier_map[e]:
-                diagram_ok, diagram_witness = False, (p + 1, e)
-                break
-        if not diagram_ok:
+    for code, e in enumerate(fp.element_names):
+        part = 1 if code < a.parts[0].n else 2
+        if fold((min(classes[code][0]),)) != (g1, g2)[part - 1].carrier_map[e]:
+            diagram_ok, diagram_witness = False, (part, e)
             break
 
+    # a gamma product of two one-letter words folds directly to the product
+    # of the folds, so it must agree with the fold of its normal form
     products_ok, products_witness = True, None
-    if a.mode is Mode.SAME_GAMMA:
-        gnames = list(a.parts[0].gammas)
-    else:
-        gnames = list(a.parts[0].gammas) + list(a.parts[1].gammas)
-    atoms = [(0, e) for e in a.parts[0].elements] + [(1, e) for e in a.parts[1].elements]
-    for (pa, ea) in atoms:
-        for gn in gnames:
-            for (pb, eb) in atoms:
-                wa, wb = fp.embed(pa, ea), fp.embed(pb, eb)
-                prod = fp.gamma_multiply(wa, gn, wb)
-                if a.mode is Mode.SAME_GAMMA:
-                    tg = gn
-                else:
-                    owner = 0 if gn in a.parts[0].gammas else 1
-                    tg = homs[owner].gamma_map[gn]
-                direct = v.mul(fp.fold(wa, v, homs), tg, fp.fold(wb, v, homs))
-                if fp.fold(prod, v, homs) != direct:
-                    products_ok, products_witness = False, (ea, gn, eb)
-                    break
-            if not products_ok:
-                break
-        if not products_ok:
+    codes, gcodes = range(len(fp.element_names)), range(len(fp.gamma_names))
+    for factor in ((x, g, y) for x in codes for g in gcodes for y in codes):
+        if fold(fp.reduce(factor)[0]) != fold(factor):
+            x, g, y = factor
+            products_ok, products_witness = False, (
+                fp.element_names[x], fp.gamma_names[g], fp.element_names[y])
             break
     return MediatorReport(a.name, v.name, relations_ok, rel_witness,
                           diagram_ok, diagram_witness,
-                          products_ok, products_witness, bound)
+                          products_ok, products_witness, bound, limit)
 
 
 @dataclass(frozen=True)

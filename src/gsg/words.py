@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import GammaHomomorphism, GammaSemigroup, verify_homomorphism
 from .errors import (
@@ -268,7 +268,14 @@ class FreeProduct:
         and every hom's gamma map must be the identity; in disjoint mode
         each gamma letter goes through its own member's gamma map.
         """
-        self.encode(w)
+        state = self.encode(w)
+        return self.folder(target, homs)(state)
+
+    def folder(self, target: GammaSemigroup,
+               homs: Sequence[Optional[GammaHomomorphism]]) -> Callable[[tuple], str]:
+        """Check the homomorphisms once, as `fold` does, and return the fold
+        of coded states through them; callers that fold many states of this
+        product pay for the checks only here."""
         homs = list(homs)
         for i, member in enumerate(self.members):
             if i >= len(homs) or homs[i] is None:
@@ -290,16 +297,17 @@ class FreeProduct:
                 if any(f.gamma_map[h] != h for h in self.shared_gammas):
                     raise GammaMismatch(
                         f"hom {f.name!r} must fix every shared gamma")
-        letters = w.letters
-        acc = homs[letters[0].pointer].apply(letters[0].element)
-        for k in range(1, len(letters), 2):
-            g, x = letters[k], letters[k + 1]
-            if self.mode is Mode.SAME_GAMMA:
-                tg = g.gamma
-            else:
-                tg = homs[g.pointer].apply_gamma(g.gamma)
-            acc = target.mul(acc, tg, homs[x.pointer].apply(x.element))
-        return acc
+        images = [homs[l.pointer].apply(l.element) for l in self._eletters]
+        gimages = [l.gamma if self.mode is Mode.SAME_GAMMA
+                   else homs[l.pointer].apply_gamma(l.gamma) for l in self._gletters]
+        mul = target.mul
+
+        def fold_state(state: tuple) -> str:
+            acc = images[state[0]]
+            for k in range(1, len(state), 2):
+                acc = mul(acc, gimages[state[k]], images[state[k + 1]])
+            return acc
+        return fold_state
 
     # ordering ------------------------------------------------------------
 

@@ -7,7 +7,10 @@ the test passes; the chain is the proof object and must stay checkable.
 import numpy as np
 import pytest
 
+import gsg.amalgams
+import gsg.words
 from conftest import (
+    DATA,
     make_core_not_regular_amalgam,
     make_disjoint_amalgam,
     make_embedded_z4_fixture,
@@ -38,6 +41,7 @@ from gsg import (
     constant,
     mu,
     necessary_condition,
+    parse,
     pushout_mediator,
     relation_generators,
     replay_chain,
@@ -45,6 +49,7 @@ from gsg import (
     words_equal_within,
     zmod,
 )
+from oracles import per_pair_embedding_report
 
 
 def assert_equal_with_proof(a, w1, w2, **kw):
@@ -248,6 +253,17 @@ def test_bound_and_budget_must_be_positive():
         words_equal_within(a, w, w, budget=0)
 
 
+@pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2)])
+@pytest.mark.parametrize("call", [
+    lambda a, t, p1, p2, bound, budget: mu(a, 2, "b0", bound=bound, budget=budget),
+    lambda a, t, p1, p2, bound, budget: check_natural_embedding(a, bound, budget),
+    lambda a, t, p1, p2, bound, budget: pushout_mediator(a, t, p1, p2, bound, budget),
+], ids=["mu", "check_natural_embedding", "pushout_mediator"])
+def test_reports_reject_nonpositive_limits(call, limits):
+    with pytest.raises(ValueError, match="bound and budget must be positive"):
+        call(*make_embedded_z4_fixture(), *limits)
+
+
 def test_search_rejects_unreduced_input():
     a = make_two_copies()
     fp = a.free_product()
@@ -423,6 +439,80 @@ def test_embedding_collision_chains_replay():
                 fp.embed(c.part - 1, c.b)
 
 
+def _conftest_amalgams():
+    return [make_trivial_amalgam(), make_two_copies(), make_leftzero_amalgam(),
+            make_z2_in_trivial(), make_disjoint_amalgam(),
+            make_core_not_regular_amalgam(), make_embedded_z4_fixture()[0]]
+
+
+def _all_amalgams():
+    """The conftest amalgams, then every amalgam of tests/data that is not
+    one of them (today each file repeats a builder)."""
+    out = _conftest_amalgams()
+    for path in sorted(DATA.glob("*.gsg")):
+        out += [a for a in parse(path.read_text()).amalgams if a not in out]
+    return out
+
+
+@pytest.mark.parametrize("identify", [False, True])
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_embedding_report_matches_the_per_pair_reference(bound, identify):
+    for a in _all_amalgams():
+        ref, stopped = per_pair_embedding_report(a, bound, 200_000, identify)
+        if not stopped:
+            assert check_natural_embedding(a, bound, 200_000, identify) == ref, a.name
+        fp = a.free_product()
+        for budget in (1, 50):
+            r = check_natural_embedding(a, bound, budget, identify)
+            for c in r.collisions:
+                assert replay_chain(a, fp.embed(c.part - 1, c.a), c.chain,
+                                    identify) == fp.embed(c.part - 1, c.b)
+            if stopped:
+                continue
+            # a truncated report never claims more than the full one proves
+            if r.verdict == "consistent-within-bound":
+                assert (r.collisions, r.no_collision_within_bound, r.cross_pairs,
+                        r.verdict) == (ref.collisions, ref.no_collision_within_bound,
+                                       ref.cross_pairs, ref.verdict), (a.name, budget)
+            for p in (0, 1):
+                if r.no_collision_within_bound[p]:
+                    assert ref.no_collision_within_bound[p], (a.name, budget, p)
+            assert set(r.cross_pairs) <= set(ref.cross_pairs), (a.name, budget)
+
+
+@pytest.mark.parametrize("identify", [False, True])
+def test_exhausted_explorations_from_one_class_agree(identify):
+    # the premise of one exploration per class: every move is invertible
+    # inside the bound, so any member of a class reaches the same states
+    for a in _conftest_amalgams():
+        search = gsg.amalgams._Search(a, identify)
+        seen: dict[int, set] = {}
+        for code in range(len(search.fp.element_names)):
+            _, visited, limit = search.explore((code,), 4, 200_000)
+            assert limit == "exhausted"
+            states = set(visited)
+            for other in (st[0] for st in states if len(st) == 1):
+                assert seen.setdefault(other, states) == states, (a.name, code, other)
+
+
+def test_embedding_report_explores_each_class_once(monkeypatch):
+    starts = []
+    original = gsg.amalgams._Search.explore
+
+    def explore(self, start, bound, budget, target=None):
+        starts.append(start)
+        return original(self, start, bound, budget, target)
+
+    monkeypatch.setattr(gsg.amalgams._Search, "explore", explore)
+    a = make_two_copies()
+    r = check_natural_embedding(a, bound=4)
+    assert r.verdict == "consistent-within-bound"
+    # at most one exploration per start, n1 + n2 = 4; in fact one per class,
+    # {a0, b0} and {a1, b1}, each from its part-1 member
+    assert [a.free_product().decode(s) for s in starts] == [
+        a.free_product().embed(0, "a0"), a.free_product().embed(0, "a1")]
+
+
 # ------------------------------------------------------------------ mediator
 
 def _hom(name, src, dst, carrier, gmap=None):
@@ -494,6 +584,28 @@ def test_mediator_embedded_two_z4():
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     r = pushout_mediator(a, t, psi1, psi2, bound=3, budget=20_000)
     assert r.all_pass
+
+
+def test_mediator_reports_budget_stops():
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    fp = a.free_product()
+    truncated = pushout_mediator(a, t, psi1, psi2, bound=4, budget=1)
+    assert truncated.limit == "budget"
+    assert pushout_mediator(a, t, psi1, psi2, bound=4).limit == "exhausted"
+    # a one-state budget leaves b0 its own least word; the full class of b0
+    # holds a0
+    assert mu(a, 2, "b0", bound=4, budget=1) == fp.embed(1, "b0")
+    assert mu(a, 2, "b0", bound=4) == fp.embed(0, "a0")
+
+
+def test_mediator_checks_the_homomorphisms_once(monkeypatch):
+    calls = []
+    original = gsg.words.verify_homomorphism
+    monkeypatch.setattr(gsg.words, "verify_homomorphism",
+                        lambda f: calls.append(f.name) or original(f))
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    assert pushout_mediator(a, t, psi1, psi2, bound=3).all_pass
+    assert calls == ["psi1", "psi2"]
 
 
 # --------------------------------------------------------- necessary condition

@@ -202,6 +202,95 @@ def test_amalgam_check_rejects_nonpositive_limits(capsys, flags):
     assert err.count("\n") == 1 and "must be positive" in err
 
 
+# the full amalgam-check report of every amalgam in tests/data at the
+# default limits
+GOLDEN_AMALGAM_CHECK = {
+    "amalgam_core_not_regular.gsg": ("core_not_regular", 1, """\
+amalgam core_not_regular: core U, parts S1 S2, mode disjoint
+necessary-condition: not-embeddable
+certificate: core element uy has no witness pair although both parts are \
+completely alpha-regular
+amalgam-check: FAIL
+"""),
+    "amalgam_disjoint.gsg": ("disjoint", 0, """\
+amalgam disjoint: core U, parts S1 S2, mode disjoint
+necessary-condition: satisfied
+relations: 1 element pair(s), 1 gamma pair(s)
+  p ~ r
+  gamma g1 ~ g2
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  p = r: resolved by core element u
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""),
+    "amalgam_leftzero.gsg": ("leftzero", 0, """\
+amalgam leftzero: core U, parts S1 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 1 element pair(s)
+  a ~ c
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  a = c: resolved by core element u
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""),
+    "amalgam_trivial.gsg": ("trivial", 0, """\
+amalgam trivial: core U, parts S1 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 1 element pair(s)
+  u1 ~ u2
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  u1 = u2: resolved by core element u
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""),
+    "amalgam_two_copies.gsg": ("two_copies", 0, """\
+amalgam two_copies: core U, parts S1 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 2 element pair(s)
+  a0 ~ b0
+  a1 ~ b1
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 2 cross pair(s) proven equal
+  a0 = b0: resolved by core element u0
+  a1 = b1: resolved by core element u1
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""),
+    "amalgam_z2_trivial.gsg": ("z2_in_trivial", 0, """\
+amalgam z2_in_trivial: core U, parts Z2 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 1 element pair(s)
+  0 ~ c
+injectivity Z2: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  0 = c: resolved by core element u
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""),
+}
+
+
+def test_golden_outputs_cover_every_data_amalgam():
+    assert sorted(GOLDEN_AMALGAM_CHECK) == sorted(
+        p.name for p in DATA.glob("*.gsg") if "\namalgam " in p.read_text())
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_AMALGAM_CHECK))
+def test_amalgam_check_golden_output(capsys, path):
+    name, expected_code, expected_out = GOLDEN_AMALGAM_CHECK[path]
+    code, out, err = invoke(capsys, "amalgam-check", str(DATA / path),
+                            "--amalgam", name)
+    assert (code, out, err) == (expected_code, expected_out, "")
+
+
 def test_amalgam_check_trivial_at_small_bound(capsys):
     code, out, _ = invoke(capsys, "amalgam-check",
                           str(DATA / "amalgam_trivial.gsg"),
