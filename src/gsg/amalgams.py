@@ -37,8 +37,9 @@ semantics of those shared explorations:
 * a one-letter start that lies only in explorations stopped by the budget
   gets its own exploration, with its own budget;
 * two one-letter words are proven apart when one of them lies in a settled
-  class that does not hold the other; they are undecided when neither is
-  proven equal nor apart.
+  class that does not hold the other;
+* a pair neither settled nor proven apart gets one targeted search of its
+  own, and is undecided when that search returns no chain either.
 """
 
 from __future__ import annotations
@@ -510,10 +511,15 @@ def check_natural_embedding(a: GammaAmalgam,
     * a class is settled only by an exhausted exploration, and a start
       that lies only in budget-stopped explorations gets its own
       exploration and its own budget;
-    * a pair is undecided when it is neither proven equal nor separated by
-      exhausted explorations;
-    * a collision is reported only when `words_equal_within` returns its
-      chain; a pair whose chain is not returned stays undecided;
+    * a pair that exhausted explorations neither prove equal nor separate
+      gets one targeted `words_equal_within` probe at the same bound and
+      budget, so probes run only when some class stopped on budget;
+    * a pair is undecided when it is neither separated by exhausted
+      explorations nor proven equal by a returned chain; a collision is
+      reported only when `words_equal_within` returns its chain;
+    * a probed cross pair is resolved by the first core element u with
+      f1(u) = e1, failing that by the first u whose own probe proves
+      f1(u) = e1, else by none;
     * no_collision_within_bound[p] holds exactly when part p+1 has no
       collision and no undecided pair;
     * the verdict is "inconclusive" exactly when no collision is proven
@@ -533,6 +539,12 @@ def check_natural_embedding(a: GammaAmalgam,
             return y in cls_x
         return False if limit_y == "exhausted" else None
 
+    def probe(p: int, x: str, q: int, y: str) -> Optional[tuple[Step, ...]]:
+        """The chain of a targeted search from x in part p+1 to y in part
+        q+1, or None when it proves nothing."""
+        return words_equal_within(a, fp.embed(p, x), fp.embed(q, y), bound, budget,
+                                  identify_elements).chain
+
     undecided = False
     collisions: list[Collision] = []
     clear = []
@@ -541,11 +553,10 @@ def check_natural_embedding(a: GammaAmalgam,
         for i in range(s.n):
             for j in range(i + 1, s.n):
                 same = same_class(code[s.elements[i]], code[s.elements[j]])
-                if same:
-                    w1, w2 = fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j])
-                    v = words_equal_within(a, w1, w2, bound, budget, identify_elements)
-                    if v.equal:
-                        found.append(Collision(p + 1, s.elements[i], s.elements[j], v.chain))
+                if same is not False:
+                    chain = probe(p, s.elements[i], p, s.elements[j])
+                    if chain is not None:
+                        found.append(Collision(p + 1, s.elements[i], s.elements[j], chain))
                         continue
                 open_pairs |= same is not False
         collisions.extend(found)
@@ -558,6 +569,13 @@ def check_natural_embedding(a: GammaAmalgam,
     for e1 in s1.elements:
         for e2 in s2.elements:
             same = same_class(code[e1], code[e2])
+            if same is None and probe(0, e1, 1, e2) is not None:
+                resolved = next((u for u in a.core.elements if f1.carrier_map[u] == e1), None)
+                if resolved is None:
+                    resolved = next((u for u in a.core.elements
+                                     if probe(0, f1.carrier_map[u], 0, e1) is not None), None)
+                cross.append(CrossPair(e1, e2, resolved))
+                continue
             undecided |= same is None
             if same:
                 cls = classes[code[e1]][0]

@@ -8,7 +8,6 @@ so every construction here is deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -94,65 +93,67 @@ def generate_congruence(s: GammaSemigroup,
                         pairs: Iterable[tuple[str, str]]) -> Congruence:
     """Least congruence containing the seed pairs.
 
-    Union-find plus a worklist: whenever two classes merge through a seed
-    or derived pair (x, y), all left and right translations (x g z, y g z)
-    and (z g x, z g y) are enqueued.  Transitive consequences of enqueued
-    pairs need no extra treatment because translation chains compose.
+    label[x] is the least element known to share x's class.  Each round
+    joins a batch of pairs, then queues the left and right translations
+    (x g z, y g z) and (z g x, z g y) of every x whose label moved, paired
+    with its new label y.  An x whose label stayed put had its translations
+    joined in an earlier round, and x ~ y composes through the labels, so
+    the closure is complete once no queued pair crosses two classes.
     """
     w = check_associativity(s)
     if w is not None:
         raise NotAssociative(w)
-    n, g = s.n, s.g
-    t = s.table
-    parent = list(range(n))
+    seeds = [(s.index(a), s.index(b)) for a, b in pairs]
+    a, b = np.array(seeds, dtype=np.int64).reshape(-1, 2).T
+    t, label = s.table, np.arange(s.n)
+    while True:
+        cross = label[a] != label[b]
+        if not cross.any():
+            break
+        old = label.copy()
+        _join(label, a[cross], b[cross])
+        x = np.flatnonzero(label != old)
+        y = label[x]
+        a = np.concatenate([t[x].ravel(), t[:, :, x].ravel()])
+        b = np.concatenate([t[y].ravel(), t[:, :, y].ravel()])
+    return Congruence(s, tuple(label.tolist()))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    work = deque()
-    for a, b in pairs:
-        work.append((s.index(a), s.index(b)))
-    while work:
-        x, y = work.popleft()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for j in range(g):
-            for z in range(n):
-                work.append((int(t[x, j, z]), int(t[y, j, z])))
-                work.append((int(t[z, j, x]), int(t[z, j, y])))
-    # minimum-index representatives
-    groups: dict[int, int] = {}
-    reps = [0] * n
-    for i in range(n):
-        r = find(i)
-        if r not in groups:
-            groups[r] = i
-        reps[i] = groups[r]
-    return Congruence(s, tuple(reps))
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the classes of every pair (a[i], b[i]) in place: the larger
+    class minimum is hooked under the smaller one, then pointer jumping
+    sends every label to its class minimum, until no pair crosses."""
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return
+        la, lb, a, b = la[cross], lb[cross], a[cross], b[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(label[label], label):
+            label[:] = label[label]
 
 
 def compatibility_violation(c: Congruence) -> Optional[tuple[str, str, str, str]]:
-    """First (x, y, gamma, z) where x ~ y but a translation separates them,
-    or None when the relation is a congruence."""
-    s = c.subject
-    t = s.table
-    reps = np.array(c.reps)
-    for x in range(s.n):
-        for y in range(x + 1, s.n):
-            if reps[x] != reps[y]:
-                continue
-            for j in range(s.g):
-                for z in range(s.n):
-                    if reps[t[x, j, z]] != reps[t[y, j, z]] \
-                            or reps[t[z, j, x]] != reps[t[z, j, y]]:
-                        return (s.elements[x], s.elements[y],
-                                s.gammas[j], s.elements[z])
-    return None
+    """First (x, y, gamma, z) with x < y and x ~ y but a translation
+    separating them, in index order, or None when the relation is a
+    congruence.
+
+    Every element is compared with its class minimum in one pass; if all
+    agree, every pair of a class agrees.  Otherwise the first x is the least
+    minimum of a class with a disagreeing member, since that member and x
+    form a violating pair, and its (y, gamma, z) is read off one comparison
+    of x with the later members of its class."""
+    s, reps = c.subject, np.array(c.reps)
+    r = reps[s.table]
+    disagree = (r != r[reps]).any(axis=(1, 2)) | (r != r[:, :, reps]).any(axis=(0, 1))
+    if not disagree.any():
+        return None
+    x = int(reps[np.flatnonzero(disagree)].min())
+    ys = np.flatnonzero(reps == x)[1:]
+    bad = (r[ys] != r[x]) | (r[:, :, ys].T != r[:, :, x].T)
+    k, j, z = (int(v) for v in np.argwhere(bad)[0])
+    return (s.elements[x], s.elements[int(ys[k])], s.gammas[j], s.elements[z])
 
 
 class QuotientResult(NamedTuple):
@@ -173,16 +174,10 @@ def quotient(s: GammaSemigroup, rho: Congruence) -> QuotientResult:
     rep_list = sorted(set(rho.reps))
     pos = {r: i for i, r in enumerate(rep_list)}
     cls = np.array([pos[r] for r in rho.reps])   # element index -> class position
-    t = s.table
-    q = cls[t[np.ix_(rep_list, range(s.g), rep_list)]]
-    # all choices of representatives must land in the same class
-    expected = q[cls[:, None, None], np.arange(s.g)[None, :, None], cls[None, None, :]]
-    bad = np.argwhere(cls[t] != expected)
-    if bad.size:
-        v = compatibility_violation(rho)
-        if v is None:   # pragma: no cover - the scans agree by construction
-            raise NotCompatible(s.elements[int(bad[0][0])], "?", s.gammas[int(bad[0][1])], "?")
+    v = compatibility_violation(rho)
+    if v is not None:
         raise NotCompatible(*v)
+    q = cls[s.table[np.ix_(rep_list, range(s.g), rep_list)]]
     names = tuple(s.elements[r] for r in rep_list)
     quotient_s = GammaSemigroup(f"{s.name}_q", names, s.gammas, q)
     proj = GammaHomomorphism(

@@ -61,6 +61,14 @@ def _check_token(tok: str, kind: str) -> None:
         raise InvalidIdentifier(tok, kind)
 
 
+def _check_unique(name: str, elements: tuple[str, ...], gammas: tuple[str, ...]) -> None:
+    """NameClash for the first repeated element, then the first repeated gamma."""
+    for names, kind in ((elements, "elements"), (gammas, "gammas")):
+        if len(set(names)) != len(names):
+            dup = next(e for i, e in enumerate(names) if e in names[:i])
+            raise NameClash(dup, f"{kind} of {name}")
+
+
 @dataclass(frozen=True, eq=False)
 class GammaSemigroup:
     """A named finite carrier with a total table ``a gamma b``.
@@ -84,12 +92,7 @@ class GammaSemigroup:
             _check_token(t, "element")
         for t in gammas:
             _check_token(t, "gamma")
-        if len(set(elements)) != len(elements):
-            dup = next(e for i, e in enumerate(elements) if e in elements[:i])
-            raise NameClash(dup, f"elements of {self.name}")
-        if len(set(gammas)) != len(gammas):
-            dup = next(h for j, h in enumerate(gammas) if h in gammas[:j])
-            raise NameClash(dup, f"gammas of {self.name}")
+        _check_unique(self.name, elements, gammas)
         n, g = len(elements), len(gammas)
         if n < 1 or g < 1:
             raise ValueError("a gamma-semigroup needs at least one element and one gamma")
@@ -162,14 +165,9 @@ def validate_table(name: str,
     """
     elements = tuple(elements)
     gammas = tuple(gammas)
+    _check_unique(name, elements, gammas)
     eindex = {e: i for i, e in enumerate(elements)}
     gindex = {h: j for j, h in enumerate(gammas)}
-    if len(eindex) != len(elements):
-        dup = next(e for i, e in enumerate(elements) if e in elements[:i])
-        raise NameClash(dup, f"elements of {name}")
-    if len(gindex) != len(gammas):
-        dup = next(h for j, h in enumerate(gammas) if h in gammas[:j])
-        raise NameClash(dup, f"gammas of {name}")
     n, g = len(elements), len(gammas)
     if n < 1 or g < 1:
         raise ValueError("a gamma-semigroup needs at least one element and one gamma")
@@ -204,19 +202,23 @@ class HomWitness(NamedTuple):
     b: str
 
 
+# cells of the (a, gamma, b, mu, c) cube that one associativity block holds
+_ASSOC_BLOCK_CELLS = 1 << 18
+
+
 def check_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
     """None when (a gamma b) mu c = a gamma (b mu c) everywhere, else the
-    lexicographically first violating five-tuple."""
+    lexicographically first violating five-tuple.  The scan takes blocks of
+    first factors a, as many as fit in _ASSOC_BLOCK_CELLS cells."""
     t = s.table
-    n = s.n
-    for i in range(n):
-        # lhs[j, k, m, c] = (i j k) m c,  rhs[j, k, m, c] = i j (k m c)
-        lhs = t[t[i]]
-        rhs = t[i][:, t]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            j, k, m, c = (int(x) for x in bad[0])
-            return AssocWitness(s.elements[i], s.gammas[j], s.elements[k],
+    v = t.astype(np.min_scalar_type(s.n - 1))    # narrow values, less to gather
+    rows = max(1, _ASSOC_BLOCK_CELLS // (s.g * s.n) ** 2)
+    for i in range(0, s.n, rows):
+        # lhs[a, j, k, m, c] = (a j k) m c,  rhs[a, j, k, m, c] = a j (k m c)
+        lhs, rhs = v[t[i:i + rows]], v[i:i + rows][:, :, t]
+        if not np.array_equal(lhs, rhs):
+            a, j, k, m, c = (int(x) for x in np.argwhere(lhs != rhs)[0])
+            return AssocWitness(s.elements[i + a], s.gammas[j], s.elements[k],
                                 s.gammas[m], s.elements[c])
     return None
 

@@ -34,6 +34,26 @@ def brute_assoc_witness(elements, gammas, table):
     return None
 
 
+def brute_compat_witness(c):
+    """First (x, y, gamma, z) with x ~ y, x before y, and a translation
+    that separates them: one quadruple loop over the indices in order.
+    None when the partition is a congruence."""
+    s = c.subject
+    t = s.table
+    reps = c.reps
+    for x in range(s.n):
+        for y in range(x + 1, s.n):
+            if reps[x] != reps[y]:
+                continue
+            for j in range(s.g):
+                for z in range(s.n):
+                    if reps[t[x, j, z]] != reps[t[y, j, z]] \
+                            or reps[t[z, j, x]] != reps[t[z, j, y]]:
+                        return (s.elements[x], s.elements[y],
+                                s.gammas[j], s.elements[z])
+    return None
+
+
 def brute_hom_witness(f):
     """First (a, g, b) where f'(a g b) != f'(a) f''(g) f'(b)."""
     s, t = f.source, f.target

@@ -23,6 +23,7 @@ from conftest import (
 )
 from gsg import (
     CommutingSquareFails,
+    CrossPair,
     GammaAmalgam,
     GammaHomomorphism,
     GammaLetter,
@@ -511,6 +512,32 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
     # {a0, b0} and {a1, b1}, each from its part-1 member
     assert [a.free_product().decode(s) for s in starts] == [
         a.free_product().embed(0, "a0"), a.free_product().embed(0, "a1")]
+
+
+def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
+    calls = []
+    original = gsg.amalgams.words_equal_within
+
+    def probe(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(gsg.amalgams, "words_equal_within", probe)
+    # every class exhausted: no targeted search at all
+    assert check_natural_embedding(make_two_copies(), bound=4).verdict == \
+        "consistent-within-bound"
+    assert calls == []
+    # u1's class outgrows a budget of 50 states; one probe proves u1 = u2
+    a = make_trivial_amalgam()
+    r = check_natural_embedding(a, budget=50)
+    assert r.verdict == "consistent-within-bound"
+    assert r.cross_pairs == (CrossPair("u1", "u2", "u"),)
+    fp = a.free_product()
+    assert calls == [(fp.embed(0, "u1"), fp.embed(1, "u2"))]
+    # two core elements: each probed cross pair is resolved by its own
+    r = check_natural_embedding(make_two_copies(), budget=50)
+    assert r.cross_pairs == (CrossPair("a0", "b0", "u0"), CrossPair("a1", "b1", "u1"))
+    assert r.verdict == "inconclusive" and r.no_collision_within_bound == (False, False)
 
 
 # ------------------------------------------------------------------ mediator

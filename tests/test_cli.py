@@ -193,6 +193,26 @@ amalgam-check: INCONCLUSIVE
 """
 
 
+def test_amalgam_check_probes_pairs_a_small_budget_leaves_open(capsys):
+    # the class of u1 at bound 6 holds more than 50 states, so its
+    # exploration stops on budget; a targeted search proves u1 = u2 in one swap
+    code, out, _ = invoke(capsys, "amalgam-check", str(DATA / "amalgam_trivial.gsg"),
+                          "--amalgam", "trivial", "--budget", "50")
+    assert code == 0
+    assert out == """\
+amalgam trivial: core U, parts S1 S2, mode same-gamma
+necessary-condition: satisfied
+relations: 1 element pair(s)
+  u1 ~ u2
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  u1 = u2: resolved by core element u
+verdict: consistent-within-bound
+amalgam-check: PASS
+"""
+
+
 @pytest.mark.parametrize("flags", [("--bound", "0"), ("--budget", "0"),
                                    ("--bound", "-1"), ("--budget", "-5")])
 def test_amalgam_check_rejects_nonpositive_limits(capsys, flags):

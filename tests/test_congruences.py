@@ -21,8 +21,9 @@ from gsg import (
     kernel_congruence,
     quotient,
 )
-from gsg.families import left_zero, zmod
+from gsg.families import constant, left_zero, right_zero, zmod
 from oracles import (
+    brute_compat_witness,
     brute_least_congruence,
     congruence_blocks,
     is_congruence,
@@ -34,6 +35,34 @@ def all_single_pairs(s):
     for i, a in enumerate(s.elements):
         for b in s.elements[i + 1:]:
             yield (a, b)
+
+
+def _shuffled(s, seed):
+    """The same table with element i renamed perm[i], names kept in order,
+    so that classes no longer follow index order."""
+    perm = np.random.default_rng(seed).permutation(s.n)
+    t = np.empty_like(s.table)
+    t[perm[:, None, None], np.arange(s.g)[None, :, None], perm[None, None, :]] = perm[s.table]
+    return GammaSemigroup(f"{s.name}p", s.elements, s.gammas, t)
+
+
+def family_tables():
+    """Associative family tables with 8 <= n <= 16, some with shuffled indices."""
+    names = [f"e{i}" for i in range(10)]
+    tables = [zmod(8), zmod(12, gammas=2), zmod(16), zmod(9, gammas=3),
+              left_zero(names, ["g", "h"], name="L10"), right_zero(names[:8], name="R8"),
+              constant(names[:9], "e4", ["g", "h"], name="K9"),
+              z6_times_two("left"), z6_times_two("right")]
+    return tables + [_shuffled(t, k) for k, t in enumerate(tables[:3] + tables[-2:])]
+
+
+def z6_times_two(side):
+    """Z6 with two gammas times a two-element left- or right-zero table:
+    p = 2a + b, and p g_j q = 2(a + a' + j) + b (left) or + b' (right)."""
+    a, b, j = np.arange(12) // 2, np.arange(12) % 2, np.arange(2)
+    keep = b[:, None, None] if side == "left" else b[None, None, :]
+    return GammaSemigroup(f"Z6{side[0].upper()}2", tuple(f"p{i}" for i in range(12)),
+                          ("g0", "g1"), 2 * ((a[:, None, None] + a + j[:, None]) % 6) + keep)
 
 
 def test_reps_must_be_class_minima():
@@ -109,6 +138,29 @@ def test_generate_with_multiple_seeds(data):
     assert congruence_blocks(rho) == brute_least_congruence(s, seeds)
 
 
+@pytest.mark.parametrize("s", family_tables(), ids=lambda s: s.name)
+def test_generate_matches_fixpoint_closure_on_family_tables(s):
+    rng = np.random.default_rng(s.n * 31 + s.g)
+    for _ in range(6):
+        # chains x0 ~ x1 ~ ... of 2-4 elements, one to three of them
+        seeds = []
+        for _ in range(int(rng.integers(1, 4))):
+            chain = rng.choice(s.n, size=int(rng.integers(2, 5)), replace=False)
+            seeds += [(s.elements[a], s.elements[b]) for a, b in zip(chain, chain[1:])]
+        rho = generate_congruence(s, seeds)
+        assert congruence_blocks(rho) == brute_least_congruence(s, seeds), seeds
+        assert compatibility_violation(rho) is None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_generate_follows_translations_on_both_sides(side):
+    # p0 ~ p1 differ only in the zero coordinate, so only the translations
+    # on the side that keeps it spread the pair: to every 2a ~ 2a + 1
+    s = z6_times_two(side)
+    rho = generate_congruence(s, [("p0", "p1")])
+    assert rho.classes() == tuple((f"p{2 * a}", f"p{2 * a + 1}") for a in range(6))
+
+
 def test_generate_requires_associativity():
     t = np.zeros((2, 1, 2), dtype=np.int64)
     t[0, 0, 0] = 1
@@ -128,6 +180,33 @@ def test_compatibility_violation_found():
     assert not bad.same(z4.mul(x, g, z), z4.mul(y, g, z)) or \
         not bad.same(z4.mul(z, g, x), z4.mul(z, g, y))
     assert compatibility_violation(generate_congruence(z4, [("0", "2")])) is None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_compatibility_witness_is_the_reference_scans(data):
+    s = data.draw(st.sampled_from(small_fixture_tables() + family_tables()))
+    blocks = data.draw(st.lists(st.integers(0, s.n - 1), min_size=s.n, max_size=s.n))
+    first: dict[int, int] = {}
+    rho = Congruence(s, tuple(first.setdefault(b, i) for i, b in enumerate(blocks)))
+    assert compatibility_violation(rho) == brute_compat_witness(rho)
+
+
+def test_quotient_witness_is_the_reference_scans():
+    for s in family_tables():
+        rng = np.random.default_rng(s.n)
+        for _ in range(5):
+            first: dict[int, int] = {}
+            reps = tuple(first.setdefault(int(b), i)
+                         for i, b in enumerate(rng.integers(0, 3, size=s.n)))
+            rho = Congruence(s, reps)
+            expected = brute_compat_witness(rho)
+            if expected is None:
+                assert quotient(s, rho).semigroup.n == len(first)
+                continue
+            with pytest.raises(NotCompatible) as exc:
+                quotient(s, rho)
+            assert (exc.value.x, exc.value.y, exc.value.gamma, exc.value.z) == expected
 
 
 def test_quotient_by_identity_is_a_renaming():

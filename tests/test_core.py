@@ -28,6 +28,7 @@ from gsg import (
     validate_table,
     verify_homomorphism,
 )
+from gsg import core
 from gsg.families import left_zero, zmod
 from oracles import brute_assoc_witness, brute_hom_witness, table_dict
 
@@ -55,6 +56,20 @@ def test_duplicate_names_rejected():
         GammaSemigroup("S", ("a", "a"), ("g",), np.zeros((2, 1, 2), dtype=np.int64))
     with pytest.raises(NameClash):
         GammaSemigroup("S", ("a", "b"), ("g", "g"), np.zeros((2, 2, 2), dtype=np.int64))
+
+
+def test_name_clash_texts_agree_for_tables_and_entries():
+    # one check serves GammaSemigroup and validate_table: elements first
+    for elements, gammas, text in (
+            (("a", "a"), ("g",), "name 'a' declared more than once (elements of S)"),
+            (("a", "b"), ("g", "g"), "name 'g' declared more than once (gammas of S)"),
+            (("a", "a"), ("g", "g"), "name 'a' declared more than once (elements of S)")):
+        table = np.zeros((2, len(gammas), 2), dtype=np.int64)
+        for build in (lambda: GammaSemigroup("S", elements, gammas, table),
+                      lambda: validate_table("S", elements, gammas, [])):
+            with pytest.raises(NameClash) as exc:
+                build()
+            assert str(exc.value) == text
 
 
 def test_table_shape_and_range_checked():
@@ -132,6 +147,21 @@ def test_associativity_agrees_with_reference_on_random_tables(seed):
     w = check_associativity(s)
     ref = brute_assoc_witness(s.elements, s.gammas, table_dict(s))
     assert (tuple(w) if w is not None else None) == ref
+
+
+@pytest.mark.parametrize("row, gamma, col, value", [(47, 1, 5, 3), (0, 0, 9, 20),
+                                                     (40, 0, 40, 2)])
+def test_associativity_witness_across_blocks(row, gamma, col, value):
+    # a table of several scan blocks with one perturbed entry: the witness
+    # must be the reference scan's, whichever block it falls in
+    base = left_zero([f"x{i}" for i in range(48)], ["g", "h"], name="L48")
+    assert base.n * (base.g * base.n) ** 2 > core._ASSOC_BLOCK_CELLS   # two blocks
+    t = base.table.copy()
+    t[row, gamma, col] = value
+    s = GammaSemigroup("P", base.elements, base.gammas, t)
+    w = check_associativity(s)
+    assert w is not None and w.a == f"x{row}"
+    assert tuple(w) == brute_assoc_witness(s.elements, s.gammas, table_dict(s))
 
 
 def test_subsemigroup_membership():
