@@ -92,8 +92,9 @@ print("verdict:", report.verdict)
 for pair in report.cross_pairs:
     print("  cross pair", pair.s1, "~", pair.s2, "resolved by", pair.resolved_by)
 
-# Complete regularity of both parts is the entry ticket; here the
-# screen is satisfied, so no obstruction is reported.
+# The complete-regularity screen is information only: it says whether
+# both parts and the core are completely alpha-regular, and claims
+# nothing about embeddability.  Here all three are.
 print("necessary condition:", necessary_condition(a).status)
 
 # Finally, any compatible pair of maps into a common target factors

@@ -674,13 +674,14 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
 
 @dataclass(frozen=True)
 class NecessaryConditionVerdict:
-    """Outcome of the complete-regularity screen.
+    """Outcome of the complete-regularity screen, which is information only.
 
     satisfied: both parts and the core are completely alpha-regular.
-    not-applicable: some part is not, so the screen says nothing.
-    not-embeddable: both parts are but the core is not; no embedding of the
-    amalgam into any gamma-semigroup can exist, witnessed by the first core
-    element with no witness pair."""
+    not-applicable: some part is not; failing_parts names them.
+    core-not-completely-regular: both parts are but the core is not; witness
+    is the first core element with no witness pair.  This claims nothing
+    about embeddability: a core element may be completely regular in a part
+    through a gamma outside the core's image, and such amalgams can embed."""
     status: str
     failing_parts: tuple[str, ...]
     witness: Optional[str]
@@ -702,4 +703,4 @@ def necessary_condition(a: GammaAmalgam) -> NecessaryConditionVerdict:
         return NecessaryConditionVerdict("satisfied", (), None)
     witness = next(e.element for e in core_report.per_element
                    if e.completely_regular is None)
-    return NecessaryConditionVerdict("not-embeddable", (), witness)
+    return NecessaryConditionVerdict("core-not-completely-regular", (), witness)

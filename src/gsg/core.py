@@ -6,14 +6,16 @@ satisfying (a gamma b) mu c = a gamma (b mu c) for every choice of gammas.
 No identity of any kind is assumed.
 
 Tables are stored as dense integer index cubes of shape (n, g, n), so the
-axiom scan, homomorphism verification, and the regularity scans all
-vectorise.  Every reported witness is the first one in lexicographic index
-order, which keeps output stable across runs.
+axiom scan, homomorphism verification, and the regularity scans each run as
+one vectorised pass over the whole table.  The associativity verdict of an
+(immutable) GammaSemigroup is computed once.  Every reported witness is the
+first one in lexicographic index order, which keeps output stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -76,7 +78,7 @@ class GammaSemigroup:
     ``table[i, j, k]`` holds the element index of ``elements[i] gammas[j]
     elements[k]``.  Instances are immutable; the array is locked after
     construction.  Associativity is NOT enforced here, use
-    :func:`check_associativity`.
+    :func:`check_associativity`, which scans each instance at most once.
     """
 
     name: str
@@ -137,6 +139,10 @@ class GammaSemigroup:
     def mul(self, a: str, gamma: str, b: str) -> str:
         """Product by names: returns the name of ``a gamma b``."""
         return self.elements[self.table[self.index(a), self.gamma_index(gamma), self.index(b)]]
+
+    @cached_property
+    def _assoc_verdict(self) -> Optional[AssocWitness]:
+        return _scan_associativity(self)
 
     def __eq__(self, other):
         if not isinstance(other, GammaSemigroup):
@@ -208,8 +214,13 @@ _ASSOC_BLOCK_CELLS = 1 << 18
 
 def check_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
     """None when (a gamma b) mu c = a gamma (b mu c) everywhere, else the
-    lexicographically first violating five-tuple.  The scan takes blocks of
-    first factors a, as many as fit in _ASSOC_BLOCK_CELLS cells."""
+    lexicographically first violating five-tuple.  The table is scanned on
+    the first call for each instance only."""
+    return s._assoc_verdict
+
+
+def _scan_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
+    """Scan blocks of first factors a, of at most _ASSOC_BLOCK_CELLS cells."""
     t = s.table
     v = t.astype(np.min_scalar_type(s.n - 1))    # narrow values, less to gather
     rows = max(1, _ASSOC_BLOCK_CELLS // (s.g * s.n) ** 2)
@@ -353,50 +364,51 @@ def preserves_left_identity(f: GammaHomomorphism) -> bool:
 # sandwich symbol alpha is used in both positions, a = a alpha x alpha a.
 # Witnesses come back in element-then-gamma order.
 
-def _regular_mask(s: GammaSemigroup, i: int) -> np.ndarray:
-    """mask[x, j] <=> i = i j x j i."""
+def _regularity_masks(s: GammaSemigroup, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks [a, x, alpha] for a in rows: regular a = a alpha x alpha a;
+    complete, regular and a alpha x = x alpha a; inverse, regular and
+    x = x alpha a alpha x."""
     t = s.table
-    cols = np.arange(s.g)[:, None]
-    left = t[i]                      # [j, x] = i j x
-    outer = t[left, cols, i]         # [j, x] = (i j x) j i
-    return (outer == i).T
+    a = np.arange(s.n)[rows][:, None, None]
+    x = np.arange(s.n)[None, :, None]
+    al = np.arange(s.g)[None, None, :]
+    ax, xa = t[a, al, x], t[x, al, a]
+    regular = t[ax, al, a] == a
+    return regular, regular & (ax == xa), regular & (t[xa, al, x] == x)
 
 
-def _commuting_mask(s: GammaSemigroup, i: int) -> np.ndarray:
-    """mask[x, j] <=> i j x = x j i."""
-    t = s.table
-    return (t[i] == t[:, :, i].T).T
+def _witnesses(s: GammaSemigroup, mask: np.ndarray) -> list[Optional[tuple[str, str]]]:
+    """The first (x, alpha) of each row of a mask, or None for an empty row."""
+    flat = mask.reshape(len(mask), -1)
+    first = flat.argmax(axis=1)
+    hits = flat[np.arange(len(flat)), first]
+    names = [(x, h) for x in s.elements for h in s.gammas]    # by x * g + alpha
+    return [names[k] if hit else None for k, hit in zip(first.tolist(), hits.tolist())]
+
+
+def _pairs(s: GammaSemigroup, mask: np.ndarray) -> list[tuple[tuple[str, str], ...]]:
+    """Every (x, alpha) of each row of a mask."""
+    rows, cols = np.nonzero(mask.reshape(len(mask), -1))
+    names = [(x, h) for x in s.elements for h in s.gammas]
+    pairs = [names[k] for k in cols.tolist()]
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    return [tuple(pairs[b:e]) for b, e in zip([0] + ends[:-1], ends)]
 
 
 def alpha_regular_witness(s: GammaSemigroup, a: str) -> Optional[tuple[str, str]]:
     """First (x, alpha) with a = a alpha x alpha a, or None."""
-    i = s.index(a)
-    hits = np.argwhere(_regular_mask(s, i))
-    if hits.size:
-        x, j = (int(v) for v in hits[0])
-        return (s.elements[x], s.gammas[j])
-    return None
+    return _witnesses(s, _regularity_masks(s, [s.index(a)])[0])[0]
 
 
 def completely_regular_witness(s: GammaSemigroup, a: str) -> Optional[tuple[str, str]]:
     """First (x, alpha) with a = a alpha x alpha a and a alpha x = x alpha a."""
-    i = s.index(a)
-    hits = np.argwhere(_regular_mask(s, i) & _commuting_mask(s, i))
-    if hits.size:
-        x, j = (int(v) for v in hits[0])
-        return (s.elements[x], s.gammas[j])
-    return None
+    return _witnesses(s, _regularity_masks(s, [s.index(a)])[1])[0]
 
 
 def alpha_inverses(s: GammaSemigroup, a: str) -> tuple[tuple[str, str], ...]:
     """All (b, alpha) with a = a alpha b alpha a and b = b alpha a alpha b,
     in element-then-gamma order."""
-    i = s.index(a)
-    t = s.table
-    cols = np.arange(s.g)[:, None]
-    back = t[t[:, :, i], cols.T, np.arange(s.n)[:, None]]   # [b, j] = (b j i) j b
-    mask = _regular_mask(s, i) & (back == np.arange(s.n)[:, None])
-    return tuple((s.elements[int(b)], s.gammas[int(j)]) for b, j in np.argwhere(mask))
+    return _pairs(s, _regularity_masks(s, [s.index(a)])[2])[0]
 
 
 @dataclass(frozen=True)
@@ -433,14 +445,10 @@ def classify(s: GammaSemigroup) -> RegularityReport:
     w = check_associativity(s)
     if w is not None:
         raise NotAssociative(w)
-    per = tuple(
-        ElementRegularity(a,
-                          alpha_regular_witness(s, a),
-                          completely_regular_witness(s, a),
-                          alpha_inverses(s, a))
-        for a in s.elements
-    )
+    regular, complete, inverse = _regularity_masks(s, slice(None))
+    per = tuple(ElementRegularity(*e) for e in zip(
+        s.elements, _witnesses(s, regular), _witnesses(s, complete), _pairs(s, inverse)))
     is_reg = all(e.alpha_regular is not None for e in per)
     is_com = all(e.completely_regular is not None for e in per)
-    is_inv = is_reg and all(len(e.inverse_elements) == 1 for e in per)
+    is_inv = is_reg and bool((inverse.any(axis=2).sum(axis=1) == 1).all())
     return RegularityReport(s.name, per, is_reg, is_inv, is_com)

@@ -154,3 +154,31 @@ def small_fixture_tables() -> list[GammaSemigroup]:
         constant(["a", "b", "c"], "a", ["g", "h"], name="K3x2"),
         meet_two("x", "y", ["g", "h"], "M2"),
     ]
+
+
+def shuffled(s, seed):
+    """The same table with element i renamed perm[i], names kept in order,
+    so that classes no longer follow index order."""
+    perm = np.random.default_rng(seed).permutation(s.n)
+    t = np.empty_like(s.table)
+    t[perm[:, None, None], np.arange(s.g)[None, :, None], perm[None, None, :]] = perm[s.table]
+    return GammaSemigroup(f"{s.name}p", s.elements, s.gammas, t)
+
+
+def family_tables():
+    """Associative family tables with 8 <= n <= 16, some with shuffled indices."""
+    names = [f"e{i}" for i in range(10)]
+    tables = [zmod(8), zmod(12, gammas=2), zmod(16), zmod(9, gammas=3),
+              left_zero(names, ["g", "h"], name="L10"), right_zero(names[:8], name="R8"),
+              constant(names[:9], "e4", ["g", "h"], name="K9"),
+              z6_times_two("left"), z6_times_two("right")]
+    return tables + [shuffled(t, k) for k, t in enumerate(tables[:3] + tables[-2:])]
+
+
+def z6_times_two(side):
+    """Z6 with two gammas times a two-element left- or right-zero table:
+    p = 2a + b, and p g_j q = 2(a + a' + j) + b (left) or + b' (right)."""
+    a, b, j = np.arange(12) // 2, np.arange(12) % 2, np.arange(2)
+    keep = b[:, None, None] if side == "left" else b[None, None, :]
+    return GammaSemigroup(f"Z6{side[0].upper()}2", tuple(f"p{i}" for i in range(12)),
+                          ("g0", "g1"), 2 * ((a[:, None, None] + a + j[:, None]) % 6) + keep)

@@ -275,7 +275,7 @@ def test_criterion_09():
     assert v.status == "not-applicable" and v.failing_parts == ("K2",)
 
     v = necessary_condition(make_core_not_regular_amalgam())
-    assert v.status == "not-embeddable" and v.witness == "uy"
+    assert v.status == "core-not-completely-regular" and v.witness == "uy"
 
     for s in small_fixture_tables():
         report = classify(s)

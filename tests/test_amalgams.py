@@ -38,8 +38,10 @@ from gsg import (
     NotMonomorphism,
     Step,
     Word,
+    check_associativity,
     check_natural_embedding,
     constant,
+    injective,
     mu,
     necessary_condition,
     parse,
@@ -47,6 +49,7 @@ from gsg import (
     relation_generators,
     replay_chain,
     validate_amalgam,
+    verify_homomorphism,
     words_equal_within,
     zmod,
 )
@@ -656,11 +659,34 @@ def test_necessary_condition_not_applicable():
     assert v.witness is None
 
 
-def test_necessary_condition_not_embeddable():
+def test_necessary_condition_core_not_completely_regular():
     v = necessary_condition(make_core_not_regular_amalgam())
-    assert v.status == "not-embeddable"
+    assert v.status == "core-not-completely-regular"
     assert v.failing_parts == ()
     assert v.witness == "uy"
+
+
+def test_core_not_regular_amalgam_has_injective_mediating_maps():
+    # T is S1 with a third gamma h2 acting like h1; both parts map into it
+    # injectively and agree on the core, so the amalgam embeds and no
+    # report may claim otherwise
+    a = make_core_not_regular_amalgam()
+    s1, s2 = a.parts
+    t = GammaSemigroup("T", ("x", "y"), ("g", "h1", "h2"), s1.table[:, [0, 1, 1], :])
+    g1 = GammaHomomorphism("g1", s1, t, {"ax": "x", "ay": "y"}, {"g1": "g", "h1": "h1"})
+    g2 = GammaHomomorphism("g2", s2, t, {"bx": "x", "by": "y"}, {"g2": "g", "h2": "h2"})
+    assert check_associativity(t) is None
+    for g in (g1, g2):
+        assert verify_homomorphism(g) is None and injective(g) == (True, True)
+    for f, g in zip(a.maps, (g1, g2)):
+        assert {u: g.carrier_map[f.carrier_map[u]] for u in a.core.elements} == {
+            "ux": "x", "uy": "y"}
+        assert g.gamma_map[f.gamma_map["gu"]] == "g"
+    assert pushout_mediator(a, t, g1, g2, bound=4).all_pass
+    assert necessary_condition(a).status == "core-not-completely-regular"
+    report = check_natural_embedding(a, bound=4)
+    assert report.verdict == "consistent-within-bound"
+    assert report.collisions == ()
 
 
 def test_necessary_condition_requires_associativity():
@@ -683,7 +709,7 @@ def test_fixture_amalgam_verdicts_are_stable():
         "leftzero": "satisfied",          # left zero tables are self-witnessing
         "z2_in_trivial": "satisfied",
         "disjoint": "satisfied",
-        "core_not_regular": "not-embeddable",
+        "core_not_regular": "core-not-completely-regular",
     }
     builders = {
         "trivial": make_trivial_amalgam,

@@ -225,12 +225,19 @@ def test_amalgam_check_rejects_nonpositive_limits(capsys, flags):
 # the full amalgam-check report of every amalgam in tests/data at the
 # default limits
 GOLDEN_AMALGAM_CHECK = {
-    "amalgam_core_not_regular.gsg": ("core_not_regular", 1, """\
+    "amalgam_core_not_regular.gsg": ("core_not_regular", 0, """\
 amalgam core_not_regular: core U, parts S1 S2, mode disjoint
-necessary-condition: not-embeddable
-certificate: core element uy has no witness pair although both parts are \
-completely alpha-regular
-amalgam-check: FAIL
+necessary-condition: core-not-completely-regular (core element uy has no \
+witness pair)
+relations: 1 element pair(s), 1 gamma pair(s)
+  ax ~ bx
+  gamma g1 ~ g2
+injectivity S1: no collisions within bound 6
+injectivity S2: no collisions within bound 6
+intersection: 1 cross pair(s) proven equal
+  ax = bx: resolved by core element ux
+verdict: consistent-within-bound
+amalgam-check: PASS
 """),
     "amalgam_disjoint.gsg": ("disjoint", 0, """\
 amalgam disjoint: core U, parts S1 S2, mode disjoint
@@ -329,17 +336,26 @@ def test_amalgam_check_disjoint_lists_gamma_pairs(capsys):
     assert "  gamma g1 ~ g2" in out
 
 
-def test_amalgam_check_not_embeddable(capsys):
+def test_amalgam_check_core_not_regular_runs_the_search(capsys):
+    # the screen is information only: this amalgam embeds (see
+    # test_core_not_regular_amalgam_has_injective_mediating_maps)
     code, out, _ = invoke(capsys, "amalgam-check",
                           str(DATA / "amalgam_core_not_regular.gsg"),
-                          "--amalgam", "core_not_regular")
-    assert code == 1
+                          "--amalgam", "core_not_regular", "--bound", "4")
+    assert code == 0
     assert out == """\
 amalgam core_not_regular: core U, parts S1 S2, mode disjoint
-necessary-condition: not-embeddable
-certificate: core element uy has no witness pair although both parts are \
-completely alpha-regular
-amalgam-check: FAIL
+necessary-condition: core-not-completely-regular (core element uy has no \
+witness pair)
+relations: 1 element pair(s), 1 gamma pair(s)
+  ax ~ bx
+  gamma g1 ~ g2
+injectivity S1: no collisions within bound 4
+injectivity S2: no collisions within bound 4
+intersection: 1 cross pair(s) proven equal
+  ax = bx: resolved by core element ux
+verdict: consistent-within-bound
+amalgam-check: PASS
 """
 
 

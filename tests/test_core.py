@@ -1,29 +1,37 @@
 """Tables, associativity, homomorphisms."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k2, small_fixture_tables, trivial
+from conftest import k2, make_two_copies, small_fixture_tables, trivial
 from gsg import (
     AssocWitness,
     DuplicateEntry,
+    GammaAmalgam,
     GammaHomomorphism,
     GammaSemigroup,
     HomWitness,
     IncompleteMap,
     InvalidIdentifier,
     MissingEntry,
+    Mode,
     NameClash,
     NotAHomomorphism,
+    NotAssociative,
     UnknownIdentifier,
     check_associativity,
+    classify,
     compose,
+    generate_congruence,
     identity_homomorphism,
     is_monomorphism,
     is_subsemigroup,
     left_identities,
+    necessary_condition,
     preserves_left_identity,
     validate_table,
     verify_homomorphism,
@@ -162,6 +170,47 @@ def test_associativity_witness_across_blocks(row, gamma, col, value):
     w = check_associativity(s)
     assert w is not None and w.a == f"x{row}"
     assert tuple(w) == brute_assoc_witness(s.elements, s.gammas, table_dict(s))
+
+
+def _count_scans(monkeypatch):
+    scanned = collections.Counter()
+    scan = core._scan_associativity
+    monkeypatch.setattr(core, "_scan_associativity",
+                        lambda s: scanned.update([id(s)]) or scan(s))
+    return scanned
+
+
+def test_associativity_is_scanned_once_per_semigroup(monkeypatch):
+    scanned = _count_scans(monkeypatch)
+    a = make_two_copies()
+    s = a.parts[0]
+    for _ in range(2):
+        assert check_associativity(s) is None
+        classify(s)
+        generate_congruence(s, [("a0", "a1")])
+        assert necessary_condition(a).status == "satisfied"
+    assert scanned == {id(t): 1 for t in (a.core, *a.parts)}
+
+
+def test_non_associative_verdict_is_kept(monkeypatch):
+    scanned = _count_scans(monkeypatch)
+    u = trivial("u")
+    s = GammaSemigroup("B", ("e0", "e1"), ("g",),
+                       np.array([0, 1, 0, 0], dtype=np.int64).reshape(2, 1, 2))
+    f1 = GammaHomomorphism("f1", u, s, {"u": "e0"}, {"g": "g"})
+    f2 = GammaHomomorphism("f2", u, trivial("c", name="S2"), {"u": "c"}, {"g": "g"})
+    a = GammaAmalgam("bad", u, (s, f2.target), (f1, f2), Mode.SAME_GAMMA)
+    w = check_associativity(s)
+    assert tuple(w) == brute_assoc_witness(s.elements, s.gammas, table_dict(s))
+    for _ in range(3):
+        assert check_associativity(s) == w
+        for call in (lambda: classify(s),
+                     lambda: generate_congruence(s, [("e0", "e1")]),
+                     lambda: necessary_condition(a)):
+            with pytest.raises(NotAssociative) as exc:
+                call()
+            assert exc.value.witness == w
+    assert scanned[id(s)] == 1
 
 
 def test_subsemigroup_membership():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import k2, meet_two, small_fixture_tables, trivial
+from conftest import (
+    family_tables,
+    k2,
+    meet_two,
+    shuffled,
+    small_fixture_tables,
+    trivial,
+    z6_times_two,
+)
 from gsg import (
     GammaSemigroup,
     NotAssociative,
@@ -12,17 +20,64 @@ from gsg import (
     classify,
     completely_regular_witness,
 )
-from gsg.families import left_zero, right_zero, zmod
+from gsg import core
+from gsg.families import constant, left_zero, right_zero, zmod
 from oracles import brute_regularity
 
 
-@pytest.mark.parametrize("s", small_fixture_tables(), ids=lambda s: s.name)
+def random_tables():
+    """Mostly non-associative tables: the per-element scans do not need the law."""
+    out = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n, g = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        out.append(GammaSemigroup(f"rand{seed}", tuple(f"e{i}" for i in range(n)),
+                                  tuple(f"h{j}" for j in range(g)),
+                                  rng.integers(0, n, size=(n, g, n))))
+    return out
+
+
+def workload_tables():
+    """Associative tables with n = 8-16 and g = 2-3, half with shuffled indices."""
+    names = [f"e{i}" for i in range(12)]
+    z10 = zmod(10)
+    gamma_ignored = [GammaSemigroup(f"Z10i{g}", z10.elements, tuple(f"g{j}" for j in range(g)),
+                                    np.repeat(z10.table, g, axis=1)) for g in (2, 3)]
+    tables = gamma_ignored + [
+        zmod(16, gammas=2), zmod(12, gammas=2), zmod(9, gammas=3), zmod(8, gammas=3),
+        left_zero(names, ["g", "h", "k"], name="L12"),
+        right_zero(names[:9], ["g", "h"], name="R9"),
+        constant(names[:11], "e4", ["g", "h", "k"], name="K11"),
+        z6_times_two("left"), z6_times_two("right")]
+    return tables + [shuffled(t, k) for k, t in enumerate(tables)]
+
+
+@pytest.mark.parametrize("s", small_fixture_tables() + random_tables(), ids=lambda s: s.name)
 def test_witnesses_match_reference_scan(s):
     ref = brute_regularity(s)
-    for a in s.elements:
-        assert alpha_regular_witness(s, a) == ref[a]["regular"]
-        assert completely_regular_witness(s, a) == ref[a]["commuting"]
-        assert list(alpha_inverses(s, a)) == ref[a]["inverses"]
+    regular, complete, inverse = core._regularity_masks(s, slice(None))
+    whole = zip(core._witnesses(s, regular), core._witnesses(s, complete),
+                core._pairs(s, inverse))
+    for a, row in zip(s.elements, whole):
+        expected = (ref[a]["regular"], ref[a]["commuting"], tuple(ref[a]["inverses"]))
+        assert (alpha_regular_witness(s, a), completely_regular_witness(s, a),
+                alpha_inverses(s, a)) == expected
+        assert row == expected
+
+
+@pytest.mark.parametrize("s", family_tables() + workload_tables(), ids=lambda s: s.name)
+def test_classify_matches_reference_scan_at_workload_size(s):
+    ref = brute_regularity(s)
+    rep = classify(s)
+    assert [(e.element, e.alpha_regular, e.completely_regular, list(e.inverses))
+            for e in rep.per_element] == [
+        (a, ref[a]["regular"], ref[a]["commuting"], ref[a]["inverses"]) for a in s.elements]
+    is_reg = all(ref[a]["regular"] is not None for a in s.elements)
+    assert rep.is_alpha_regular == is_reg
+    assert rep.is_completely_alpha_regular == all(
+        ref[a]["commuting"] is not None for a in s.elements)
+    assert rep.is_gamma_inverse == (is_reg and all(
+        len({b for b, _ in ref[a]["inverses"]}) == 1 for a in s.elements))
 
 
 @pytest.mark.parametrize("s", small_fixture_tables(), ids=lambda s: s.name)
