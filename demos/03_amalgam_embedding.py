@@ -83,7 +83,7 @@ for step in verdict.chain:
 
 # Replaying the chain is an independent confirmation: each step is
 # checked against the relation set, and the result must be w2.
-print("chain replays to w2:", replay_chain(a, w1, verdict.chain, False) == w2)
+print("chain replays to w2:", replay_chain(a, w1, verdict.chain) == w2)
 
 # The embedding report combines a collision search inside each part
 # with a resolution check across parts.

@@ -3,8 +3,8 @@
 An amalgam is a core U, two parts S1 and S2 with disjoint element names,
 and one monomorphism from the core into each part.  Inside the free
 product of the parts, the relation pairs identify the two images of every
-core product u g0 u'; the amalgamated product is the free product modulo
-the congruence those pairs generate.
+core element; the amalgamated product is the free product modulo the
+congruence those pairs generate, the pushout of the two maps.
 
 Deciding word equality in that quotient is not bounded in general, so
 `words_equal_within` runs a breadth-first search over letter sequences up
@@ -174,26 +174,16 @@ class RelationSet:
     gamma_pairs: tuple[tuple[str, str], ...]
 
 
-def relation_generators(a: GammaAmalgam,
-                        identify_elements: bool = False) -> RelationSet:
-    """The defining pairs: both images of every core product u g0 u'.
-
-    By default only products are identified; pass identify_elements=True to
-    also pair the two images of every core element itself.
-    """
+def relation_generators(a: GammaAmalgam) -> RelationSet:
+    """The defining pairs: both images of every core element, so the whole
+    core is glued.  When the core products cover the core (u g0 u' reaches
+    every element, as in every regular core) these are exactly the images
+    of the core products."""
     _require_valid(a)
     u = a.core
     f1, f2 = a.maps
     s1, s2 = a.parts
-    pairs: set[tuple[str, str]] = set()
-    for x in u.elements:
-        for g0 in u.gammas:
-            for y in u.elements:
-                z = u.mul(x, g0, y)
-                pairs.add((f1.carrier_map[z], f2.carrier_map[z]))
-    if identify_elements:
-        for x in u.elements:
-            pairs.add((f1.carrier_map[x], f2.carrier_map[x]))
+    pairs = {(f1.carrier_map[x], f2.carrier_map[x]) for x in u.elements}
     element_pairs = tuple(sorted(pairs, key=lambda p: (s1.index(p[0]), s2.index(p[1]))))
     if a.mode is Mode.SAME_GAMMA:
         gamma_pairs: tuple[tuple[str, str], ...] = ()
@@ -244,8 +234,8 @@ class _Search:
     free product, and the BFS itself.  A move is (kind, pos, codes); named
     Steps are built only for the chains that are returned."""
 
-    def __init__(self, a: GammaAmalgam, identify_elements: bool):
-        self.rel = rel = relation_generators(a, identify_elements)
+    def __init__(self, a: GammaAmalgam):
+        self.rel = rel = relation_generators(a)
         self.fp = fp = a.free_product()
         self.subs = _partners(fp.element_names, rel.element_pairs)
         self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
@@ -405,15 +395,14 @@ def _check_limits(bound: int, budget: int) -> None:
 
 def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
                        bound: int = DEFAULT_BOUND,
-                       budget: int = DEFAULT_BUDGET,
-                       identify_elements: bool = False) -> EqualityVerdict:
+                       budget: int = DEFAULT_BUDGET) -> EqualityVerdict:
     """Bounded proof search for equality in the amalgamated product.
 
     Equal means proven equal, with the move chain from w1 to w2 attached.
     An inconclusive verdict carries no claim at all: the pair may be equal
     through longer words or not equal at all."""
     _check_limits(bound, budget)
-    search = _Search(a, identify_elements)
+    search = _Search(a)
     for w in (w1, w2):
         if not search.fp.is_reduced(w):
             raise MalformedSequence(f"word {w} is not reduced")
@@ -424,11 +413,10 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     return EqualityVerdict(False, None, limit, bound, budget)
 
 
-def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step],
-                 identify_elements: bool = False) -> Word:
+def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step]) -> Word:
     """Run a chain against the tables and relation pairs, validating every
     move; returns the word it produces.  ValueError on any illegal step."""
-    search = _Search(a, identify_elements)
+    search = _Search(a)
     state = search.fp.encode(w1)
     for step in chain:
         state = search.apply_step(state, step)
@@ -436,8 +424,7 @@ def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step],
 
 
 def mu(a: GammaAmalgam, part: int, element: str,
-       bound: int = DEFAULT_BOUND, budget: int = DEFAULT_BUDGET,
-       identify_elements: bool = False) -> Word:
+       bound: int = DEFAULT_BOUND, budget: int = DEFAULT_BUDGET) -> Word:
     """Canonical representative of one part element's class: the least
     reduced word (length first, then letter indices) among everything the
     bounded search can reach from it.  part is 1 or 2.
@@ -449,7 +436,7 @@ def mu(a: GammaAmalgam, part: int, element: str,
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     _check_limits(bound, budget)
-    search = _Search(a, identify_elements)
+    search = _Search(a)
     fp = search.fp
     members, _ = search.component(fp.encode(fp.embed(part - 1, element))[0], bound, budget)
     return fp.decode((min(members),))
@@ -495,8 +482,7 @@ class EmbeddingReport:
 
 def check_natural_embedding(a: GammaAmalgam,
                             bound: int = DEFAULT_BOUND,
-                            budget: int = DEFAULT_BUDGET,
-                            identify_elements: bool = False) -> EmbeddingReport:
+                            budget: int = DEFAULT_BUDGET) -> EmbeddingReport:
     """Probe the two necessary conditions for the parts to embed naturally.
 
     A collision (two distinct elements of one part proven equal) is a
@@ -526,7 +512,7 @@ def check_natural_embedding(a: GammaAmalgam,
       and some collision pair or cross pair is undecided.
     """
     _check_limits(bound, budget)
-    search = _Search(a, identify_elements)
+    search = _Search(a)
     fp = search.fp
     classes = search.classes(bound, budget)
     code = {e: c for c, e in enumerate(fp.element_names)}
@@ -542,8 +528,7 @@ def check_natural_embedding(a: GammaAmalgam,
     def probe(p: int, x: str, q: int, y: str) -> Optional[tuple[Step, ...]]:
         """The chain of a targeted search from x in part p+1 to y in part
         q+1, or None when it proves nothing."""
-        return words_equal_within(a, fp.embed(p, x), fp.embed(q, y), bound, budget,
-                                  identify_elements).chain
+        return words_equal_within(a, fp.embed(p, x), fp.embed(q, y), bound, budget).chain
 
     undecided = False
     collisions: list[Collision] = []
@@ -638,7 +623,7 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
         if g1.gamma_map[f1.gamma_map[h]] != g2.gamma_map[f2.gamma_map[h]]:
             raise GammaMismatch(
                 f"gamma square does not commute on core gamma {h!r}")
-    search = _Search(a, False)
+    search = _Search(a)
     fp = search.fp
 
     relations_ok, rel_witness = True, None

@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--amalgam", required=True)
     q.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    q.add_argument("--identify-elements", action="store_true",
-                   help="also identify the two images of every core element")
 
     q = with_file("iso-check", "first isomorphism assertions for one hom")
     q.add_argument("--hom", required=True)
@@ -184,6 +182,8 @@ def _cmd_quotient(ws: Workspace, name: str, pairs_arg: str) -> int:
 
 
 def _cmd_word_mul(ws: Workspace, mode: str, gamma: str, left: str, right: str) -> int:
+    if not ws.semigroups:
+        raise GsgError("word-mul needs a workspace with at least one semigroup")
     fp = FreeProduct(ws.semigroups, Mode(mode))
     a = fp.parse_word(left)
     b = fp.parse_word(right)
@@ -191,8 +191,7 @@ def _cmd_word_mul(ws: Workspace, mode: str, gamma: str, left: str, right: str) -
     return 0
 
 
-def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int,
-                       identify: bool) -> int:
+def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int) -> int:
     if bound < 1 or budget < 1:
         raise GsgError(f"--bound and --budget must be positive integers, "
                        f"got {bound} and {budget}")
@@ -204,14 +203,14 @@ def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int,
           + (f" (not completely alpha-regular: {', '.join(nc.failing_parts)})"
              if nc.failing_parts else "")
           + (f" (core element {nc.witness} has no witness pair)" if nc.witness else ""))
-    rel = relation_generators(a, identify)
+    rel = relation_generators(a)
     print(f"relations: {len(rel.element_pairs)} element pair(s)"
           + (f", {len(rel.gamma_pairs)} gamma pair(s)" if rel.gamma_pairs else ""))
     for e1, e2 in rel.element_pairs:
         print(f"  {e1} ~ {e2}")
     for h1, h2 in rel.gamma_pairs:
         print(f"  gamma {h1} ~ {h2}")
-    report = check_natural_embedding(a, bound, budget, identify)
+    report = check_natural_embedding(a, bound, budget)
     for p, s in enumerate(a.parts):
         if report.no_collision_within_bound[p]:
             print(f"injectivity {s.name}: no collisions within bound {bound}")
@@ -265,7 +264,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {args.file}: {e}", file=sys.stderr)
         return 2
     try:
@@ -281,8 +280,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "word-mul":
             return _cmd_word_mul(ws, args.mode, args.gamma, args.left, args.right)
         if args.command == "amalgam-check":
-            return _cmd_amalgam_check(ws, args.amalgam, args.bound, args.budget,
-                                      args.identify_elements)
+            return _cmd_amalgam_check(ws, args.amalgam, args.bound, args.budget)
         return _cmd_iso_check(ws, args.hom)
     except ParseError as e:
         print(f"{args.file}:{e}", file=sys.stderr)

@@ -39,6 +39,7 @@ __all__ = [
     "ElementRegularity",
     "RegularityReport",
     "validate_table",
+    "semigroup_from_cells",
     "check_associativity",
     "is_subsemigroup",
     "verify_homomorphism",
@@ -164,10 +165,11 @@ def validate_table(name: str,
                    entries: Iterable[tuple[str, str, str, str]]) -> GammaSemigroup:
     """Build a semigroup from explicit ``(a, gamma, b, result)`` entries.
 
-    Raises UnknownIdentifier for an entry naming an undeclared identifier,
-    DuplicateEntry when a triple is given twice with different results, and
-    MissingEntry (first missing triple in index order) when the table is not
-    total.  Associativity is not checked here.
+    Raises NameClash for a repeated name, UnknownIdentifier for an entry
+    naming an undeclared identifier, DuplicateEntry when a triple is given
+    twice with different results, and MissingEntry (first missing triple in
+    index order) when the table is not total.  Associativity is not checked
+    here.
     """
     elements = tuple(elements)
     gammas = tuple(gammas)
@@ -187,6 +189,18 @@ def validate_table(name: str,
         if table[i, j, k] != -1 and table[i, j, k] != v:
             raise DuplicateEntry(a, gamma, b, elements[table[i, j, k]], z)
         table[i, j, k] = v
+    return semigroup_from_cells(name, elements, gammas, table)
+
+
+def semigroup_from_cells(name: str, elements: tuple[str, ...], gammas: tuple[str, ...],
+                         cells) -> GammaSemigroup:
+    """The semigroup of a filled index table: ``cells`` holds the result
+    index of every ``(a, gamma, b)`` in row-major order, -1 where no entry
+    was given.  Raises NameClash for a repeated name first, then MissingEntry
+    for the first empty cell in index order."""
+    _check_unique(name, elements, gammas)
+    n, g = len(elements), len(gammas)
+    table = np.asarray(cells, dtype=np.int64).reshape(n, g, n)
     missing = np.argwhere(table == -1)
     if missing.size:
         i, j, k = (int(x) for x in missing[0])

@@ -11,20 +11,30 @@ ignored:
                                                              end
 
 Tokens are runs of non-whitespace characters; `#`, `=`, and the two-character
-arrow `->` never belong to a token.  References resolve against blocks
-declared earlier in the same file.  `serialize` emits the canonical form:
-declaration order, op lines sorted by index, single spaces, newline line
-endings; its output is a byte-exact fixpoint of parse-then-serialize.
+arrow `->` never belong to a token (`_TOKEN_RE` is the grammar).  References
+resolve against blocks declared earlier in the same file.  `serialize` emits
+the canonical form: declaration order, op lines sorted by index, single
+spaces, newline line endings; its output is a byte-exact fixpoint of
+parse-then-serialize.
+
+Parsing is one pass over the lines.  A line is split on whitespace once,
+and goes through `_TOKEN_RE` only when some `=` or `->` is glued to a name.
+An `op` line resolves its four names through the name-to-index dicts of
+its block and writes the result index straight into the block's table, so
+a conflicting entry is caught on its own line; at `end` the block checks
+names and totality (`core.semigroup_from_cells`).  Columns are not tracked:
+an error re-scans its one line to find the column it reports.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .amalgams import GammaAmalgam, validate_amalgam
-from .core import GammaHomomorphism, GammaSemigroup, validate_table
+from .core import GammaHomomorphism, GammaSemigroup, semigroup_from_cells
 from .errors import (
     DuplicateEntry,
     GsgError,
@@ -75,9 +85,40 @@ class Workspace:
         raise UnknownIdentifier(name, "amalgam")
 
 
-def _tokenize(raw: str) -> list[tuple[str, int]]:
+def _tokens(raw: str) -> list[str]:
+    """The tokens of one line, comment stripped.
+
+    A whitespace split already gives the tokens unless some '=' or '->' is
+    glued to a name; an occurrence of either never spans whitespace, so
+    equal counts in the line and among the split pieces rule that out."""
     line = raw.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+    toks = line.split()
+    if line.count("=") != toks.count("=") or line.count("->") != toks.count("->"):
+        return _TOKEN_RE.findall(line)
+    return toks
+
+
+def _column(raw: str, k: int) -> int:
+    """1-based column of token k of one line, by re-scanning that line."""
+    line = raw.split("#", 1)[0]
+    return next(islice(_TOKEN_RE.finditer(line), k, None)).start() + 1
+
+
+def _error(lines, i: int, k: int, message: str) -> ParseError:
+    """A ParseError at token k of line i (0-based)."""
+    return ParseError(i + 1, _column(lines[i], k), message)
+
+
+def _unresolved(lines, i: int, toks, k: int) -> UnresolvedReference:
+    return UnresolvedReference(toks[k], i + 1, _column(lines[i], k))
+
+
+def _body(lines, start: int):
+    """(index, tokens) of every nonblank line after line start."""
+    for i in range(start + 1, len(lines)):
+        toks = _tokens(lines[i])
+        if toks:
+            yield i, toks
 
 
 def parse(text: str) -> Workspace:
@@ -92,235 +133,197 @@ def parse(text: str) -> Workspace:
 
     i = 0
     while i < len(lines):
-        toks = _tokenize(lines[i])
+        toks = _tokens(lines[i])
         if not toks:
             i += 1
             continue
-        head, col = toks[0]
-        hline = i + 1
+        head, start = toks[0], i
         if head == "semigroup":
-            s, i = _parse_semigroup(lines, i, toks)
-            if s.name in semigroups:
-                raise ParseError(hline, col, f"semigroup {s.name!r} declared twice")
-            semigroups[s.name] = s
-            order.append(("semigroup", s.name))
+            obj, i = _parse_semigroup(lines, i, toks)
+            known = semigroups
         elif head == "hom":
-            f, i = _parse_hom(lines, i, toks, semigroups)
-            if f.name in homs:
-                raise ParseError(hline, col, f"hom {f.name!r} declared twice")
-            homs[f.name] = f
-            order.append(("hom", f.name))
+            obj, i = _parse_hom(lines, i, toks, semigroups)
+            known = homs
         elif head == "amalgam":
-            a, i = _parse_amalgam(lines, i, toks, semigroups, homs)
-            if a.name in amalgams:
-                raise ParseError(hline, col, f"amalgam {a.name!r} declared twice")
-            amalgams[a.name] = a
-            order.append(("amalgam", a.name))
+            obj, i = _parse_amalgam(lines, i, toks, semigroups, homs)
+            known = amalgams
         else:
-            raise ParseError(i + 1, col,
-                             f"expected 'semigroup', 'hom', or 'amalgam', got {head!r}")
+            raise _error(lines, i, 0,
+                         f"expected 'semigroup', 'hom', or 'amalgam', got {head!r}")
+        if obj.name in known:
+            raise _error(lines, start, 0, f"{head} {obj.name!r} declared twice")
+        known[obj.name] = obj
+        order.append((head, obj.name))
     return Workspace(tuple(semigroups.values()), tuple(homs.values()),
                      tuple(amalgams.values()), tuple(order))
 
 
-def _expect_name(toks, lineno: int, what: str) -> str:
+def _expect_name(lines, i: int, toks, what: str) -> str:
     if len(toks) != 2:
-        raise ParseError(lineno, toks[0][1], f"expected '{what} <name>'")
-    return toks[1][0]
+        raise _error(lines, i, 0, f"expected '{what} <name>'")
+    return toks[1]
 
 
 def _parse_semigroup(lines, start: int, header):
-    name = _expect_name(header, start + 1, "semigroup")
+    name = _expect_name(lines, start, header, "semigroup")
     elements: Optional[tuple[str, ...]] = None
     gammas: Optional[tuple[str, ...]] = None
-    entries: list[tuple[str, str, str, str]] = []
-    seen: dict[tuple[str, str, str], str] = {}
-    i = start + 1
-    while i < len(lines):
-        toks = _tokenize(lines[i])
-        lineno = i + 1
-        if not toks:
-            i += 1
-            continue
-        key, col = toks[0]
-        if key == "end":
-            if len(toks) != 1:
-                raise ParseError(lineno, toks[1][1], "nothing may follow 'end'")
-            if elements is None:
-                raise ParseError(lineno, col, "semigroup block has no 'elements' line")
-            if gammas is None:
-                raise ParseError(lineno, col, "semigroup block has no 'gammas' line")
+    eindex: dict[str, int] = {}
+    gindex: dict[str, int] = {}
+    # the index table, row-major over (x, g, y); -1 marks an empty cell
+    table: Optional[list[int]] = None
+    for i, toks in _body(lines, start):
+        key = toks[0]
+        if key == "op":
+            if table is None:
+                raise _error(lines, i, 0, "'op' lines must follow 'elements' and 'gammas'")
+            if len(toks) != 6 or toks[4] != "=":
+                raise _error(lines, i, 0, "expected 'op <x> <g> <y> = <z>'")
             try:
-                return validate_table(name, elements, gammas, entries), i + 1
+                cell = (eindex[toks[1]] * g + gindex[toks[2]]) * n + eindex[toks[3]]
+                z = eindex[toks[5]]
+            except KeyError:
+                k = next(k for k in (1, 3, 5, 2)
+                         if toks[k] not in (gindex if k == 2 else eindex))
+                raise _unresolved(lines, i, toks, k) from None
+            old = table[cell]
+            if old != z:
+                if old >= 0:
+                    raise _error(lines, i, 0, str(DuplicateEntry(
+                        toks[1], toks[2], toks[3], elements[old], toks[5])))
+                table[cell] = z
+        elif key == "end":
+            if len(toks) != 1:
+                raise _error(lines, i, 1, "nothing may follow 'end'")
+            if elements is None:
+                raise _error(lines, i, 0, "semigroup block has no 'elements' line")
+            if gammas is None:
+                raise _error(lines, i, 0, "semigroup block has no 'gammas' line")
+            try:
+                return semigroup_from_cells(name, elements, gammas, table), i + 1
             except GsgError as e:
-                raise ParseError(lineno, col, str(e)) from None
-        elif key == "elements":
-            if elements is not None:
-                raise ParseError(lineno, col, "'elements' given twice")
+                raise _error(lines, i, 0, str(e)) from None
+        elif key == "elements" or key == "gammas":
+            if (elements if key == "elements" else gammas) is not None:
+                raise _error(lines, i, 0, f"'{key}' given twice")
             if len(toks) < 2:
-                raise ParseError(lineno, col, "'elements' needs at least one name")
-            elements = tuple(t for t, _ in toks[1:])
-        elif key == "gammas":
-            if gammas is not None:
-                raise ParseError(lineno, col, "'gammas' given twice")
-            if len(toks) < 2:
-                raise ParseError(lineno, col, "'gammas' needs at least one name")
-            gammas = tuple(t for t, _ in toks[1:])
-        elif key == "op":
-            if elements is None or gammas is None:
-                raise ParseError(lineno, col,
-                                 "'op' lines must follow 'elements' and 'gammas'")
-            if len(toks) != 6 or toks[4][0] != "=":
-                raise ParseError(lineno, col, "expected 'op <x> <g> <y> = <z>'")
-            x, g, y, z = toks[1], toks[2], toks[3], toks[5]
-            for tok, tcol in (x, y, z):
-                if tok not in elements:
-                    raise UnresolvedReference(tok, lineno, tcol)
-            if g[0] not in gammas:
-                raise UnresolvedReference(g[0], lineno, g[1])
-            triple = (x[0], g[0], y[0])
-            if triple in seen and seen[triple] != z[0]:
-                raise ParseError(lineno, col, str(DuplicateEntry(
-                    x[0], g[0], y[0], seen[triple], z[0])))
-            seen[triple] = z[0]
-            entries.append((x[0], g[0], y[0], z[0]))
+                raise _error(lines, i, 0, f"'{key}' needs at least one name")
+            names = tuple(toks[1:])
+            index = {t: k for k, t in enumerate(names)}
+            if key == "elements":
+                elements, eindex, n = names, index, len(names)
+            else:
+                gammas, gindex, g = names, index, len(names)
+            if elements is not None and gammas is not None:
+                table = [-1] * (n * g * n)
         else:
-            raise ParseError(lineno, col,
-                             f"expected 'elements', 'gammas', 'op', or 'end', got {key!r}")
-        i += 1
+            raise _error(lines, i, 0,
+                         f"expected 'elements', 'gammas', 'op', or 'end', got {key!r}")
     raise ParseError(len(lines), 1, f"semigroup {name!r} is missing 'end'")
 
 
 def _parse_hom(lines, start: int, header, semigroups):
-    lineno = start + 1
-    if (len(header) != 6 or header[2][0] != ":" or header[4][0] != "->"):
-        raise ParseError(lineno, header[0][1],
-                         "expected 'hom <name> : <src> -> <dst>'")
-    name = header[1][0]
-    src_tok, dst_tok = header[3], header[5]
-    if src_tok[0] not in semigroups:
-        raise UnresolvedReference(src_tok[0], lineno, src_tok[1])
-    if dst_tok[0] not in semigroups:
-        raise UnresolvedReference(dst_tok[0], lineno, dst_tok[1])
-    src, dst = semigroups[src_tok[0]], semigroups[dst_tok[0]]
+    if len(header) != 6 or header[2] != ":" or header[4] != "->":
+        raise _error(lines, start, 0, "expected 'hom <name> : <src> -> <dst>'")
+    name = header[1]
+    for k in (3, 5):
+        if header[k] not in semigroups:
+            raise _unresolved(lines, start, header, k)
+    src, dst = semigroups[header[3]], semigroups[header[5]]
     carrier: dict[str, str] = {}
     gmap: dict[str, str] = {}
-    i = start + 1
-    while i < len(lines):
-        toks = _tokenize(lines[i])
-        lineno = i + 1
-        if not toks:
-            i += 1
-            continue
-        key, col = toks[0]
+    for i, toks in _body(lines, start):
+        key = toks[0]
         if key == "end":
             if len(toks) != 1:
-                raise ParseError(lineno, toks[1][1], "nothing may follow 'end'")
+                raise _error(lines, i, 1, "nothing may follow 'end'")
             for e in src.elements:
                 if e not in carrier:
-                    raise ParseError(lineno, col, f"no 'map' line for element {e!r}")
+                    raise _error(lines, i, 0, f"no 'map' line for element {e!r}")
             for h in src.gammas:
                 if h not in gmap:
-                    raise ParseError(lineno, col, f"no 'gmap' line for gamma {h!r}")
+                    raise _error(lines, i, 0, f"no 'gmap' line for gamma {h!r}")
             return GammaHomomorphism(name, src, dst, carrier, gmap), i + 1
         elif key in ("map", "gmap"):
-            if len(toks) != 4 or toks[2][0] != "->":
-                raise ParseError(lineno, col, f"expected '{key} <a> -> <b>'")
+            if len(toks) != 4 or toks[2] != "->":
+                raise _error(lines, i, 0, f"expected '{key} <a> -> <b>'")
             a, b = toks[1], toks[3]
             if key == "map":
-                if a[0] not in src.elements:
-                    raise UnresolvedReference(a[0], lineno, a[1])
-                if b[0] not in dst.elements:
-                    raise UnresolvedReference(b[0], lineno, b[1])
-                if a[0] in carrier:
-                    raise ParseError(lineno, a[1], f"element {a[0]!r} mapped twice")
-                carrier[a[0]] = b[0]
+                if not src.has_element(a):
+                    raise _unresolved(lines, i, toks, 1)
+                if not dst.has_element(b):
+                    raise _unresolved(lines, i, toks, 3)
+                if a in carrier:
+                    raise _error(lines, i, 1, f"element {a!r} mapped twice")
+                carrier[a] = b
             else:
-                if a[0] not in src.gammas:
-                    raise UnresolvedReference(a[0], lineno, a[1])
-                if b[0] not in dst.gammas:
-                    raise UnresolvedReference(b[0], lineno, b[1])
-                if a[0] in gmap:
-                    raise ParseError(lineno, a[1], f"gamma {a[0]!r} mapped twice")
-                gmap[a[0]] = b[0]
+                if a not in src.gammas:
+                    raise _unresolved(lines, i, toks, 1)
+                if b not in dst.gammas:
+                    raise _unresolved(lines, i, toks, 3)
+                if a in gmap:
+                    raise _error(lines, i, 1, f"gamma {a!r} mapped twice")
+                gmap[a] = b
         else:
-            raise ParseError(lineno, col,
-                             f"expected 'map', 'gmap', or 'end', got {key!r}")
-        i += 1
+            raise _error(lines, i, 0, f"expected 'map', 'gmap', or 'end', got {key!r}")
     raise ParseError(len(lines), 1, f"hom {name!r} is missing 'end'")
 
 
 def _parse_amalgam(lines, start: int, header, semigroups, homs):
-    name = _expect_name(header, start + 1, "amalgam")
+    name = _expect_name(lines, start, header, "amalgam")
     core: Optional[GammaSemigroup] = None
     parts: Optional[tuple[GammaSemigroup, GammaSemigroup]] = None
     maps: Optional[tuple[GammaHomomorphism, GammaHomomorphism]] = None
     mode: Optional[Mode] = None
-    i = start + 1
-    while i < len(lines):
-        toks = _tokenize(lines[i])
-        lineno = i + 1
-        if not toks:
-            i += 1
-            continue
-        key, col = toks[0]
+    for i, toks in _body(lines, start):
+        key = toks[0]
         if key == "end":
             if len(toks) != 1:
-                raise ParseError(lineno, toks[1][1], "nothing may follow 'end'")
+                raise _error(lines, i, 1, "nothing may follow 'end'")
             missing = [k for k, v in (("core", core), ("parts", parts),
                                       ("maps", maps), ("mode", mode)) if v is None]
             if missing:
-                raise ParseError(lineno, col,
-                                 f"amalgam block is missing: {', '.join(missing)}")
+                raise _error(lines, i, 0,
+                             f"amalgam block is missing: {', '.join(missing)}")
             amalgam = GammaAmalgam(name, core, parts, maps, mode)
             defects = validate_amalgam(amalgam)
             if defects:
-                raise ParseError(start + 1, header[0][1],
-                                 "; ".join(str(d) for d in defects))
+                raise _error(lines, start, 0, "; ".join(str(d) for d in defects))
             return amalgam, i + 1
         elif key == "core":
             if core is not None:
-                raise ParseError(lineno, col, "'core' given twice")
-            tok = (_expect_name(toks, lineno, "core"), toks[1][1])
-            if tok[0] not in semigroups:
-                raise UnresolvedReference(tok[0], lineno, tok[1])
-            core = semigroups[tok[0]]
-        elif key == "parts":
-            if parts is not None:
-                raise ParseError(lineno, col, "'parts' given twice")
+                raise _error(lines, i, 0, "'core' given twice")
+            if _expect_name(lines, i, toks, "core") not in semigroups:
+                raise _unresolved(lines, i, toks, 1)
+            core = semigroups[toks[1]]
+        elif key == "parts" or key == "maps":
+            if (parts if key == "parts" else maps) is not None:
+                raise _error(lines, i, 0, f"'{key}' given twice")
             if len(toks) != 3:
-                raise ParseError(lineno, col, "expected 'parts <s1> <s2>'")
-            found = []
-            for tok, tcol in toks[1:]:
-                if tok not in semigroups:
-                    raise UnresolvedReference(tok, lineno, tcol)
-                found.append(semigroups[tok])
-            parts = (found[0], found[1])
-        elif key == "maps":
-            if maps is not None:
-                raise ParseError(lineno, col, "'maps' given twice")
-            if len(toks) != 3:
-                raise ParseError(lineno, col, "expected 'maps <f1> <f2>'")
-            found = []
-            for tok, tcol in toks[1:]:
-                if tok not in homs:
-                    raise UnresolvedReference(tok, lineno, tcol)
-                found.append(homs[tok])
-            maps = (found[0], found[1])
+                what = "<s1> <s2>" if key == "parts" else "<f1> <f2>"
+                raise _error(lines, i, 0, f"expected '{key} {what}'")
+            known = semigroups if key == "parts" else homs
+            for k in (1, 2):
+                if toks[k] not in known:
+                    raise _unresolved(lines, i, toks, k)
+            found = (known[toks[1]], known[toks[2]])
+            if key == "parts":
+                parts = found
+            else:
+                maps = found
         elif key == "mode":
             if mode is not None:
-                raise ParseError(lineno, col, "'mode' given twice")
-            word = _expect_name(toks, lineno, "mode")
+                raise _error(lines, i, 0, "'mode' given twice")
+            word = _expect_name(lines, i, toks, "mode")
             try:
                 mode = Mode(word)
             except ValueError:
-                raise ParseError(lineno, toks[1][1],
-                                 "mode must be 'same-gamma' or 'disjoint'") from None
+                raise _error(lines, i, 1,
+                             "mode must be 'same-gamma' or 'disjoint'") from None
         else:
-            raise ParseError(lineno, col,
-                             f"expected 'core', 'parts', 'maps', 'mode', or 'end', "
-                             f"got {key!r}")
-        i += 1
+            raise _error(lines, i, 0,
+                         f"expected 'core', 'parts', 'maps', 'mode', or 'end', "
+                         f"got {key!r}")
     raise ParseError(len(lines), 1, f"amalgam {name!r} is missing 'end'")
 
 

@@ -252,56 +252,56 @@ def brute_fold(tokens, target, carrier_maps, owner, gamma_of=None):
 
 # ----------------------------------------------------------------- amalgams
 
-def per_pair_embedding_report(a, bound, budget, identify_elements=False):
+class _BudgetStop(Exception):
+    pass
+
+
+def per_pair_embedding_report(a, bound, budget):
     """The embedding report by one bounded search per element pair: every
     pair of one part, every cross pair, and for each proven cross pair the
     core elements in order until one's part-1 image is proven equal to it.
 
-    Returns (report, stopped): stopped is True when some search ran out of
-    budget, and only then may the report differ from
-    check_natural_embedding's."""
+    Returns None as soon as some search runs out of budget: only then may
+    check_natural_embedding's report differ from this one."""
     from gsg import Collision, CrossPair, EmbeddingReport, words_equal_within
 
     fp = a.free_product()
-    stopped = []
 
     def probe(w1, w2):
-        v = words_equal_within(a, w1, w2, bound, budget, identify_elements)
-        stopped.append(v.limit == "budget")
+        v = words_equal_within(a, w1, w2, bound, budget)
+        if v.limit == "budget":
+            raise _BudgetStop
         return v
 
-    collisions, clear = [], []
-    for p, s in enumerate(a.parts):
-        found = []
-        first = len(stopped)
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                v = probe(fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j]))
-                if v.equal:
-                    found.append(Collision(p + 1, s.elements[i], s.elements[j], v.chain))
-        collisions.extend(found)
-        clear.append(not found and not any(stopped[first:]))
+    try:
+        collisions, clear = [], []
+        for p, s in enumerate(a.parts):
+            found = []
+            for i in range(s.n):
+                for j in range(i + 1, s.n):
+                    v = probe(fp.embed(p, s.elements[i]), fp.embed(p, s.elements[j]))
+                    if v.equal:
+                        found.append(Collision(p + 1, s.elements[i], s.elements[j],
+                                               v.chain))
+            collisions.extend(found)
+            clear.append(not found)
 
-    cross = []
-    f1 = a.maps[0]
-    for e1 in a.parts[0].elements:
-        w1 = fp.embed(0, e1)
-        for e2 in a.parts[1].elements:
-            if not probe(w1, fp.embed(1, e2)).equal:
-                continue
-            resolved = None
-            for u in a.core.elements:
-                if probe(fp.embed(0, f1.carrier_map[u]), w1).equal:
-                    resolved = u
-                    break
-            cross.append(CrossPair(e1, e2, resolved))
+        cross = []
+        f1 = a.maps[0]
+        for e1 in a.parts[0].elements:
+            w1 = fp.embed(0, e1)
+            for e2 in a.parts[1].elements:
+                if not probe(w1, fp.embed(1, e2)).equal:
+                    continue
+                resolved = None
+                for u in a.core.elements:
+                    if probe(fp.embed(0, f1.carrier_map[u]), w1).equal:
+                        resolved = u
+                        break
+                cross.append(CrossPair(e1, e2, resolved))
+    except _BudgetStop:
+        return None
 
-    if collisions:
-        verdict = "violation-found"
-    elif any(stopped):
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent-within-bound"
-    report = EmbeddingReport(a.name, tuple(collisions), tuple(clear),
-                             tuple(cross), verdict, bound, budget)
-    return report, any(stopped)
+    verdict = "violation-found" if collisions else "consistent-within-bound"
+    return EmbeddingReport(a.name, tuple(collisions), tuple(clear),
+                           tuple(cross), verdict, bound, budget)

@@ -59,7 +59,7 @@ from gsg import (
 )
 from gsg.families import constant, left_zero, relabel, right_zero, zmod
 
-EQUAL_VERDICTS = []   # (amalgam, w1, chain, w2, identify) collected during the run
+EQUAL_VERDICTS = []   # (amalgam, w1, chain, w2) collected during the run
 
 
 def criterion(n, label):
@@ -79,7 +79,7 @@ def criterion(n, label):
 def proven_equal(a, w1, w2, **kw):
     v = words_equal_within(a, w1, w2, **kw)
     assert v.equal
-    EQUAL_VERDICTS.append((a, w1, v.chain, w2, kw.get("identify_elements", False)))
+    EQUAL_VERDICTS.append((a, w1, v.chain, w2))
     return v
 
 
@@ -255,10 +255,10 @@ def test_criterion_08():
         for w1, w2 in itertools.combinations(singles, 2):
             v = words_equal_within(a, w1, w2, bound=4, budget=20_000)
             if v.equal:
-                EQUAL_VERDICTS.append((a, w1, v.chain, w2, False))
+                EQUAL_VERDICTS.append((a, w1, v.chain, w2))
     assert len(EQUAL_VERDICTS) >= 6
-    for a, w1, chain, w2, identify in EQUAL_VERDICTS:
-        assert replay_chain(a, w1, chain, identify) == w2
+    for a, w1, chain, w2 in EQUAL_VERDICTS:
+        assert replay_chain(a, w1, chain) == w2
 
 
 @criterion(9, "complete regularity screen: branch table and brute agreement")
@@ -370,7 +370,7 @@ def test_criterion_10():
 @criterion(11, "serializer fixpoint and a 10,000-case parser fuzz run")
 def test_criterion_11():
     files = sorted(DATA.glob("*.gsg"))
-    assert len(files) == 11
+    assert len(files) == 12
     for path in files:
         text = path.read_text()
         assert serialize(parse(text)) == text, path.name

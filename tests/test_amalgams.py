@@ -60,7 +60,7 @@ def assert_equal_with_proof(a, w1, w2, **kw):
     """Equal verdict plus a successful replay of its chain."""
     v = words_equal_within(a, w1, w2, **kw)
     assert v.equal, f"expected a proof for {w1} = {w2}"
-    assert replay_chain(a, w1, v.chain, kw.get("identify_elements", False)) == w2
+    assert replay_chain(a, w1, v.chain) == w2
     return v
 
 
@@ -160,8 +160,8 @@ def test_relation_generators_disjoint_carries_gamma_pairs():
 
 
 def constant_core_amalgam():
-    """Core whose products cover only one of its two elements, so the
-    identify_elements flag genuinely changes the relation set."""
+    """Core whose products cover only one of its two elements, so gluing
+    the products alone would leave ub unglued."""
     u = constant(["ua", "ub"], "ua", ["g"], name="Uc")
     s1 = constant(["a1", "a2"], "a1", ["g"], name="C1")
     s2 = constant(["b1", "b2"], "b1", ["g"], name="C2")
@@ -170,22 +170,18 @@ def constant_core_amalgam():
     return GammaAmalgam("const_core", u, (s1, s2), (f1, f2), Mode.SAME_GAMMA)
 
 
-def test_identify_elements_widens_the_relation_set():
+def test_relation_set_glues_core_elements_outside_the_products():
     a = constant_core_amalgam()
     assert validate_amalgam(a) == []
-    assert relation_generators(a).element_pairs == (("a1", "b1"),)
-    assert relation_generators(a, identify_elements=True).element_pairs == (
-        ("a1", "b1"), ("a2", "b2"))
+    assert relation_generators(a).element_pairs == (("a1", "b1"), ("a2", "b2"))
 
 
-def test_identify_elements_changes_search_outcomes():
+def test_search_proves_the_images_of_an_unproduced_core_element_equal():
     a = constant_core_amalgam()
     fp = a.free_product()
-    w1, w2 = fp.embed(0, "a2"), fp.embed(1, "b2")
-    plain = words_equal_within(a, w1, w2, bound=4, budget=10_000)
-    assert not plain.equal and plain.limit == "exhausted"
-    assert_equal_with_proof(a, w1, w2, bound=4, budget=10_000,
-                            identify_elements=True)
+    v = assert_equal_with_proof(a, fp.embed(0, "a2"), fp.embed(1, "b2"),
+                                bound=4, budget=10_000)
+    assert v.chain == (Step("swap", 0, ("a2", "b2")),)
 
 
 # ------------------------------------------------------------- word search
@@ -432,15 +428,71 @@ def test_embedding_report_budget_stop_is_inconclusive():
     assert r.no_collision_within_bound == (False, False)
 
 
+def null_collision_amalgam():
+    return parse((DATA / "amalgam_null_collision.gsg").read_text()).amalgam(
+        "null_collision")
+
+
+def null_extension(name, names, products):
+    """One gamma; every product is the zero (the name starting with z)
+    except those listed."""
+    zero = next(e for e in names if e.startswith("z"))
+    table = constant(names, zero, name=name).table.copy()
+    for (x, y), z in products.items():
+        table[names.index(x), 0, names.index(y)] = names.index(z)
+    return GammaSemigroup(name, tuple(names), ("g",), table)
+
+
+def core_collision_amalgam():
+    """A null core {p, u, v, z} whose images of v and z meet: v = x u =
+    x (p q) = (x p) q = z q = z."""
+    u = null_extension("U", ["p", "u", "v", "z"], {})
+    s1 = null_extension("S1", ["p1", "u1", "v1", "z1", "x"], {("x", "u1"): "v1"})
+    s2 = null_extension("S2", ["p2", "u2", "v2", "z2", "q"], {("p2", "q"): "u2"})
+    f1, f2 = (GammaHomomorphism(f"f{i}", u, s, {e: e + str(i) for e in u.elements},
+                                {"g": "g"}) for i, s in ((1, s1), (2, s2)))
+    return GammaAmalgam("core_collision", u, (s1, s2), (f1, f2), Mode.SAME_GAMMA)
+
+
 def test_embedding_collision_chains_replay():
-    # no fixture here produces a collision; the field contract still holds
-    for build in (make_trivial_amalgam, make_two_copies, make_leftzero_amalgam):
-        r = check_natural_embedding(build(), bound=4, budget=50_000)
-        for c in r.collisions:
-            a = build()
-            fp = a.free_product()
-            assert replay_chain(a, fp.embed(c.part - 1, c.a), c.chain) == \
-                fp.embed(c.part - 1, c.b)
+    for a in (null_collision_amalgam(), core_collision_amalgam(), make_two_copies()):
+        fp = a.free_product()
+        for bound, budget in ((3, 200_000), (4, 50), (6, 1_000)):
+            for c in check_natural_embedding(a, bound, budget).collisions:
+                assert replay_chain(a, fp.embed(c.part - 1, c.a), c.chain) == \
+                    fp.embed(c.part - 1, c.b)
+
+
+def test_null_core_amalgam_collides():
+    # a = x u = x (p q) = (x p) q = z q = z in every embedding, and so is b;
+    # gluing only the core products would glue z alone and miss all three
+    a = null_collision_amalgam()
+    for s in (a.core, *a.parts):
+        assert check_associativity(s) is None
+    assert relation_generators(a).element_pairs == (
+        ("p1", "p2"), ("u1", "u2"), ("v1", "v2"), ("z1", "z2"))
+    r = check_natural_embedding(a, bound=3)
+    assert r.verdict == "violation-found"
+    assert [(c.part, c.a, c.b) for c in r.collisions] == [
+        (1, "z1", "a"), (1, "z1", "b"), (1, "a", "b")]
+    assert r.no_collision_within_bound == (False, True)
+    # test_amalgam_check_proves_the_null_core_collisions pins the chains and
+    # test_embedding_collision_chains_replay replays them
+    assert r.cross_pairs == tuple(CrossPair(e1, e2, u) for e1, e2, u in (
+        ("p1", "p2", "p"), ("u1", "u2", "u"), ("v1", "v2", "v"), ("z1", "z2", "z"),
+        ("a", "z2", "z"), ("b", "z2", "z")))
+
+
+def test_cross_pairs_are_resolved_by_the_first_core_element_of_their_class():
+    # v and z have one class, so v1 = v2 and z1 = z2 both name v
+    a = core_collision_amalgam()
+    for s in (a.core, *a.parts):
+        assert check_associativity(s) is None
+    r = check_natural_embedding(a, bound=3)
+    assert [(c.part, c.a, c.b) for c in r.collisions] == [(1, "v1", "z1"), (2, "v2", "z2")]
+    assert r.cross_pairs == tuple(CrossPair(e1, e2, u) for e1, e2, u in (
+        ("p1", "p2", "p"), ("u1", "u2", "u"), ("v1", "v2", "v"), ("v1", "z2", "v"),
+        ("z1", "v2", "v"), ("z1", "z2", "v")))
 
 
 def _conftest_amalgams():
@@ -458,20 +510,28 @@ def _all_amalgams():
     return out
 
 
-@pytest.mark.parametrize("identify", [False, True])
+def swap_parts(a):
+    """The same amalgam with its parts (and maps) in the other order."""
+    return GammaAmalgam(a.name, a.core, a.parts[::-1], a.maps[::-1], a.mode)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
 @pytest.mark.parametrize("bound", [2, 3, 4, 5])
-def test_embedding_report_matches_the_per_pair_reference(bound, identify):
+def test_embedding_report_matches_the_per_pair_reference(bound, swapped):
+    # swapping the parts changes which class each exploration starts from
     for a in _all_amalgams():
-        ref, stopped = per_pair_embedding_report(a, bound, 200_000, identify)
-        if not stopped:
-            assert check_natural_embedding(a, bound, 200_000, identify) == ref, a.name
+        if swapped:
+            a = swap_parts(a)
+        ref = per_pair_embedding_report(a, bound, 200_000)
+        if ref is not None:
+            assert check_natural_embedding(a, bound, 200_000) == ref, a.name
         fp = a.free_product()
         for budget in (1, 50):
-            r = check_natural_embedding(a, bound, budget, identify)
+            r = check_natural_embedding(a, bound, budget)
             for c in r.collisions:
-                assert replay_chain(a, fp.embed(c.part - 1, c.a), c.chain,
-                                    identify) == fp.embed(c.part - 1, c.b)
-            if stopped:
+                assert replay_chain(a, fp.embed(c.part - 1, c.a), c.chain) == \
+                    fp.embed(c.part - 1, c.b)
+            if ref is None:
                 continue
             # a truncated report never claims more than the full one proves
             if r.verdict == "consistent-within-bound":
@@ -481,15 +541,21 @@ def test_embedding_report_matches_the_per_pair_reference(bound, identify):
             for p in (0, 1):
                 if r.no_collision_within_bound[p]:
                     assert ref.no_collision_within_bound[p], (a.name, budget, p)
-            assert set(r.cross_pairs) <= set(ref.cross_pairs), (a.name, budget)
+            # every cross pair it proves is proven in full, and a resolution
+            # it names is the full one; under budget a resolving probe may
+            # fail, which leaves the pair unresolved (null_collision, a = z2)
+            full = {(p.s1, p.s2): p.resolved_by for p in ref.cross_pairs}
+            for p in r.cross_pairs:
+                assert (p.s1, p.s2) in full, (a.name, budget, p)
+                assert p.resolved_by in (None, full[p.s1, p.s2]), (a.name, budget, p)
 
 
-@pytest.mark.parametrize("identify", [False, True])
-def test_exhausted_explorations_from_one_class_agree(identify):
+@pytest.mark.parametrize("swapped", [False, True])
+def test_exhausted_explorations_from_one_class_agree(swapped):
     # the premise of one exploration per class: every move is invertible
     # inside the bound, so any member of a class reaches the same states
     for a in _conftest_amalgams():
-        search = gsg.amalgams._Search(a, identify)
+        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
         seen: dict[int, set] = {}
         for code in range(len(search.fp.element_names)):
             _, visited, limit = search.explore((code,), 4, 200_000)

@@ -229,13 +229,15 @@ GOLDEN_AMALGAM_CHECK = {
 amalgam core_not_regular: core U, parts S1 S2, mode disjoint
 necessary-condition: core-not-completely-regular (core element uy has no \
 witness pair)
-relations: 1 element pair(s), 1 gamma pair(s)
+relations: 2 element pair(s), 1 gamma pair(s)
   ax ~ bx
+  ay ~ by
   gamma g1 ~ g2
 injectivity S1: no collisions within bound 6
 injectivity S2: no collisions within bound 6
-intersection: 1 cross pair(s) proven equal
+intersection: 2 cross pair(s) proven equal
   ax = bx: resolved by core element ux
+  ay = by: resolved by core element uy
 verdict: consistent-within-bound
 amalgam-check: PASS
 """),
@@ -251,6 +253,28 @@ intersection: 1 cross pair(s) proven equal
   p = r: resolved by core element u
 verdict: consistent-within-bound
 amalgam-check: PASS
+"""),
+    # the whole core is glued, and S1's classes outgrow the default budget
+    # before bound 6; at bound 3 this amalgam fails with three collisions
+    "amalgam_null_collision.gsg": ("null_collision", 3, """\
+amalgam null_collision: core U, parts S1 S2, mode same-gamma
+necessary-condition: not-applicable (not completely alpha-regular: S1, S2)
+relations: 4 element pair(s)
+  p1 ~ p2
+  u1 ~ u2
+  v1 ~ v2
+  z1 ~ z2
+injectivity S1: budget 200000 ran out before bound 6
+injectivity S2: no collisions within bound 6
+intersection: 6 cross pair(s) proven equal
+  p1 = p2: resolved by core element p
+  u1 = u2: resolved by core element u
+  v1 = v2: resolved by core element v
+  z1 = z2: resolved by core element z
+  a = z2: unresolved within bound 6
+  b = z2: unresolved within bound 6
+verdict: inconclusive
+amalgam-check: INCONCLUSIVE
 """),
     "amalgam_leftzero.gsg": ("leftzero", 0, """\
 amalgam leftzero: core U, parts S1 S2, mode same-gamma
@@ -347,16 +371,85 @@ def test_amalgam_check_core_not_regular_runs_the_search(capsys):
 amalgam core_not_regular: core U, parts S1 S2, mode disjoint
 necessary-condition: core-not-completely-regular (core element uy has no \
 witness pair)
-relations: 1 element pair(s), 1 gamma pair(s)
+relations: 2 element pair(s), 1 gamma pair(s)
   ax ~ bx
+  ay ~ by
   gamma g1 ~ g2
 injectivity S1: no collisions within bound 4
 injectivity S2: no collisions within bound 4
-intersection: 1 cross pair(s) proven equal
+intersection: 2 cross pair(s) proven equal
   ax = bx: resolved by core element ux
+  ay = by: resolved by core element uy
 verdict: consistent-within-bound
 amalgam-check: PASS
 """
+
+
+def test_amalgam_check_proves_the_null_core_collisions(capsys):
+    # a = x u = x (p q) = (x p) q = z q = z once the whole core is glued
+    code, out, err = invoke(capsys, "amalgam-check",
+                            str(DATA / "amalgam_null_collision.gsg"),
+                            "--amalgam", "null_collision", "--bound", "3")
+    assert (code, err) == (1, "")
+    assert out == """\
+amalgam null_collision: core U, parts S1 S2, mode same-gamma
+necessary-condition: not-applicable (not completely alpha-regular: S1, S2)
+relations: 4 element pair(s)
+  p1 ~ p2
+  u1 ~ u2
+  v1 ~ v2
+  z1 ~ z2
+injectivity S2: no collisions within bound 3
+collision in S1: z1 = a proven by:
+    1. swap @0: z1 -> z2
+    2. unmerge @0: z2 -> z2 g q
+    3. swap @0: z2 -> z1
+    4. unmerge @0: z1 -> x g p1
+    5. swap @1: p1 -> p2
+    6. merge @1: p2 g q -> u2
+    7. swap @1: u2 -> u1
+    8. merge @0: x g u1 -> a
+collision in S1: z1 = b proven by:
+    1. swap @0: z1 -> z2
+    2. unmerge @0: z2 -> z2 g r
+    3. swap @0: z2 -> z1
+    4. unmerge @0: z1 -> x g p1
+    5. swap @1: p1 -> p2
+    6. merge @1: p2 g r -> v2
+    7. swap @1: v2 -> v1
+    8. merge @0: x g v1 -> b
+collision in S1: a = b proven by:
+    1. unmerge @0: a -> x g u1
+    2. swap @1: u1 -> u2
+    3. unmerge @1: u2 -> p2 g q
+    4. swap @1: p2 -> p1
+    5. merge @0: x g p1 -> z1
+    6. swap @0: z1 -> z2
+    7. merge @0: z2 g q -> z2
+    8. unmerge @0: z2 -> z2 g r
+    9. swap @0: z2 -> z1
+    10. unmerge @0: z1 -> x g p1
+    11. swap @1: p1 -> p2
+    12. merge @1: p2 g r -> v2
+    13. swap @1: v2 -> v1
+    14. merge @0: x g v1 -> b
+intersection: 6 cross pair(s) proven equal
+  p1 = p2: resolved by core element p
+  u1 = u2: resolved by core element u
+  v1 = v2: resolved by core element v
+  z1 = z2: resolved by core element z
+  a = z2: resolved by core element z
+  b = z2: resolved by core element z
+verdict: violation-found
+amalgam-check: FAIL
+"""
+
+
+def test_amalgam_check_has_no_identify_elements_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["amalgam-check", TWO_COPIES, "--amalgam", "two_copies",
+             "--identify-elements"])
+    assert exc.value.code == 2
 
 
 def test_missing_file(capsys):
@@ -371,6 +464,24 @@ def test_parse_error_carries_file_and_position(tmp_path, capsys):
     code, out, err = invoke(capsys, "validate", str(p))
     assert code == 2
     assert err.startswith(f"{p}:1:1: ")
+
+
+def test_file_that_is_not_utf8_is_a_read_error(tmp_path, capsys):
+    p = tmp_path / "latin.gsg"
+    p.write_bytes(b"semigroup S\xff\n")
+    code, out, err = invoke(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {p}: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
+def test_word_mul_without_semigroups_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "empty.gsg"
+    p.write_text("# no blocks\n")
+    code, out, err = invoke(capsys, "word-mul", str(p), "--gamma", "g",
+                            "--left", "a", "--right", "b")
+    assert (code, out) == (2, "")
+    assert err == "word-mul needs a workspace with at least one semigroup\n"
 
 
 def test_unknown_semigroup_name(capsys):

@@ -1,11 +1,15 @@
 """Workspace file format: grammar, error positions, canonical serialization."""
 
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import DATA, k2, make_two_copies
 from gsg import (
+    GammaSemigroup,
     GsgError,
     ParseError,
     UnknownIdentifier,
@@ -13,8 +17,10 @@ from gsg import (
     Workspace,
     parse,
     serialize,
+    validate_table,
 )
 from gsg.families import zmod
+from gsg.textio import _TOKEN_RE, _tokens
 
 Z2_TEXT = """semigroup Z2
 elements 0 1
@@ -30,7 +36,7 @@ FIXTURE_FILES = sorted(p.name for p in DATA.glob("*.gsg"))
 
 
 def test_fixture_directory_is_populated():
-    assert len(FIXTURE_FILES) == 11
+    assert len(FIXTURE_FILES) == 12
 
 
 def test_parse_single_semigroup():
@@ -266,11 +272,67 @@ def test_parse_error_string_carries_position():
     assert str(e).startswith("1:1: ")
 
 
+def test_glued_equals_and_arrows_are_tokens():
+    assert _tokens("op a g b=c") == ["op", "a", "g", "b", "=", "c"]
+    assert _tokens("map a->b # a->c") == ["map", "a", "->", "b"]
+    assert _tokens("->>") == ["->", ">"]
+    assert _tokens("a-> ->b =c= -x") == ["a", "->", "->", "b", "=", "c", "=", "-x"]
+    assert _tokens("  op 0 g 1 = 1  ") == ["op", "0", "g", "1", "=", "1"]
+
+
+def test_glued_lines_parse_like_spaced_ones():
+    glued = (Z2_TEXT.replace(" = ", "=")
+             + "hom f : Z2->Z2\nmap 0->1 # swap\nmap 1 ->0\ngmap g-> g\nend\n")
+    spaced = Z2_TEXT + "hom f : Z2 -> Z2\nmap 0 -> 1\nmap 1 -> 0\ngmap g -> g\nend\n"
+    assert serialize(parse(glued)) == serialize(parse(spaced))
+
+
+def test_error_columns_count_glued_tokens():
+    text = "semigroup S\nelements 0\ngammas g\nop 0 g 0=zz\nend\n"
+    with pytest.raises(UnresolvedReference) as exc:
+        parse(text)
+    assert (exc.value.name, exc.value.line, exc.value.col) == ("zz", 4, 10)
+    e = err(Z2_TEXT + "hom f : Z2 -> Z2\nmap 0->0\nmap  0->1\nend\n")
+    assert (e.line, e.col) == (11, 6)
+    assert "mapped twice" in e.message
+
+
+@given(st.text(alphabet="ab01 \t#=->>", max_size=40))
+def test_line_tokens_follow_the_token_grammar(line):
+    assert _tokens(line) == _TOKEN_RE.findall(line.split("#", 1)[0])
+
+
+def test_workload_size_table_parses_to_the_validated_table():
+    n, g = 40, 2
+    rng = np.random.default_rng(7)
+    elements = tuple(f"s{i}" for i in range(n))
+    gammas = tuple(f"g{j}" for j in range(g))
+    table = rng.integers(n, size=(n, g, n))
+    entries = [(elements[i], gammas[j], elements[k], elements[table[i, j, k]])
+               for i in range(n) for j in range(g) for k in range(n)]
+    shuffled = [entries[t] for t in rng.permutation(len(entries))]
+    text = ("semigroup S\nelements " + " ".join(elements)
+            + "\ngammas " + " ".join(gammas) + "\n"
+            + "".join(f"op {x} {h} {y} = {z}\n" for x, h, y, z in shuffled) + "end\n")
+    s = parse(text).semigroup("S")
+    assert s == validate_table("S", elements, gammas, shuffled)
+    assert s == GammaSemigroup("S", elements, gammas, table)
+    canonical = serialize(Workspace.of(semigroups=[s]))
+    assert canonical.splitlines()[3:-1] == [
+        f"op {x} {h} {y} = {z}" for x, h, y, z in entries]
+    assert serialize(parse(canonical)) == canonical
+
+
 # ------------------------------------------------------------------- fuzzing
 
-def test_mutated_files_never_crash_the_parser():
-    # the parser's only allowed failure mode is a GsgError
-    base = (DATA / "amalgam_two_copies.gsg").read_text()
+MUTATION_BASES = ("amalgam_two_copies.gsg", "z4.gsg")
+MUTATION_GOLDEN = DATA / "parse_mutation_outcomes.json"
+
+
+def mutants(name):
+    """200 seeded mutations of one fixture file, each 1 to 6 single
+    character replacements, insertions or deletions."""
+    base = (DATA / name).read_text()
     rng = random.Random(11)
     alphabet = "abgu01 #=->\n"
     for _ in range(200):
@@ -284,9 +346,22 @@ def test_mutated_files_never_crash_the_parser():
                 chars.insert(pos, rng.choice(alphabet))
             else:
                 del chars[pos]
-        mutated = "".join(chars)
-        try:
-            ws = parse(mutated)
-        except GsgError:
-            continue
-        serialize(ws)   # whatever parses must serialize
+        yield "".join(chars)
+
+
+def parse_outcome(text):
+    """The canonical text of what parses, else the error class and message."""
+    try:
+        return serialize(parse(text))
+    except GsgError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_mutated_files_never_crash_the_parser():
+    # the parser's only allowed failure mode is a GsgError, and whatever
+    # parses must serialize; every outcome, error class, position and
+    # message included, is pinned in the golden file
+    golden = json.loads(MUTATION_GOLDEN.read_text())
+    assert sorted(golden) == sorted(MUTATION_BASES)
+    for name in MUTATION_BASES:
+        assert [parse_outcome(m) for m in mutants(name)] == golden[name], name
