@@ -55,7 +55,6 @@ from .core import (
     verify_homomorphism,
 )
 from .errors import (
-    AmbiguousIdentifier,
     CommutingSquareFails,
     CrossFamilyGamma,
     DuplicateEntry,

@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 from .core import (
     GammaHomomorphism,
     GammaSemigroup,
-    check_associativity,
+    _require_associative,
     classify,
     injective,
     verify_homomorphism,
@@ -62,7 +62,6 @@ from .errors import (
     GsgError,
     MalformedSequence,
     NameClash,
-    NotAssociative,
     NotMonomorphism,
 )
 from .words import FreeProduct, Mode, Word
@@ -498,11 +497,12 @@ def check_natural_embedding(a: GammaAmalgam,
       that lies only in budget-stopped explorations gets its own
       exploration and its own budget;
     * a pair that exhausted explorations neither prove equal nor separate
-      gets one targeted `words_equal_within` probe at the same bound and
-      budget, so probes run only when some class stopped on budget;
+      gets one targeted probe, the BFS that `words_equal_within` runs,
+      on the report's own `_Search` at the same bound and budget; so
+      probes run only when some class stopped on budget;
     * a pair is undecided when it is neither separated by exhausted
       explorations nor proven equal by a returned chain; a collision is
-      reported only when `words_equal_within` returns its chain;
+      reported only when its probe returns a chain;
     * a probed cross pair is resolved by the first core element u with
       f1(u) = e1, failing that by the first u whose own probe proves
       f1(u) = e1, else by none;
@@ -513,9 +513,8 @@ def check_natural_embedding(a: GammaAmalgam,
     """
     _check_limits(bound, budget)
     search = _Search(a)
-    fp = search.fp
     classes = search.classes(bound, budget)
-    code = {e: c for c, e in enumerate(fp.element_names)}
+    code = {e: c for c, e in enumerate(search.fp.element_names)}
 
     def same_class(x: int, y: int) -> Optional[bool]:
         """Whether exhausted explorations prove x, y equal or apart; None
@@ -525,10 +524,10 @@ def check_natural_embedding(a: GammaAmalgam,
             return y in cls_x
         return False if limit_y == "exhausted" else None
 
-    def probe(p: int, x: str, q: int, y: str) -> Optional[tuple[Step, ...]]:
-        """The chain of a targeted search from x in part p+1 to y in part
-        q+1, or None when it proves nothing."""
-        return words_equal_within(a, fp.embed(p, x), fp.embed(q, y), bound, budget).chain
+    def probe(x: int, y: int) -> Optional[tuple[Step, ...]]:
+        """The chain of a targeted search from the one-letter state x to y,
+        or None when it proves nothing."""
+        return search.explore((x,), bound, budget, target=(y,))[0]
 
     undecided = False
     collisions: list[Collision] = []
@@ -537,9 +536,10 @@ def check_natural_embedding(a: GammaAmalgam,
         found, open_pairs = [], False
         for i in range(s.n):
             for j in range(i + 1, s.n):
-                same = same_class(code[s.elements[i]], code[s.elements[j]])
+                x, y = code[s.elements[i]], code[s.elements[j]]
+                same = same_class(x, y)
                 if same is not False:
-                    chain = probe(p, s.elements[i], p, s.elements[j])
+                    chain = probe(x, y)
                     if chain is not None:
                         found.append(Collision(p + 1, s.elements[i], s.elements[j], chain))
                         continue
@@ -552,18 +552,19 @@ def check_natural_embedding(a: GammaAmalgam,
     f1 = a.maps[0]
     s1, s2 = a.parts
     for e1 in s1.elements:
+        x = code[e1]
         for e2 in s2.elements:
-            same = same_class(code[e1], code[e2])
-            if same is None and probe(0, e1, 1, e2) is not None:
+            same = same_class(x, code[e2])
+            if same is None and probe(x, code[e2]) is not None:
                 resolved = next((u for u in a.core.elements if f1.carrier_map[u] == e1), None)
                 if resolved is None:
                     resolved = next((u for u in a.core.elements
-                                     if probe(0, f1.carrier_map[u], 0, e1) is not None), None)
+                                     if probe(code[f1.carrier_map[u]], x) is not None), None)
                 cross.append(CrossPair(e1, e2, resolved))
                 continue
             undecided |= same is None
             if same:
-                cls = classes[code[e1]][0]
+                cls = classes[x][0]
                 resolved = next((u for u in a.core.elements
                                  if code[f1.carrier_map[u]] in cls), None)
                 cross.append(CrossPair(e1, e2, resolved))
@@ -614,7 +615,8 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
     representative of each part element is `mu`'s, read off one
     exploration per class."""
     _check_limits(bound, budget)
-    _require_valid(a)
+    search = _Search(a)
+    fp = search.fp
     f1, f2 = a.maps
     for u in a.core.elements:
         if g1.carrier_map[f1.carrier_map[u]] != g2.carrier_map[f2.carrier_map[u]]:
@@ -623,8 +625,6 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
         if g1.gamma_map[f1.gamma_map[h]] != g2.gamma_map[f2.gamma_map[h]]:
             raise GammaMismatch(
                 f"gamma square does not commute on core gamma {h!r}")
-    search = _Search(a)
-    fp = search.fp
 
     relations_ok, rel_witness = True, None
     for (e1, e2) in search.rel.element_pairs:
@@ -675,9 +675,7 @@ class NecessaryConditionVerdict:
 def necessary_condition(a: GammaAmalgam) -> NecessaryConditionVerdict:
     _require_valid(a)
     for s in (a.core, *a.parts):
-        w = check_associativity(s)
-        if w is not None:
-            raise NotAssociative(w)
+        _require_associative(s)
     reports = [classify(s) for s in a.parts]
     failing = tuple(s.name for s, r in zip(a.parts, reports)
                     if not r.is_completely_alpha_regular)

@@ -76,7 +76,7 @@ def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def _chain_lines(chain: Sequence[Step], indent: str = "    ") -> list[str]:
+def _chain_lines(chain: Sequence[Step]) -> list[str]:
     out = []
     for n, step in enumerate(chain, start=1):
         d = step.data
@@ -86,7 +86,7 @@ def _chain_lines(chain: Sequence[Step], indent: str = "    ") -> list[str]:
             body = f"{d[0]} {d[1]} {d[2]} -> {d[3]}"
         else:
             body = f"{d[0]} -> {d[1]} {d[2]} {d[3]}"
-        out.append(f"{indent}{n}. {step.kind} @{step.pos}: {body}")
+        out.append(f"    {n}. {step.kind} @{step.pos}: {body}")
     return out
 
 

@@ -16,10 +16,12 @@ import numpy as np
 from .core import (
     GammaHomomorphism,
     GammaSemigroup,
-    check_associativity,
+    _require_associative,
+    _require_homomorphism,
+    injective,
     verify_homomorphism,
 )
-from .errors import NotAHomomorphism, NotAssociative, NotCompatible, UnknownIdentifier
+from .errors import NotCompatible
 
 __all__ = [
     "Congruence",
@@ -100,9 +102,7 @@ def generate_congruence(s: GammaSemigroup,
     joined in an earlier round, and x ~ y composes through the labels, so
     the closure is complete once no queued pair crosses two classes.
     """
-    w = check_associativity(s)
-    if w is not None:
-        raise NotAssociative(w)
+    _require_associative(s)
     seeds = [(s.index(a), s.index(b)) for a, b in pairs]
     a, b = np.array(seeds, dtype=np.int64).reshape(-1, 2).T
     t, label = s.table, np.arange(s.n)
@@ -190,9 +190,7 @@ def quotient(s: GammaSemigroup, rho: Congruence) -> QuotientResult:
 
 def kernel_congruence(f: GammaHomomorphism) -> Congruence:
     """x ~ y iff f'(x) = f'(y); the gamma map plays no part in the classes."""
-    w = verify_homomorphism(f)
-    if w is not None:
-        raise NotAHomomorphism(f.name, w)
+    _require_homomorphism(f)
     s = f.source
     first: dict[str, int] = {}
     reps = []
@@ -223,26 +221,18 @@ def first_isomorphism_check(f: GammaHomomorphism) -> IsoReport:
     """Build source/kernel and the induced map onto the image, then check:
     the induced map is well defined, a homomorphism onto the image
     sub-table, injective, and factors the original map through the
-    projection."""
-    w = verify_homomorphism(f)
-    if w is not None:
-        raise NotAHomomorphism(f.name, w)
+    projection.  NotAHomomorphism when f itself is not one."""
     rho = kernel_congruence(f)
     q, proj = quotient(f.source, rho)
     psi = {cname: f.carrier_map[cname] for cname in q.elements}
+    induced = GammaHomomorphism(f"{f.name}_induced", q, f.target, psi, f.gamma_map)
 
     well_defined = all(f.carrier_map[e] == psi[proj.carrier_map[e]]
                        for e in f.source.elements)
-    tgt = f.target
-    is_hom = all(
-        psi[q.mul(u, h, v)] == tgt.mul(psi[u], f.gamma_map[h], psi[v])
-        for u in q.elements for h in q.gammas for v in q.elements
-    )
-    injective = len(set(psi.values())) == len(psi)
     # psi is f on each class's representative, so "f is constant on kernel
     # classes" and "psi after the projection is f" are one predicate
     commutes = well_defined
     values = set(f.carrier_map.values())
-    image = [e for e in tgt.elements if e in values]
-    return IsoReport(f.name, well_defined, is_hom, injective, commutes,
-                     q, tuple(image), psi)
+    image = [e for e in f.target.elements if e in values]
+    return IsoReport(f.name, well_defined, verify_homomorphism(induced) is None,
+                     injective(induced)[0], commutes, q, tuple(image), psi)

@@ -134,9 +134,6 @@ class GammaSemigroup:
     def has_element(self, element: str) -> bool:
         return element in self._eindex
 
-    def mul_idx(self, i: int, j: int, k: int) -> int:
-        return int(self.table[i, j, k])
-
     def mul(self, a: str, gamma: str, b: str) -> str:
         """Product by names: returns the name of ``a gamma b``."""
         return self.elements[self.table[self.index(a), self.gamma_index(gamma), self.index(b)]]
@@ -233,6 +230,13 @@ def check_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
     return s._assoc_verdict
 
 
+def _require_associative(s: GammaSemigroup) -> None:
+    """NotAssociative with the first witness unless s is associative."""
+    w = check_associativity(s)
+    if w is not None:
+        raise NotAssociative(w)
+
+
 def _scan_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
     """Scan blocks of first factors a, of at most _ASSOC_BLOCK_CELLS cells."""
     t = s.table
@@ -322,6 +326,13 @@ def verify_homomorphism(f: GammaHomomorphism) -> Optional[HomWitness]:
     return None
 
 
+def _require_homomorphism(f: GammaHomomorphism) -> None:
+    """NotAHomomorphism with the first witness unless f is compatible."""
+    w = verify_homomorphism(f)
+    if w is not None:
+        raise NotAHomomorphism(f.name, w)
+
+
 def injective(f: GammaHomomorphism) -> tuple[bool, bool]:
     """Whether the carrier map and the gamma map are injective, in that order."""
     return (len(set(f.carrier_map.values())) == f.source.n,
@@ -330,9 +341,7 @@ def injective(f: GammaHomomorphism) -> tuple[bool, bool]:
 
 def is_monomorphism(f: GammaHomomorphism) -> bool:
     """True when a verified homomorphism has injective carrier and gamma maps."""
-    w = verify_homomorphism(f)
-    if w is not None:
-        raise NotAHomomorphism(f.name, w)
+    _require_homomorphism(f)
     return all(injective(f))
 
 
@@ -456,9 +465,7 @@ def classify(s: GammaSemigroup) -> RegularityReport:
     is_gamma_inverse holds exactly when every element has precisely one
     inverse element (projecting the (b, alpha) witness pairs to b).
     """
-    w = check_associativity(s)
-    if w is not None:
-        raise NotAssociative(w)
+    _require_associative(s)
     regular, complete, inverse = _regularity_masks(s, slice(None))
     per = tuple(ElementRegularity(*e) for e in zip(
         s.elements, _witnesses(s, regular), _witnesses(s, complete), _pairs(s, inverse)))

@@ -22,12 +22,6 @@ class UnknownIdentifier(GsgError):
         super().__init__(f"unknown {kind}: {name!r}")
 
 
-class AmbiguousIdentifier(GsgError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"identifier {name!r} occurs in more than one member of the family")
-
-
 class NameClash(GsgError):
     def __init__(self, name: str, where: str = ""):
         self.name = name

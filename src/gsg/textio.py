@@ -67,22 +67,21 @@ class Workspace:
         return cls(tuple(semigroups), tuple(homs), tuple(amalgams), order)
 
     def semigroup(self, name: str) -> GammaSemigroup:
-        for s in self.semigroups:
-            if s.name == name:
-                return s
-        raise UnknownIdentifier(name, "semigroup")
+        return _by_name(self.semigroups, name, "semigroup")
 
     def hom(self, name: str) -> GammaHomomorphism:
-        for f in self.homs:
-            if f.name == name:
-                return f
-        raise UnknownIdentifier(name, "hom")
+        return _by_name(self.homs, name, "hom")
 
     def amalgam(self, name: str) -> GammaAmalgam:
-        for a in self.amalgams:
-            if a.name == name:
-                return a
-        raise UnknownIdentifier(name, "amalgam")
+        return _by_name(self.amalgams, name, "amalgam")
+
+
+def _by_name(items, name: str, kind: str):
+    """The first item called name; UnknownIdentifier of that kind if none is."""
+    for x in items:
+        if x.name == name:
+            return x
+    raise UnknownIdentifier(name, kind)
 
 
 def _tokens(raw: str) -> list[str]:

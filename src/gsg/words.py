@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import GammaHomomorphism, GammaSemigroup, verify_homomorphism
+from .core import GammaHomomorphism, GammaSemigroup, _require_homomorphism
 from .errors import (
     CrossFamilyGamma,
     GammaMismatch,
@@ -38,7 +38,6 @@ from .errors import (
     MissingHomomorphism,
     ModeMismatch,
     NameClash,
-    NotAHomomorphism,
     UnknownIdentifier,
 )
 
@@ -74,12 +73,6 @@ class Word:
     def m(self) -> int:
         """Number of element letters."""
         return (len(self.letters) + 1) // 2
-
-    def element_letters(self) -> tuple[Letter, ...]:
-        return self.letters[0::2]
-
-    def gamma_letters(self) -> tuple[GammaLetter, ...]:
-        return self.letters[1::2]
 
     def tokens(self) -> tuple[str, ...]:
         return tuple(l.element if isinstance(l, Letter) else l.gamma
@@ -287,9 +280,7 @@ class FreeProduct:
             if f.target != target:
                 raise GammaMismatch(
                     f"hom {f.name!r} has target {f.target.name}, expected {target.name}")
-            bad = verify_homomorphism(f)
-            if bad is not None:
-                raise NotAHomomorphism(f.name, bad)
+            _require_homomorphism(f)
             if self.mode is Mode.SAME_GAMMA:
                 if set(target.gammas) != set(self.shared_gammas):
                     raise GammaMismatch(

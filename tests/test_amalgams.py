@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gsg.amalgams
-import gsg.words
+import gsg.core
 from conftest import (
     DATA,
     make_core_not_regular_amalgam,
@@ -585,13 +585,14 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
 
 def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     calls = []
-    original = gsg.amalgams.words_equal_within
+    original = gsg.amalgams._Search.explore
 
-    def probe(*args):
-        calls.append(args[1:3])
-        return original(*args)
+    def explore(self, start, bound, budget, target=None):
+        if target is not None:
+            calls.append((start, target))
+        return original(self, start, bound, budget, target=target)
 
-    monkeypatch.setattr(gsg.amalgams, "words_equal_within", probe)
+    monkeypatch.setattr(gsg.amalgams._Search, "explore", explore)
     # every class exhausted: no targeted search at all
     assert check_natural_embedding(make_two_copies(), bound=4).verdict == \
         "consistent-within-bound"
@@ -602,7 +603,7 @@ def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     assert r.verdict == "consistent-within-bound"
     assert r.cross_pairs == (CrossPair("u1", "u2", "u"),)
     fp = a.free_product()
-    assert calls == [(fp.embed(0, "u1"), fp.embed(1, "u2"))]
+    assert calls == [(fp.encode(fp.embed(0, "u1")), fp.encode(fp.embed(1, "u2")))]
     # two core elements: each probed cross pair is resolved by its own
     r = check_natural_embedding(make_two_copies(), budget=50)
     assert r.cross_pairs == (CrossPair("a0", "b0", "u0"), CrossPair("a1", "b1", "u1"))
@@ -696,8 +697,8 @@ def test_mediator_reports_budget_stops():
 
 def test_mediator_checks_the_homomorphisms_once(monkeypatch):
     calls = []
-    original = gsg.words.verify_homomorphism
-    monkeypatch.setattr(gsg.words, "verify_homomorphism",
+    original = gsg.core.verify_homomorphism
+    monkeypatch.setattr(gsg.core, "verify_homomorphism",
                         lambda f: calls.append(f.name) or original(f))
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     assert pushout_mediator(a, t, psi1, psi2, bound=3).all_pass

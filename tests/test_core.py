@@ -11,6 +11,7 @@ from conftest import k2, make_two_copies, small_fixture_tables, trivial
 from gsg import (
     AssocWitness,
     DuplicateEntry,
+    FreeProduct,
     GammaAmalgam,
     GammaHomomorphism,
     GammaSemigroup,
@@ -26,17 +27,19 @@ from gsg import (
     check_associativity,
     classify,
     compose,
+    first_isomorphism_check,
     generate_congruence,
     identity_homomorphism,
     is_monomorphism,
     is_subsemigroup,
+    kernel_congruence,
     left_identities,
     necessary_condition,
     preserves_left_identity,
     validate_table,
     verify_homomorphism,
 )
-from gsg import core
+from gsg import congruences, core
 from gsg.families import left_zero, zmod
 from oracles import brute_assoc_witness, brute_hom_witness, table_dict
 
@@ -211,6 +214,43 @@ def test_non_associative_verdict_is_kept(monkeypatch):
                 call()
             assert exc.value.witness == w
     assert scanned[id(s)] == 1
+
+
+def test_non_homomorphism_raises_its_witness():
+    z2 = zmod(2)
+    f = GammaHomomorphism("swap", z2, z2, {"0": "1", "1": "0"}, {"g": "g"})
+    w = verify_homomorphism(f)
+    assert w is not None
+    fp = FreeProduct([z2])
+    for call in (lambda: first_isomorphism_check(f),
+                 lambda: kernel_congruence(f),
+                 lambda: is_monomorphism(f),
+                 lambda: fp.fold(fp.parse_word("1"), z2, [f])):
+        with pytest.raises(NotAHomomorphism) as exc:
+            call()
+        assert exc.value.name == f.name and exc.value.witness == w
+
+
+def test_isomorphism_check_verifies_the_map_and_the_induced_map(monkeypatch):
+    calls = []
+    original = core.verify_homomorphism
+
+    def spy(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(core, "verify_homomorphism", spy)
+    monkeypatch.setattr(congruences, "verify_homomorphism", spy)
+    z4, z2 = zmod(4), zmod(2)
+    f = GammaHomomorphism("red", z4, z2,
+                          {"0": "0", "1": "1", "2": "0", "3": "1"}, {"g": "g"})
+    report = first_isomorphism_check(f)
+    assert report.all_pass
+    assert len(calls) == 2 and calls[0] is f
+    induced = calls[1]
+    assert (induced.source, induced.target) == (report.quotient_semigroup, z2)
+    assert induced.carrier_map == report.mediator
+    assert induced.gamma_map == f.gamma_map
 
 
 def test_subsemigroup_membership():
