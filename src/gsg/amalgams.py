@@ -40,12 +40,30 @@ semantics of those shared explorations:
   class that does not hold the other;
 * a pair neither settled nor proven apart gets one targeted search of its
   own, and is undecided when that search returns no chain either.
+
+A class exploration walks the swap quotient of the state graph, in which
+the letters of one relation class (the transitive closure of the relation
+pairs, and of the gamma pairs for gamma letters) are one letter.  A swap
+keeps the length, so a component is closed under swapping any letter for
+any member of its class: it is the full preimage of its quotient
+component.  A quotient state weighs the product of its letters' class
+sizes, gamma letters included, and the weights of a quotient component add
+up to the size of the component.  The deque BFS stops on budget exactly
+when its component holds more than budget states, so the walk stops with
+the same reason once its running weight exceeds budget, and the budget
+still counts states of the unquotiented search.  A component that outgrows
+the budget is explored again by that BFS, and its one-letter states are
+kept, so a budget-stopped class, and `mu` under it, hold exactly the states
+the deque order reaches first.  Targeted searches, which need parents for
+their chains, run on the states themselves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -228,10 +246,37 @@ def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
     return {c: tuple(sorted(v)) for c, v in out.items()}
 
 
+def _letter_classes(n: int, partners: dict[int, tuple[int, ...]]) -> list[int]:
+    """Code -> least code of its class under the transitive closure of
+    partners."""
+    rep = [-1] * n
+    for c in range(n):
+        if rep[c] < 0:
+            rep[c] = c
+            todo = [c]
+            while todo:
+                for r in partners.get(todo.pop(), ()):
+                    if rep[r] < 0:
+                        rep[r] = c
+                        todo.append(r)
+    return rep
+
+
+class _SwapQuotient(NamedTuple):
+    """The search's moves on states whose letters are relation classes,
+    each named by its least code."""
+    erep: list[int]                        # element code -> its class
+    esize: list[int]                       # element code -> size of its class
+    gsize: list[int]                       # gamma code -> size of its class
+    qmerge: dict[tuple, tuple[int, ...]]   # (X, G, Y) -> classes of the products
+    qfacts: dict[int, tuple[tuple, ...]]   # Z -> class factors of its members
+
+
 class _Search:
     """The moves of the bounded search over coded states of the amalgam's
-    free product, and the BFS itself.  A move is (kind, pos, codes); named
-    Steps are built only for the chains that are returned."""
+    free product, the BFS itself, and the walk of its swap quotient.  A
+    move is (kind, pos, codes); named Steps are built only for the chains
+    that are returned."""
 
     def __init__(self, a: GammaAmalgam):
         self.rel = rel = relation_generators(a)
@@ -247,6 +292,24 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
+
+    @cached_property
+    def _quotient(self) -> _SwapQuotient:
+        """The swap quotient's tables, built on first use in one pass over
+        the factorizations."""
+        ne, ng = len(self.fp.element_names), len(self.fp.gamma_names)
+        erep, grep = _letter_classes(ne, self.subs), _letter_classes(ng, self.gsubs)
+        qmerge: dict[tuple, set[int]] = {}
+        qfacts: dict[int, set[tuple]] = {}
+        for z, pieces in self.facts.items():
+            for x, g, y in pieces:
+                key = (erep[x], grep[g], erep[y])
+                qmerge.setdefault(key, set()).add(erep[z])
+                qfacts.setdefault(erep[z], set()).add(key)
+        return _SwapQuotient(
+            erep, [erep.count(r) for r in erep], [grep.count(r) for r in grep],
+            {k: tuple(sorted(v)) for k, v in qmerge.items()},
+            {k: tuple(sorted(v)) for k, v in qfacts.items()})
 
     def _step(self, kind: str, pos: int, codes) -> Step:
         """The named Step of a coded move."""
@@ -354,12 +417,53 @@ class _Search:
                 queue.append(ns)
         return None, parents, limit
 
+    def quotient_component(self, code: int, bound: int,
+                           budget: int) -> Optional[tuple[set, int]]:
+        """Walk the swap quotient from the class of the one-letter state
+        (code,).  Returns the quotient states reached and their total weight,
+        the number of states the unquotiented exploration visits; None as
+        soon as that weight exceeds budget."""
+        q = self._quotient
+        esize, gsize, qmerge, qfacts = q.esize, q.gsize, q.qmerge, q.qfacts
+        start = (q.erep[code],)
+        weight = esize[code]
+        if weight > budget:
+            return None
+        seen = {start}
+        todo = [start]
+        while todo:
+            cur = todo.pop()
+            m = (len(cur) + 1) // 2
+            nexts = [cur[:2 * k] + (z,) + cur[2 * k + 3:]
+                     for k in range(m - 1) for z in qmerge.get(cur[2 * k:2 * k + 3], ())]
+            if m < bound:
+                nexts += [cur[:2 * k] + piece + cur[2 * k + 1:]
+                          for k in range(m) for piece in qfacts.get(cur[2 * k], ())]
+            for ns in nexts:
+                if ns not in seen:
+                    seen.add(ns)
+                    weight += (prod(map(esize.__getitem__, ns[0::2]))
+                               * prod(map(gsize.__getitem__, ns[1::2])))
+                    if weight > budget:
+                        return None
+                    todo.append(ns)
+        return seen, weight
+
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The one-letter states that an exploration from the one-letter
         state (code,) reaches, as element codes, and its stop reason.  When
-        the stop reason is "exhausted" this is the whole class of code."""
-        _, visited, limit = self.explore((code,), bound, budget)
-        return frozenset(st[0] for st in visited if len(st) == 1), limit
+        the stop reason is "exhausted" this is the whole class of code.
+
+        The exploration runs on the swap quotient; a component that
+        outgrows budget is explored again by `explore`, whose one-letter
+        states are kept."""
+        found = self.quotient_component(code, bound, budget)
+        if found is None:
+            _, visited, limit = self.explore((code,), bound, budget)
+            return frozenset(st[0] for st in visited if len(st) == 1), limit
+        states = found[0]
+        return frozenset(c for c, r in enumerate(self._quotient.erep)
+                         if (r,) in states), "exhausted"
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).

@@ -64,8 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = with_file("amalgam-check", "necessary condition and embedding probe")
     q.add_argument("--amalgam", required=True)
-    q.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    q.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help="longest word searched, in element letters "
+                        f"(default {DEFAULT_BOUND})")
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="visited word states allowed per exploration "
+                        f"(default {DEFAULT_BUDGET})")
 
     q = with_file("iso-check", "first isomorphism assertions for one hom")
     q.add_argument("--hom", required=True)

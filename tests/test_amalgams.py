@@ -4,6 +4,8 @@ Every Equal verdict asserted here is replayed through replay_chain before
 the test passes; the chain is the proof object and must stay checkable.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -565,22 +567,63 @@ def test_exhausted_explorations_from_one_class_agree(swapped):
                 assert seen.setdefault(other, states) == states, (a.name, code, other)
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkeypatch):
+    # a class exploration walks the swap quotient; the deque BFS without a
+    # target is its reference: the same one-letter members and stop reason,
+    # and on exhaustion the quotient weight counts the BFS's states.  The
+    # one-entry cache lets component's budget fallback reuse the reference
+    # run; budgets go from the largest down, so a start whose 200k run
+    # stopped on budget reads that run from the cache too
+    monkeypatch.setattr(gsg.amalgams._Search, "explore",
+                        functools.lru_cache(maxsize=1)(gsg.amalgams._Search.explore))
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
+        for code in range(len(search.fp.element_names)):
+            _, full, full_limit = search.explore((code,), bound, 200_000)
+            budgets = {1, 2, 50, 200_000}
+            if full_limit == "exhausted":
+                budgets |= {len(full) - 1, len(full), len(full) + 1} - {0}
+            for budget in sorted(budgets, reverse=True):
+                # an exhausted BFS never reached its budget check
+                if full_limit == "exhausted" and budget >= len(full):
+                    visited, limit = full, full_limit
+                else:
+                    _, visited, limit = search.explore((code,), bound, budget)
+                where = (a.name, code, budget)
+                assert search.component(code, bound, budget) == (
+                    frozenset(st[0] for st in visited if len(st) == 1), limit), where
+                found = search.quotient_component(code, bound, budget)
+                if limit == "exhausted":
+                    assert found is not None and found[1] == len(visited), where
+                else:
+                    assert found is None, where
+
+
 def test_embedding_report_explores_each_class_once(monkeypatch):
-    starts = []
-    original = gsg.amalgams._Search.explore
+    starts, explores = [], []
+    component, explore = gsg.amalgams._Search.component, gsg.amalgams._Search.explore
 
-    def explore(self, start, bound, budget, target=None):
-        starts.append(start)
-        return original(self, start, bound, budget, target)
+    def spy_component(self, code, bound, budget):
+        starts.append(code)
+        return component(self, code, bound, budget)
 
-    monkeypatch.setattr(gsg.amalgams._Search, "explore", explore)
+    def spy_explore(self, start, bound, budget, target=None):
+        explores.append(start)
+        return explore(self, start, bound, budget, target)
+
+    monkeypatch.setattr(gsg.amalgams._Search, "component", spy_component)
+    monkeypatch.setattr(gsg.amalgams._Search, "explore", spy_explore)
     a = make_two_copies()
     r = check_natural_embedding(a, bound=4)
     assert r.verdict == "consistent-within-bound"
     # at most one exploration per start, n1 + n2 = 4; in fact one per class,
     # {a0, b0} and {a1, b1}, each from its part-1 member
-    assert [a.free_product().decode(s) for s in starts] == [
-        a.free_product().embed(0, "a0"), a.free_product().embed(0, "a1")]
+    fp = a.free_product()
+    assert [fp.decode((c,)) for c in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
+    # every class exhausted: no budget fallback and no probe ran the deque BFS
+    assert explores == []
 
 
 def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
@@ -677,10 +720,12 @@ def test_mediator_disjoint_target():
 
 
 def test_mediator_embedded_two_z4():
-    # bound 3 reaches every canonical representative; the default blows up
+    # bound 3 reaches every canonical representative, and so does the default
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     r = pushout_mediator(a, t, psi1, psi2, bound=3, budget=20_000)
     assert r.all_pass
+    r = pushout_mediator(a, t, psi1, psi2)
+    assert r.all_pass and r.limit == "exhausted"
 
 
 def test_mediator_reports_budget_stops():
