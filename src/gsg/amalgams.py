@@ -30,16 +30,8 @@ one element letter shorter than the bound.  So a breadth-first search that
 exhausts its bound visits exactly one connected component, whichever state
 it starts from, and the one-letter states in it form the class of the
 start.  The reports (`check_natural_embedding`, `pushout_mediator`) run
-one exploration per class, not one search per element pair.  Budget
-semantics of those shared explorations:
-
-* a class is settled only by an exploration that exhausted its bound;
-* a one-letter start that lies only in explorations stopped by the budget
-  gets its own exploration, with its own budget;
-* two one-letter words are proven apart when one of them lies in a settled
-  class that does not hold the other;
-* a pair neither settled nor proven apart gets one targeted search of its
-  own, and is undecided when that search returns no chain either.
+one exploration per class, not one search per element pair; `_Decider`
+states the budget rules of those shared explorations.
 
 A class exploration walks the swap quotient of the state graph, in which
 the letters of one relation class (the transitive closure of the relation
@@ -63,6 +55,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -491,6 +484,43 @@ class _Search:
         return tuple(self._step(*move) for move in moves)
 
 
+class _Decider:
+    """Decides pairs of one-letter words for one report, at one bound and
+    budget.  This is the one statement of the budget rules:
+
+    * a class is settled only by an exhausted exploration; a start that lies
+      only in budget-stopped ones gets its own (`_Search.classes`);
+    * a settled class proves its members equal, and apart from the rest;
+    * a pair with neither code settled gets one targeted probe, the BFS of
+      `words_equal_within` on the report's own `_Search`, and is undecided
+      unless the probe returns a chain.  So probes run only when some class
+      stopped on budget, and no ordered pair is probed twice.
+    """
+
+    def __init__(self, search: _Search, bound: int, budget: int):
+        self.search, self.bound, self.budget = search, bound, budget
+        self.classes = search.classes(bound, budget)
+        self._chains: dict[tuple[int, int], Optional[tuple[Step, ...]]] = {}
+
+    def chain(self, x: int, y: int) -> Optional[tuple[Step, ...]]:
+        """The chain of a targeted probe from the one-letter state x to y,
+        or None when it proves nothing."""
+        if (x, y) not in self._chains:
+            self._chains[x, y] = self.search.explore(
+                (x,), self.bound, self.budget, target=(y,))[0]
+        return self._chains[x, y]
+
+    def equal(self, x: int, y: int) -> Optional[bool]:
+        """True when x, y are proven equal, False when a settled class
+        separates them, None when they are undecided."""
+        (cls_x, limit_x), (_, limit_y) = self.classes[x], self.classes[y]
+        if limit_x == "exhausted":
+            return y in cls_x
+        if limit_y == "exhausted":
+            return False
+        return True if self.chain(x, y) is not None else None
+
+
 def _check_limits(bound: int, budget: int) -> None:
     if bound < 1 or budget < 1:
         raise ValueError("bound and budget must be positive")
@@ -590,88 +620,45 @@ def check_natural_embedding(a: GammaAmalgam,
 
     A collision (two distinct elements of one part proven equal) is a
     definite violation.  Cross pairs record every proven identification
-    between the parts, each with the first core element (in core order)
-    whose part-1 image shares the class, when there is one; an unexplained
-    pair is NOT a violation, only unresolved at this bound.
-
-    Every answer is read off one exploration per class (see the module
-    docstring), under these budget semantics:
-
-    * a class is settled only by an exhausted exploration, and a start
-      that lies only in budget-stopped explorations gets its own
-      exploration and its own budget;
-    * a pair that exhausted explorations neither prove equal nor separate
-      gets one targeted probe, the BFS that `words_equal_within` runs,
-      on the report's own `_Search` at the same bound and budget; so
-      probes run only when some class stopped on budget;
-    * a pair is undecided when it is neither separated by exhausted
-      explorations nor proven equal by a returned chain; a collision is
-      reported only when its probe returns a chain;
-    * a probed cross pair is resolved by the first core element u with
-      f1(u) = e1, failing that by the first u whose own probe proves
-      f1(u) = e1, else by none;
-    * no_collision_within_bound[p] holds exactly when part p+1 has no
-      collision and no undecided pair;
-    * the verdict is "inconclusive" exactly when no collision is proven
-      and some collision pair or cross pair is undecided.
+    between the parts; an unexplained pair is NOT a violation, only
+    unresolved at this bound.  One `_Decider` decides every pair.  A cross
+    pair (e1, e2) is resolved by the first core element u (in core order)
+    whose image f1(u) lies in the settled class of e1; when that class is
+    not settled, by the first u with f1(u) = e1, failing that by the first
+    u for which f1(u) = e1 is proven, else by none.
     """
     _check_limits(bound, budget)
     search = _Search(a)
-    classes = search.classes(bound, budget)
+    decide = _Decider(search, bound, budget)
     code = {e: c for c, e in enumerate(search.fp.element_names)}
 
-    def same_class(x: int, y: int) -> Optional[bool]:
-        """Whether exhausted explorations prove x, y equal or apart; None
-        when neither is in a settled class."""
-        (cls_x, limit_x), (_, limit_y) = classes[x], classes[y]
-        if limit_x == "exhausted":
-            return y in cls_x
-        return False if limit_y == "exhausted" else None
-
-    def probe(x: int, y: int) -> Optional[tuple[Step, ...]]:
-        """The chain of a targeted search from the one-letter state x to y,
-        or None when it proves nothing."""
-        return search.explore((x,), bound, budget, target=(y,))[0]
-
-    undecided = False
     collisions: list[Collision] = []
-    clear = []
+    clear, undecided = [], False
     for p, s in enumerate(a.parts):
-        found, open_pairs = [], False
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                x, y = code[s.elements[i]], code[s.elements[j]]
-                same = same_class(x, y)
-                if same is not False:
-                    chain = probe(x, y)
-                    if chain is not None:
-                        found.append(Collision(p + 1, s.elements[i], s.elements[j], chain))
-                        continue
-                open_pairs |= same is not False
-        collisions.extend(found)
-        clear.append(not found and not open_pairs)
-        undecided |= open_pairs
+        pairs = {(e, f): decide.equal(code[e], code[f])
+                 for e, f in combinations(s.elements, 2)}
+        collisions += [Collision(p + 1, e, f, decide.chain(code[e], code[f]))
+                       for (e, f), equal in pairs.items() if equal]
+        clear.append(all(equal is False for equal in pairs.values()))
+        undecided |= None in pairs.values()
 
     cross: list[CrossPair] = []
-    f1 = a.maps[0]
-    s1, s2 = a.parts
-    for e1 in s1.elements:
+    core, f1 = a.core.elements, a.maps[0].carrier_map
+    for e1 in a.parts[0].elements:
         x = code[e1]
-        for e2 in s2.elements:
-            same = same_class(x, code[e2])
-            if same is None and probe(x, code[e2]) is not None:
-                resolved = next((u for u in a.core.elements if f1.carrier_map[u] == e1), None)
-                if resolved is None:
-                    resolved = next((u for u in a.core.elements
-                                     if probe(code[f1.carrier_map[u]], x) is not None), None)
-                cross.append(CrossPair(e1, e2, resolved))
+        cls, limit = decide.classes[x]
+        for e2 in a.parts[1].elements:
+            equal = decide.equal(x, code[e2])
+            undecided |= equal is None
+            if not equal:
                 continue
-            undecided |= same is None
-            if same:
-                cls = classes[x][0]
-                resolved = next((u for u in a.core.elements
-                                 if code[f1.carrier_map[u]] in cls), None)
-                cross.append(CrossPair(e1, e2, resolved))
+            if limit == "exhausted":
+                resolved = next((u for u in core if code[f1[u]] in cls), None)
+            else:
+                resolved = next((u for u in core if f1[u] == e1), None)
+                if resolved is None:
+                    resolved = next((u for u in core if decide.equal(code[f1[u]], x)), None)
+            cross.append(CrossPair(e1, e2, resolved))
 
     if collisions:
         verdict = "violation-found"

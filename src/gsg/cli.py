@@ -32,8 +32,15 @@ from .textio import Workspace, parse, serialize
 from .words import FreeProduct, Mode
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments on one line, with exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gsg", description="compute with finite gamma-semigroup workspaces")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -651,6 +651,35 @@ def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     r = check_natural_embedding(make_two_copies(), budget=50)
     assert r.cross_pairs == (CrossPair("a0", "b0", "u0"), CrossPair("a1", "b1", "u1"))
     assert r.verdict == "inconclusive" and r.no_collision_within_bound == (False, False)
+    # no ordered pair is probed twice in one report, and only pairs with
+    # neither code in a settled class are probed; a collision's chain is
+    # probed too, but no fixture has a collision at these limits
+    for a in _all_amalgams():
+        fp = a.free_product()
+        for budget in (50, 2000):
+            calls.clear()
+            r = check_natural_embedding(a, 3, budget)
+            assert len(set(calls)) == len(calls), (a.name, budget)
+            classes = gsg.amalgams._Search(a).classes(3, budget)
+            chains = {(fp.encode(fp.embed(c.part - 1, c.a)), fp.encode(fp.embed(c.part - 1, c.b)))
+                      for c in r.collisions}
+            for start, target in calls:
+                assert (start, target) in chains or (
+                    classes[start[0]][1] == classes[target[0]][1] == "budget"), (
+                    a.name, budget, start, target)
+
+
+def test_embedding_report_pins_the_probed_resolution_rule():
+    # at budget 50 the class of z1 stops on budget, so every cross pair is
+    # probed; a and b are not images of the core, and each resolving probe
+    # f1(u) = a, f1(u) = b stops on budget too
+    r = check_natural_embedding(null_collision_amalgam(), 3, 50)
+    assert r.verdict == "inconclusive"
+    assert r.no_collision_within_bound == (False, True)
+    assert r.collisions == ()
+    assert r.cross_pairs == tuple(CrossPair(e1, e2, u) for e1, e2, u in (
+        ("p1", "p2", "p"), ("u1", "u2", "u"), ("v1", "v2", "v"), ("z1", "z2", "z"),
+        ("a", "z2", None), ("b", "z2", None)))
 
 
 # ------------------------------------------------------------------ mediator

@@ -445,11 +445,26 @@ amalgam-check: FAIL
 """
 
 
-def test_amalgam_check_has_no_identify_elements_flag(capsys):
+def bad_arguments(capsys, *argv):
+    """The error argparse gives for argv: exit 2 and one line, no usage."""
     with pytest.raises(SystemExit) as exc:
-        run(["amalgam-check", TWO_COPIES, "--amalgam", "two_copies",
-             "--identify-elements"])
-    assert exc.value.code == 2
+        run(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.count("\n") == 1 and "usage:" not in err
+    return err
+
+
+def test_amalgam_check_has_no_identify_elements_flag(capsys):
+    err = bad_arguments(capsys, "amalgam-check", TWO_COPIES, "--amalgam", "two_copies",
+                        "--identify-elements")
+    assert err == "gsg: error: unrecognized arguments: --identify-elements\n"
+
+
+def test_non_integer_bound_is_a_one_line_error(capsys):
+    err = bad_arguments(capsys, "amalgam-check", TWO_COPIES, "--amalgam", "two_copies",
+                        "--bound", "x")
+    assert err == "gsg amalgam-check: error: argument --bound: invalid int value: 'x'\n"
 
 
 def test_missing_file(capsys):
@@ -491,15 +506,13 @@ def test_unknown_semigroup_name(capsys):
 
 
 def test_missing_required_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["amalgam-check", TWO_COPIES])
-    assert exc.value.code == 2
+    assert bad_arguments(capsys, "amalgam-check", TWO_COPIES) == (
+        "gsg amalgam-check: error: the following arguments are required: --amalgam\n")
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["frobnicate", Z2])
-    assert exc.value.code == 2
+    assert bad_arguments(capsys, "frobnicate", Z2).startswith(
+        "gsg: error: argument command: invalid choice: 'frobnicate'")
 
 
 def test_output_is_byte_deterministic():
