@@ -43,11 +43,11 @@ sizes, gamma letters included, and the weights of a quotient component add
 up to the size of the component.  The deque BFS stops on budget exactly
 when its component holds more than budget states, so the walk stops with
 the same reason once its running weight exceeds budget, and the budget
-still counts states of the unquotiented search.  A component that outgrows
-the budget is explored again by that BFS, and its one-letter states are
-kept, so a budget-stopped class, and `mu` under it, hold exactly the states
-the deque order reaches first.  Targeted searches, which need parents for
-their chains, run on the states themselves.
+still counts states of the unquotiented search.  A walk that stops on
+budget claims nothing, so its class holds only its start, and `mu` under
+it is the element's own word.  The deque BFS runs only for targeted
+searches, which need parents for their chains and so run on the states
+themselves.
 """
 
 from __future__ import annotations
@@ -240,19 +240,11 @@ def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
 
 
 def _letter_classes(n: int, partners: dict[int, tuple[int, ...]]) -> list[int]:
-    """Code -> least code of its class under the transitive closure of
-    partners."""
-    rep = [-1] * n
-    for c in range(n):
-        if rep[c] < 0:
-            rep[c] = c
-            todo = [c]
-            while todo:
-                for r in partners.get(todo.pop(), ()):
-                    if rep[r] < 0:
-                        rep[r] = c
-                        todo.append(r)
-    return rep
+    """Code -> least code of its class.  Both structure maps are
+    monomorphisms, so a letter has at most one partner and a class is the
+    letter and its partner: the pair (f1(u), f2(u)) of a core element, or in
+    disjoint mode the pair of images of a core gamma."""
+    return [min((c, *partners.get(c, ()))) for c in range(n)]
 
 
 class _SwapQuotient(NamedTuple):
@@ -384,7 +376,10 @@ class _Search:
         sequence normalises to it and return (chain, None).  Without one:
         return (None, visited map) after the frontier or budget runs out.
         The third result slot is the stop reason: None (target found),
-        "exhausted", or "budget"."""
+        "exhausted", or "budget".
+
+        Only targeted probes run in the reports; the mode without a target
+        is the reference that tests check the swap-quotient walk against."""
         parents: dict = {start: None}
         reduce = self.fp.reduce
         if target is not None:
@@ -443,17 +438,13 @@ class _Search:
         return seen, weight
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
-        """The one-letter states that an exploration from the one-letter
-        state (code,) reaches, as element codes, and its stop reason.  When
-        the stop reason is "exhausted" this is the whole class of code.
-
-        The exploration runs on the swap quotient; a component that
-        outgrows budget is explored again by `explore`, whose one-letter
-        states are kept."""
+        """The class of the one-letter state (code,), as element codes, and
+        the stop reason of its exploration, which walks the swap quotient.
+        An exploration that stops on budget claims nothing, so it holds only
+        its start: (frozenset((code,)), "budget")."""
         found = self.quotient_component(code, bound, budget)
         if found is None:
-            _, visited, limit = self.explore((code,), bound, budget)
-            return frozenset(st[0] for st in visited if len(st) == 1), limit
+            return frozenset((code,)), "budget"
         states = found[0]
         return frozenset(c for c, r in enumerate(self._quotient.erep)
                          if (r,) in states), "exhausted"
@@ -462,13 +453,14 @@ class _Search:
         """Every element code of the product mapped to (class, stop reason).
 
         Starts run in code order, part 1 first, and a code that a settled
-        class already holds gets no exploration of its own.  A code reached
-        only by budget-stopped explorations maps to its own exploration."""
+        class already holds gets no exploration of its own.  A code whose
+        exploration stops on budget maps to its own class, which holds only
+        that code."""
         out: dict[int, tuple[frozenset, str]] = {}
         for code in range(len(self.fp.element_names)):
             if code not in out:
-                members, limit = entry = self.component(code, bound, budget)
-                for c in members if limit == "exhausted" else (code,):
+                members, _ = entry = self.component(code, bound, budget)
+                for c in members:
                     out[c] = entry
         return out
 
@@ -488,8 +480,8 @@ class _Decider:
     """Decides pairs of one-letter words for one report, at one bound and
     budget.  This is the one statement of the budget rules:
 
-    * a class is settled only by an exhausted exploration; a start that lies
-      only in budget-stopped ones gets its own (`_Search.classes`);
+    * a class is settled only by an exhausted exploration; one that stops
+      on budget claims nothing and holds only its start (`_Search.component`);
     * a settled class proves its members equal, and apart from the rest;
     * a pair with neither code settled gets one targeted probe, the BFS of
       `words_equal_within` on the report's own `_Search`, and is undecided
@@ -558,14 +550,14 @@ def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step]) -> Word:
 
 def mu(a: GammaAmalgam, part: int, element: str,
        bound: int = DEFAULT_BOUND, budget: int = DEFAULT_BUDGET) -> Word:
-    """Canonical representative of one part element's class: the least
-    reduced word (length first, then letter indices) among everything the
-    bounded search can reach from it.  part is 1 or 2.
+    """Canonical representative of one part element's class.  part is 1
+    or 2.
 
-    The search starts from a one-letter word, so that least word is the
-    least one-letter word it reaches.  It is the least of the whole class
-    only when the search exhausted its bound; `pushout_mediator` reports
-    which case its representatives are in."""
+    When the bounded search exhausts its bound, this is the least reduced
+    word (length first, then letter indices) of the class, a one-letter
+    word because the search starts from one.  A search that stops on budget
+    claims nothing, and the representative is the element's own word;
+    `pushout_mediator` reports which case its representatives are in."""
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     _check_limits(bound, budget)
@@ -623,9 +615,9 @@ def check_natural_embedding(a: GammaAmalgam,
     between the parts; an unexplained pair is NOT a violation, only
     unresolved at this bound.  One `_Decider` decides every pair.  A cross
     pair (e1, e2) is resolved by the first core element u (in core order)
-    whose image f1(u) lies in the settled class of e1; when that class is
-    not settled, by the first u with f1(u) = e1, failing that by the first
-    u for which f1(u) = e1 is proven, else by none.
+    whose image f1(u) lies in the class of e1, which holds only e1 when its
+    exploration stopped on budget; failing that, by the first u for which
+    f1(u) = e1 is proven, else by none.
     """
     _check_limits(bound, budget)
     search = _Search(a)
@@ -646,18 +638,15 @@ def check_natural_embedding(a: GammaAmalgam,
     core, f1 = a.core.elements, a.maps[0].carrier_map
     for e1 in a.parts[0].elements:
         x = code[e1]
-        cls, limit = decide.classes[x]
+        cls = decide.classes[x][0]
         for e2 in a.parts[1].elements:
             equal = decide.equal(x, code[e2])
             undecided |= equal is None
             if not equal:
                 continue
-            if limit == "exhausted":
-                resolved = next((u for u in core if code[f1[u]] in cls), None)
-            else:
-                resolved = next((u for u in core if f1[u] == e1), None)
-                if resolved is None:
-                    resolved = next((u for u in core if decide.equal(code[f1[u]], x)), None)
+            resolved = next((u for u in core if code[f1[u]] in cls), None)
+            if resolved is None:
+                resolved = next((u for u in core if decide.equal(code[f1[u]], x)), None)
             cross.append(CrossPair(e1, e2, resolved))
 
     if collisions:
@@ -676,10 +665,10 @@ class MediatorReport:
     amalgamated product: relation pairs collapse, the canonical
     representatives map where they must, and length-one products are
     respected.  limit is "exhausted" when every class behind the diagram
-    check was exhausted, else "budget": the representatives are then only
-    the least words the search reached, so a passing diagram check proves
-    less, while a failing one still exhibits two equal words that fold
-    apart."""
+    check was exhausted, else "budget": the representative of a class that
+    stopped on budget is then the element's own word, which the diagram
+    check passes without proving anything, while a failing check still
+    exhibits two equal words that fold apart."""
     amalgam: str
     target: str
     relations_respected: bool

@@ -363,6 +363,31 @@ def test_mu_leftzero():
     assert mu(a, 2, "c") == fp.embed(0, "a")
 
 
+def test_mu_keeps_the_own_word_of_a_budget_stopped_class():
+    # an exploration that stops on budget claims nothing, so mu is the
+    # element's own word; an exhausted one gives the least member of the
+    # class, read off the deque BFS as reference
+    a = make_core_not_regular_amalgam()
+    assert mu(a, 2, "bx", bound=2, budget=2) == a.free_product().embed(1, "bx")
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(a)
+        fp = search.fp
+        for bound in (2, 3, 4):
+            for budget in (2, 50):
+                for p, s in enumerate(a.parts):
+                    for e in s.elements:
+                        own = fp.embed(p, e)
+                        code = fp.encode(own)[0]
+                        got, where = mu(a, p + 1, e, bound, budget), (a.name, bound, budget, e)
+                        if search.component(code, bound, budget)[1] == "budget":
+                            assert got == own, where
+                        else:
+                            _, visited, limit = search.explore((code,), bound, budget)
+                            assert limit == "exhausted", where
+                            assert got == fp.decode(
+                                min(st for st in visited if len(st) == 1)), where
+
+
 def test_mu_part_must_be_one_or_two():
     with pytest.raises(ValueError):
         mu(make_trivial_amalgam(), 3, "u1")
@@ -571,11 +596,11 @@ def test_exhausted_explorations_from_one_class_agree(swapped):
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
 def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkeypatch):
     # a class exploration walks the swap quotient; the deque BFS without a
-    # target is its reference: the same one-letter members and stop reason,
-    # and on exhaustion the quotient weight counts the BFS's states.  The
-    # one-entry cache lets component's budget fallback reuse the reference
-    # run; budgets go from the largest down, so a start whose 200k run
-    # stopped on budget reads that run from the cache too
+    # target is its reference: the same stop reason, on exhaustion the same
+    # one-letter members, and the quotient weight counts the BFS's states.
+    # Where the BFS stops on budget, the class holds only its start.  Budgets
+    # go from the largest down, so the one-entry cache lets a start whose
+    # 200k run stopped on budget read that run again
     monkeypatch.setattr(gsg.amalgams._Search, "explore",
                         functools.lru_cache(maxsize=1)(gsg.amalgams._Search.explore))
     for a in _all_amalgams():
@@ -592,12 +617,14 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkey
                 else:
                     _, visited, limit = search.explore((code,), bound, budget)
                 where = (a.name, code, budget)
-                assert search.component(code, bound, budget) == (
-                    frozenset(st[0] for st in visited if len(st) == 1), limit), where
                 found = search.quotient_component(code, bound, budget)
                 if limit == "exhausted":
+                    assert search.component(code, bound, budget) == (
+                        frozenset(st[0] for st in visited if len(st) == 1), limit), where
                     assert found is not None and found[1] == len(visited), where
                 else:
+                    assert search.component(code, bound, budget) == (
+                        frozenset((code,)), "budget"), where
                     assert found is None, where
 
 
@@ -610,7 +637,7 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
         return component(self, code, bound, budget)
 
     def spy_explore(self, start, bound, budget, target=None):
-        explores.append(start)
+        explores.append((start, target))
         return explore(self, start, bound, budget, target)
 
     monkeypatch.setattr(gsg.amalgams._Search, "component", spy_component)
@@ -622,8 +649,18 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
     # {a0, b0} and {a1, b1}, each from its part-1 member
     fp = a.free_product()
     assert [fp.decode((c,)) for c in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
-    # every class exhausted: no budget fallback and no probe ran the deque BFS
+    # every class exhausted: no probe ran the deque BFS
     assert explores == []
+    # class explorations never run it: at the default limits some classes
+    # of core_not_regular stop on budget, and only targeted probes follow
+    a = make_core_not_regular_amalgam()
+    classes = gsg.amalgams._Search(a).classes(gsg.amalgams.DEFAULT_BOUND,
+                                              gsg.amalgams.DEFAULT_BUDGET)
+    assert "budget" in {limit for _, limit in classes.values()}
+    starts.clear()
+    check_natural_embedding(a)
+    assert starts and explores
+    assert all(target is not None for _, target in explores)
 
 
 def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
