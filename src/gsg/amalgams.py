@@ -45,9 +45,19 @@ when its component holds more than budget states, so the walk stops with
 the same reason once its running weight exceeds budget, and the budget
 still counts states of the unquotiented search.  A walk that stops on
 budget claims nothing, so its class holds only its start, and `mu` under
-it is the element's own word.  The deque BFS runs only for targeted
-searches, which need parents for their chains and so run on the states
-themselves.
+it is the element's own word.
+
+A targeted search (`words_equal_within`, a report's probe) needs parents
+for its chain, so it runs the deque BFS on the states themselves, but
+only after walks of the quotient from the images of its start and its
+target have met (`_Search.settle`).  The component holds the target
+exactly when its quotient component holds the target's image, so a walk
+from the start that ends without meeting the target's settles the search
+with no BFS at all: no chain, and "budget" exactly when the walk's weight
+exceeds budget.
+
+An amalgam is immutable, so it builds its search (moves, factorizations,
+swap quotient) once, on first use, and every entry point reads that one.
 """
 
 from __future__ import annotations
@@ -122,6 +132,13 @@ class GammaAmalgam:
 
     def free_product(self) -> FreeProduct:
         return FreeProduct(self.parts, self.mode)
+
+    @cached_property
+    def _search(self) -> _Search:
+        """The bounded search of this amalgam, built on first use.  An
+        invalid amalgam raises here and caches nothing, so it raises on
+        every call."""
+        return _Search(self)
 
 
 def validate_amalgam(a: GammaAmalgam) -> list[GsgError]:
@@ -239,6 +256,13 @@ def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
     return {c: tuple(sorted(v)) for c, v in out.items()}
 
 
+# a settled probe walks the whole quotient component of its start; the walk
+# from its target only helps the two meet sooner (on null_collision at
+# bound 6 the walk from a reaches z1 in 4 states, the walk from z1 reaches a
+# in 64k), so it takes one step for this many of the walk from the start
+_TARGET_SHARE = 8
+
+
 def _letter_classes(n: int, partners: dict[int, tuple[int, ...]]) -> list[int]:
     """Code -> least code of its class.  Both structure maps are
     monomorphisms, so a letter has at most one partner and a class is the
@@ -251,10 +275,20 @@ class _SwapQuotient(NamedTuple):
     """The search's moves on states whose letters are relation classes,
     each named by its least code."""
     erep: list[int]                        # element code -> its class
+    grep: list[int]                        # gamma code -> its class
     esize: list[int]                       # element code -> size of its class
     gsize: list[int]                       # gamma code -> size of its class
     qmerge: dict[tuple, tuple[int, ...]]   # (X, G, Y) -> classes of the products
     qfacts: dict[int, tuple[tuple, ...]]   # Z -> class factors of its members
+
+    def image(self, state) -> tuple:
+        """The quotient state of a coded state."""
+        return tuple((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
+
+    def weight(self, qstate) -> int:
+        """How many coded states have this image."""
+        return (prod(map(self.esize.__getitem__, qstate[0::2]))
+                * prod(map(self.gsize.__getitem__, qstate[1::2])))
 
 
 class _Search:
@@ -292,7 +326,7 @@ class _Search:
                 qmerge.setdefault(key, set()).add(erep[z])
                 qfacts.setdefault(erep[z], set()).add(key)
         return _SwapQuotient(
-            erep, [erep.count(r) for r in erep], [grep.count(r) for r in grep],
+            erep, grep, [erep.count(r) for r in erep], [grep.count(r) for r in grep],
             {k: tuple(sorted(v)) for k, v in qmerge.items()},
             {k: tuple(sorted(v)) for k, v in qfacts.items()})
 
@@ -373,16 +407,30 @@ class _Search:
 
     def explore(self, start, bound: int, budget: int, target=None):
         """BFS from start.  With a target: stop as soon as some discovered
-        sequence normalises to it and return (chain, None).  Without one:
-        return (None, visited map) after the frontier or budget runs out.
-        The third result slot is the stop reason: None (target found),
-        "exhausted", or "budget".
+        sequence normalises to it and return (chain, None, None), else
+        (None, None or the visited map, stop reason).  Without one: return
+        (None, visited map, stop reason) after the frontier or budget runs
+        out.  The stop reason is "exhausted" or "budget".
 
         Only targeted probes run in the reports; the mode without a target
-        is the reference that tests check the swap-quotient walk against."""
-        parents: dict = {start: None}
+        is the reference that tests check the swap-quotient walk against.
+
+        A targeted search first runs `settle`, which walks the swap quotient
+        and may answer without expanding a state.  Otherwise the BFS below
+        runs as it would alone.
+
+        In the BFS only the start and states found by a swap or gamma swap
+        get the normal-form test.  A merge or an unmerge keeps the element
+        of the free product, so a state it finds normalises as its parent
+        does, and its parent was found earlier.  The first state that
+        normalises to target is therefore never found by one of them, and
+        skipping their test returns the same state and chain."""
         reduce = self.fp.reduce
+        parents: dict = {start: None}
         if target is not None:
+            limit = self.settle(start, target, bound, budget)
+            if limit is not None:
+                return None, None, limit
             nf, merges = reduce(start)
             if nf == target:
                 return self._chain(parents, start, merges), None, None
@@ -398,29 +446,24 @@ class _Search:
                     queue.clear()
                     break
                 parents[ns] = (cur, move)
-                if target is not None:
+                if target is not None and move[0] in ("swap", "gswap"):
                     nf, merges = reduce(ns)
                     if nf == target:
                         return self._chain(parents, ns, merges), None, None
                 queue.append(ns)
         return None, parents, limit
 
-    def quotient_component(self, code: int, bound: int,
-                           budget: int) -> Optional[tuple[set, int]]:
-        """Walk the swap quotient from the class of the one-letter state
-        (code,).  Returns the quotient states reached and their total weight,
-        the number of states the unquotiented exploration visits; None as
-        soon as that weight exceeds budget."""
+    def reach(self, begin, bound: int, seen: set):
+        """Yield the quotient states reachable from the quotient state begin
+        that seen does not hold, breadth-first, adding each to seen as it
+        is yielded.  This is the one move loop of the swap quotient."""
         q = self._quotient
-        esize, gsize, qmerge, qfacts = q.esize, q.gsize, q.qmerge, q.qfacts
-        start = (q.erep[code],)
-        weight = esize[code]
-        if weight > budget:
-            return None
-        seen = {start}
-        todo = [start]
+        qmerge, qfacts = q.qmerge, q.qfacts
+        seen.add(begin)
+        yield begin
+        todo = deque([begin])
         while todo:
-            cur = todo.pop()
+            cur = todo.popleft()
             m = (len(cur) + 1) // 2
             nexts = [cur[:2 * k] + (z,) + cur[2 * k + 3:]
                      for k in range(m - 1) for z in qmerge.get(cur[2 * k:2 * k + 3], ())]
@@ -430,19 +473,63 @@ class _Search:
             for ns in nexts:
                 if ns not in seen:
                     seen.add(ns)
-                    weight += (prod(map(esize.__getitem__, ns[0::2]))
-                               * prod(map(gsize.__getitem__, ns[1::2])))
-                    if weight > budget:
-                        return None
+                    yield ns
                     todo.append(ns)
+
+    def walk(self, start, bound: int, budget: int) -> Optional[tuple[set, int]]:
+        """The quotient component of the coded state start and its weight,
+        the number of states the deque BFS from start visits; None as soon
+        as that weight exceeds budget."""
+        q = self._quotient
+        seen: set = set()
+        weight = 0
+        for qstate in self.reach(q.image(start), bound, seen):
+            weight += q.weight(qstate)
+            if weight > budget:
+                return None
         return seen, weight
+
+    def settle(self, start, target, bound: int, budget: int) -> Optional[str]:
+        """The stop reason of the targeted BFS from start when the swap
+        quotient shows that it finds no chain; None when the BFS must run.
+
+        Two walks of the quotient run at once, from the images of start and
+        of target.  The one from target takes a step only while it holds at
+        most 1/_TARGET_SHARE as many states as the other, and together they
+        hold at most budget quotient states.  When they meet, or would need
+        more states, the answer is None.  When the walk from target ends
+        first, the one from start goes on alone.  When the walk from start
+        ends without meeting the other, target is not in the component of
+        start: a component is the full preimage of its quotient component,
+        and the normal form of a state lies in its component.  The BFS would
+        then return no chain, stopped on "budget" exactly when the component,
+        whose size is the weight of the walk, holds more than budget states,
+        else on "exhausted"."""
+        q = self._quotient
+        near, far = set(), set()
+        ahead = self.reach(q.image(start), bound, near)
+        behind = self.reach(q.image(target), bound, far)
+        while len(near) + len(far) < budget:
+            if behind is not None and len(far) * _TARGET_SHARE <= len(near):
+                qstate = next(behind, None)
+                if qstate is None:
+                    behind = None
+                elif qstate in near:
+                    return None
+            else:
+                qstate = next(ahead, None)
+                if qstate is None:
+                    return "budget" if sum(map(q.weight, near)) > budget else "exhausted"
+                if qstate in far:
+                    return None
+        return None
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and
         the stop reason of its exploration, which walks the swap quotient.
         An exploration that stops on budget claims nothing, so it holds only
         its start: (frozenset((code,)), "budget")."""
-        found = self.quotient_component(code, bound, budget)
+        found = self.walk((code,), bound, budget)
         if found is None:
             return frozenset((code,)), "budget"
         states = found[0]
@@ -483,10 +570,13 @@ class _Decider:
     * a class is settled only by an exhausted exploration; one that stops
       on budget claims nothing and holds only its start (`_Search.component`);
     * a settled class proves its members equal, and apart from the rest;
-    * a pair with neither code settled gets one targeted probe, the BFS of
-      `words_equal_within` on the report's own `_Search`, and is undecided
-      unless the probe returns a chain.  So probes run only when some class
-      stopped on budget, and no ordered pair is probed twice.
+    * a pair with neither code settled gets one targeted probe,
+      `_Search.explore` as in `words_equal_within`, on the amalgam's one
+      `_Search`, and is undecided unless the probe returns a chain.  So
+      probes run only when some class stopped on budget, and no ordered
+      pair is probed twice.  A probe whose quotient walks put the target
+      outside the component of its start settles without the deque BFS
+      (`_Search.settle`); only the others expand states.
     """
 
     def __init__(self, search: _Search, bound: int, budget: int):
@@ -527,7 +617,7 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     An inconclusive verdict carries no claim at all: the pair may be equal
     through longer words or not equal at all."""
     _check_limits(bound, budget)
-    search = _Search(a)
+    search = a._search
     for w in (w1, w2):
         if not search.fp.is_reduced(w):
             raise MalformedSequence(f"word {w} is not reduced")
@@ -541,7 +631,7 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
 def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step]) -> Word:
     """Run a chain against the tables and relation pairs, validating every
     move; returns the word it produces.  ValueError on any illegal step."""
-    search = _Search(a)
+    search = a._search
     state = search.fp.encode(w1)
     for step in chain:
         state = search.apply_step(state, step)
@@ -561,7 +651,7 @@ def mu(a: GammaAmalgam, part: int, element: str,
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     _check_limits(bound, budget)
-    search = _Search(a)
+    search = a._search
     fp = search.fp
     members, _ = search.component(fp.encode(fp.embed(part - 1, element))[0], bound, budget)
     return fp.decode((min(members),))
@@ -620,7 +710,7 @@ def check_natural_embedding(a: GammaAmalgam,
     f1(u) = e1 is proven, else by none.
     """
     _check_limits(bound, budget)
-    search = _Search(a)
+    search = a._search
     decide = _Decider(search, bound, budget)
     code = {e: c for c, e in enumerate(search.fp.element_names)}
 
@@ -695,7 +785,7 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
     representative of each part element is `mu`'s, read off one
     exploration per class."""
     _check_limits(bound, budget)
-    search = _Search(a)
+    search = a._search
     fp = search.fp
     f1, f2 = a.maps
     for u in a.core.elements:

@@ -6,6 +6,7 @@ suites compare library output against these on small inputs, and several
 frozen expected values in the tests were computed by running these once.
 """
 
+from collections import deque
 from itertools import product
 
 
@@ -305,3 +306,27 @@ def per_pair_embedding_report(a, bound, budget):
     verdict = "violation-found" if collisions else "consistent-within-bound"
     return EmbeddingReport(a.name, tuple(collisions), tuple(clear),
                            tuple(cross), verdict, bound, budget)
+
+
+def targeted_bfs(search, start, bound, budget, target):
+    """The targeted deque BFS with the normal-form test on every state it
+    discovers, on the moves of a `_Search`: (chain, stop reason)."""
+    reduce = search.fp.reduce
+    parents = {start: None}
+    nf, merges = reduce(start)
+    if nf == target:
+        return search._chain(parents, start, merges), None
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for ns, move in search.neighbors(cur, bound):
+            if ns in parents:
+                continue
+            if len(parents) >= budget:
+                return None, "budget"
+            parents[ns] = (cur, move)
+            nf, merges = reduce(ns)
+            if nf == target:
+                return search._chain(parents, ns, merges), None
+            queue.append(ns)
+    return None, "exhausted"

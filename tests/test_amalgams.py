@@ -55,7 +55,7 @@ from gsg import (
     words_equal_within,
     zmod,
 )
-from oracles import per_pair_embedding_report
+from oracles import per_pair_embedding_report, targeted_bfs
 
 
 def assert_equal_with_proof(a, w1, w2, **kw):
@@ -617,7 +617,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkey
                 else:
                     _, visited, limit = search.explore((code,), bound, budget)
                 where = (a.name, code, budget)
-                found = search.quotient_component(code, bound, budget)
+                found = search.walk((code,), bound, budget)
                 if limit == "exhausted":
                     assert search.component(code, bound, budget) == (
                         frozenset(st[0] for st in visited if len(st) == 1), limit), where
@@ -626,6 +626,165 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkey
                     assert search.component(code, bound, budget) == (
                         frozenset((code,)), "budget"), where
                     assert found is None, where
+
+
+def _seeded_states(fp, rng, count):
+    """Reduced coded states of 1-3 element letters, drawn from rng."""
+    ne, ng = len(fp.element_names), len(fp.gamma_names)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(1, 4))
+        raw = [int(rng.integers(ng if k % 2 else ne)) for k in range(2 * m - 1)]
+        out.append(fp.reduce(tuple(raw))[0])
+    return out
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
+    # a targeted search walks the swap quotient (`settle`) before its deque
+    # BFS; with settle turned off the BFS alone is the reference, and both
+    # give the same chain and stop reason.  Starts and targets have up to
+    # three letters, so some are longer than the bound
+    rng = np.random.default_rng(14)
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
+        fp = search.fp
+        for bound in (1, 2, 3, 4, 5):
+            states = _seeded_states(fp, rng, 6)
+            for start, target in zip(states[0::2], states[1::2]):
+                for budget in (1, 2, 50, 2000, 200_000):
+                    where = (a.name, bound, budget, start, target)
+                    chain, _, limit = search.explore(start, bound, budget, target)
+                    with monkeypatch.context() as m:
+                        m.setattr(gsg.amalgams._Search, "settle", lambda *args: None)
+                        ref_chain, _, ref_limit = search.explore(start, bound, budget, target)
+                    assert (chain, limit) == (ref_chain, ref_limit), where
+            # the walk's weight counts the states of the untargeted BFS,
+            # from multi-letter starts too
+            for start in states:
+                _, visited, limit = search.explore(start, bound, 2000)
+                walked = search.walk(start, bound, 2000)
+                if limit == "exhausted":
+                    assert walked is not None and walked[1] == len(visited), (a.name, start)
+                else:
+                    assert walked is None, (a.name, start)
+
+
+def test_normal_form_test_only_after_swaps(monkeypatch):
+    # merges and unmerges keep the element of the free product, so a
+    # targeted BFS that tests only the start and states found by a swap
+    # returns what testing every state returns
+    monkeypatch.setattr(gsg.amalgams._Search, "settle", lambda *args: None)
+    rng = np.random.default_rng(41)
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(a)
+        reduce = search.fp.reduce
+        _, visited, _ = search.explore((0,), 4, 2000)
+        for state in visited:
+            nf = reduce(state)[0]
+            for ns, move in search.neighbors(state, 4):
+                if move[0] in ("merge", "unmerge"):
+                    assert reduce(ns)[0] == nf, (a.name, state, move)
+        for bound in (1, 2, 3, 4, 5):
+            states = _seeded_states(search.fp, rng, 6)
+            for start, target in zip(states[0::2], states[1::2]):
+                for budget in (1, 2, 50, 2000):
+                    chain, _, limit = search.explore(start, bound, budget, target)
+                    assert (chain, limit) == targeted_bfs(
+                        search, start, bound, budget, target), (a.name, bound, budget)
+
+
+def _spy_on_quotient_states(monkeypatch) -> list:
+    """Every quotient state the walks yield from now on."""
+    held = []
+    reach = gsg.amalgams._Search.reach
+
+    def spy(self, begin, bound, seen):
+        for qstate in reach(self, begin, bound, seen):
+            held.append(qstate)
+            yield qstate
+
+    monkeypatch.setattr(gsg.amalgams._Search, "reach", spy)
+    return held
+
+
+def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
+    # at bound 5 the class walk from z1 reaches a only after about 64k
+    # quotient states; a's own walk reaches z1 in 4, so the two walks meet
+    # while they hold a few dozen, and the probe falls through to the BFS
+    held = _spy_on_quotient_states(monkeypatch)
+    a = null_collision_amalgam()
+    fp = a.free_product()
+    v = words_equal_within(a, fp.embed(0, "z1"), fp.embed(0, "a"), bound=5, budget=2000)
+    assert (v.equal, v.limit) == (False, "budget")
+    assert len(held) < 100
+
+
+def test_precheck_holds_at_most_budget_quotient_states(monkeypatch):
+    # the quotient component of a1 at bound 4 has more than 50 states, so
+    # the walks stop at 50 and the BFS decides
+    held = _spy_on_quotient_states(monkeypatch)
+    a = make_embedded_z4_fixture()[0]
+    fp = a.free_product()
+    w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
+    assert len(gsg.amalgams._Search(a).walk(fp.encode(w1), 4, 10**6)[0]) > 50
+    for budget in (1, 2, 50):
+        held.clear()
+        v = words_equal_within(a, w1, w2, bound=4, budget=budget)
+        assert (v.equal, v.limit) == (False, "budget")
+        assert len(held) == budget
+
+
+def test_separated_probe_expands_no_state(monkeypatch):
+    # psi1, psi2 fold a1 and b2 apart, so no chain joins them; the quotient
+    # walk sees that the class image of b2 is not in the component of a1,
+    # which holds more than 1000 states, and the deque BFS never runs
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    fp = a.free_product()
+    w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
+    assert fp.fold(w1, t, [psi1, psi2]) != fp.fold(w2, t, [psi1, psi2])
+    expanded = []
+    neighbors = gsg.amalgams._Search.neighbors
+    monkeypatch.setattr(gsg.amalgams._Search, "neighbors",
+                        lambda self, state, bound: expanded.append(state)
+                        or neighbors(self, state, bound))
+    v = words_equal_within(a, w1, w2, bound=4, budget=1000)
+    assert (v.equal, v.limit) == (False, "budget")
+    assert expanded == []
+    # a pair in one component still runs the BFS for its chain
+    assert_equal_with_proof(a, fp.embed(0, "a1"), fp.embed(1, "b1"), bound=4, budget=1000)
+    assert expanded
+
+
+def test_one_search_per_amalgam(monkeypatch):
+    built = []
+    init = gsg.amalgams._Search.__init__
+    monkeypatch.setattr(gsg.amalgams._Search, "__init__",
+                        lambda self, a: built.append(a.name) or init(self, a))
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    fp = a.free_product()
+    w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b1")
+    v = words_equal_within(a, w1, w2, bound=3)
+    assert replay_chain(a, w1, v.chain) == w2
+    assert mu(a, 2, "b1", bound=3) == w1
+    assert check_natural_embedding(a, bound=3).verdict == "consistent-within-bound"
+    assert pushout_mediator(a, t, psi1, psi2, bound=3).all_pass
+    assert built == ["two_z4"]
+    # an invalid amalgam caches nothing and raises on every call
+    u = zmod(2, name="U")
+    s2 = GammaSemigroup("S2", ("b0", "b1"), ("g",), zmod(2).table)
+    bad = GammaAmalgam("collapse", u, (k2(), s2), (
+        GammaHomomorphism("f1", u, k2(), {"0": "b", "1": "b"}, {"g": "g"}),
+        GammaHomomorphism("f2", u, s2, {"0": "b0", "1": "b1"}, {"g": "g"})),
+        Mode.SAME_GAMMA)
+    w = bad.free_product().embed(0, "a")
+    calls = (lambda: words_equal_within(bad, w, w), lambda: replay_chain(bad, w, ()),
+             lambda: mu(bad, 1, "a"), lambda: check_natural_embedding(bad),
+             lambda: pushout_mediator(bad, t, psi1, psi2))
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(NotMonomorphism):
+                call()
 
 
 def test_embedding_report_explores_each_class_once(monkeypatch):
