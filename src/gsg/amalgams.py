@@ -23,6 +23,11 @@ a disproof.  Soundness rests on three facts about the moves:
   `FreeProduct.reduce`, the one normal-form routine shared with word
   arithmetic, and runs over the same coded states.
 
+The search's moves are the one definition of a move: `replay_chain`
+accepts a step exactly when it is one of the moves `_Search.neighbors`
+offers from the current word.  A letter has at most one partner to swap
+with (`_partners`).
+
 Every move has an inverse inside the bound: a swap or gamma swap undoes
 itself, because relation pairs are symmetric, and a merge is undone by the
 unmerge of its product, which is allowed because the merged sequence is
@@ -34,11 +39,10 @@ one exploration per class, not one search per element pair; `_Decider`
 states the budget rules of those shared explorations.
 
 A class exploration walks the swap quotient of the state graph, in which
-the letters of one relation class (the transitive closure of the relation
-pairs, and of the gamma pairs for gamma letters) are one letter.  A swap
-keeps the length, so a component is closed under swapping any letter for
-any member of its class: it is the full preimage of its quotient
-component.  A quotient state weighs the product of its letters' class
+the letters of one relation class (a letter and its partner, if any) are
+one letter.  A swap keeps the length, so a component is closed under
+swapping any letter for any member of its class: it is the full preimage
+of its quotient component.  A quotient state weighs the product of its letters' class
 sizes, gamma letters included, and the weights of a quotient component add
 up to the size of the component.  The deque BFS stops on budget exactly
 when its component holds more than budget states, so the walk stops with
@@ -73,6 +77,7 @@ from .core import (
     GammaHomomorphism,
     GammaSemigroup,
     _require_associative,
+    _require_ends,
     classify,
     injective,
     verify_homomorphism,
@@ -246,14 +251,16 @@ class EqualityVerdict:
 _GAMMA_SLOTS = {"swap": (), "gswap": (0, 1), "merge": (1,), "unmerge": (2,)}
 
 
-def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
-    """Letter code -> the sorted codes it may be swapped for."""
-    out: dict[int, set[int]] = {}
+def _partners(names: tuple[str, ...], pairs) -> list[Optional[int]]:
+    """Letter code -> the code it may be swapped for, or None.  Both
+    structure maps are monomorphisms, so a letter has at most one partner:
+    the other image of its core element, or in disjoint mode of its core
+    gamma."""
+    code = {n: c for c, n in enumerate(names)}
+    out: list[Optional[int]] = [None] * len(names)
     for n1, n2 in pairs:
-        c1, c2 = names.index(n1), names.index(n2)
-        out.setdefault(c1, set()).add(c2)
-        out.setdefault(c2, set()).add(c1)
-    return {c: tuple(sorted(v)) for c, v in out.items()}
+        out[code[n1]], out[code[n2]] = code[n2], code[n1]
+    return out
 
 
 # a settled probe walks the whole quotient component of its start; the walk
@@ -261,14 +268,6 @@ def _partners(names: tuple[str, ...], pairs) -> dict[int, tuple[int, ...]]:
 # bound 6 the walk from a reaches z1 in 4 states, the walk from z1 reaches a
 # in 64k), so it takes one step for this many of the walk from the start
 _TARGET_SHARE = 8
-
-
-def _letter_classes(n: int, partners: dict[int, tuple[int, ...]]) -> list[int]:
-    """Code -> least code of its class.  Both structure maps are
-    monomorphisms, so a letter has at most one partner and a class is the
-    letter and its partner: the pair (f1(u), f2(u)) of a core element, or in
-    disjoint mode the pair of images of a core gamma."""
-    return [min((c, *partners.get(c, ()))) for c in range(n)]
 
 
 class _SwapQuotient(NamedTuple):
@@ -316,8 +315,8 @@ class _Search:
     def _quotient(self) -> _SwapQuotient:
         """The swap quotient's tables, built on first use in one pass over
         the factorizations."""
-        ne, ng = len(self.fp.element_names), len(self.fp.gamma_names)
-        erep, grep = _letter_classes(ne, self.subs), _letter_classes(ng, self.gsubs)
+        erep, grep = ([c if r is None else min(c, r) for c, r in enumerate(subs)]
+                      for subs in (self.subs, self.gsubs))
         qmerge: dict[tuple, set[int]] = {}
         qfacts: dict[int, set[tuple]] = {}
         for z, pieces in self.facts.items():
@@ -326,7 +325,8 @@ class _Search:
                 qmerge.setdefault(key, set()).add(erep[z])
                 qfacts.setdefault(erep[z], set()).add(key)
         return _SwapQuotient(
-            erep, grep, [erep.count(r) for r in erep], [grep.count(r) for r in grep],
+            erep, grep, [1 + (r is not None) for r in self.subs],
+            [1 + (r is not None) for r in self.gsubs],
             {k: tuple(sorted(v)) for k, v in qmerge.items()},
             {k: tuple(sorted(v)) for k, v in qfacts.items()})
 
@@ -351,11 +351,13 @@ class _Search:
                             ("merge", k, (x, g, y, z))))
         for k in range(m):
             x = state[2 * k]
-            for r in self.subs.get(x, ()):
+            r = self.subs[x]
+            if r is not None:
                 out.append((state[:2 * k] + (r,) + state[2 * k + 1:], ("swap", k, (x, r))))
         for k in range(m - 1):
             g = state[2 * k + 1]
-            for r in self.gsubs.get(g, ()):
+            r = self.gsubs[g]
+            if r is not None:
                 out.append((state[:2 * k + 1] + (r,) + state[2 * k + 2:], ("gswap", k, (g, r))))
         if m < bound:
             for k in range(m):
@@ -366,58 +368,30 @@ class _Search:
         return out
 
     def apply_step(self, state, step: Step):
-        """Replay one named move, checking its legality against the tables
-        and the relation set; raises ValueError on any mismatch."""
-        kind, k, data = step.kind, step.pos, tuple(step.data)
-        enames, gnames = self.fp.element_names, self.fp.gamma_names
-        if kind not in _GAMMA_SLOTS:
-            raise ValueError(f"unknown step kind {kind!r}")
-        m = (len(state) + 1) // 2
-        if not 0 <= k < (m - 1 if kind in ("gswap", "merge") else m):
-            raise ValueError(f"{kind} position {k} out of range")
-        if kind in ("swap", "gswap"):
-            i = 2 * k + (kind == "gswap")
-            subs, names = (self.gsubs, gnames) if kind == "gswap" else (self.subs, enames)
-            if names[state[i]] != data[0]:
-                raise ValueError(f"{kind} expects {data[0]!r} at position {k}")
-            for r in subs.get(state[i], ()):
-                if names[r] == data[1]:
-                    return state[:i] + (r,) + state[i + 1:]
-            raise ValueError(f"{data[0]!r} ~ {data[1]!r} is not a "
-                             f"{'gamma' if kind == 'gswap' else 'relation'} pair")
-        if kind == "unmerge":
-            z = state[2 * k]
-            if enames[z] != data[0]:
-                raise ValueError(f"unmerge expects {data[0]!r} at position {k}")
-            for x, g, y in self.facts.get(z, ()):
-                if (enames[x], gnames[g], enames[y]) == data[1:]:
-                    return state[:2 * k] + (x, g, y) + state[2 * k + 1:]
-            raise ValueError(f"{data[1:]} is not a factorization of {data[0]!r}")
-        x, g, y = state[2 * k:2 * k + 3]
-        if (enames[x], gnames[g], enames[y]) != data[:3]:
-            raise ValueError(f"merge at {k} expects factor {data[:3]}")
-        z = self.fp.merge(x, g, y)
-        if z is None:
-            raise ValueError(f"factor {data[:3]} is not mergeable")
-        if enames[z] != data[3]:
-            raise ValueError(f"product of {data[:3]} is {enames[z]!r}, not {data[3]!r}")
-        return state[:2 * k] + (z,) + state[2 * k + 3:]
+        """Replay one named move: the successor of state whose move, as
+        `neighbors` names it, is step.  So replay accepts a step exactly
+        when it is one of the search's moves from state, at any length
+        (the bound passed allows every unmerge); ValueError otherwise."""
+        try:
+            kind, pos, data = step
+            step = Step(kind, pos, tuple(data))
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed step {step!r}") from None
+        for ns, move in self.neighbors(state, len(state) + 1):
+            if move[:2] == step[:2] and self._step(*move) == step:
+                return ns
+        raise ValueError(f"{step} is not a move from {self.fp.decode(state)}")
 
     # the search itself ---------------------------------------------------
 
-    def explore(self, start, bound: int, budget: int, target=None):
-        """BFS from start.  With a target: stop as soon as some discovered
-        sequence normalises to it and return (chain, None, None), else
-        (None, None or the visited map, stop reason).  Without one: return
-        (None, visited map, stop reason) after the frontier or budget runs
-        out.  The stop reason is "exhausted" or "budget".
+    def explore(self, start, bound: int, budget: int, target):
+        """BFS from start until some discovered sequence normalises to
+        target: (chain, None), else (None, stop reason) once the frontier or
+        the budget runs out.  The stop reason is "exhausted" or "budget".
 
-        Only targeted probes run in the reports; the mode without a target
-        is the reference that tests check the swap-quotient walk against.
-
-        A targeted search first runs `settle`, which walks the swap quotient
-        and may answer without expanding a state.  Otherwise the BFS below
-        runs as it would alone.
+        It first runs `settle`, which walks the swap quotient and may answer
+        without expanding a state.  Otherwise the BFS below runs as it
+        would alone.
 
         In the BFS only the start and states found by a swap or gamma swap
         get the normal-form test.  A merge or an unmerge keeps the element
@@ -425,33 +399,29 @@ class _Search:
         does, and its parent was found earlier.  The first state that
         normalises to target is therefore never found by one of them, and
         skipping their test returns the same state and chain."""
+        limit = self.settle(start, target, bound, budget)
+        if limit is not None:
+            return None, limit
         reduce = self.fp.reduce
         parents: dict = {start: None}
-        if target is not None:
-            limit = self.settle(start, target, bound, budget)
-            if limit is not None:
-                return None, None, limit
-            nf, merges = reduce(start)
-            if nf == target:
-                return self._chain(parents, start, merges), None, None
+        nf, merges = reduce(start)
+        if nf == target:
+            return self._chain(parents, start, merges), None
         queue = deque([start])
-        limit = "exhausted"
         while queue:
             cur = queue.popleft()
             for ns, move in self.neighbors(cur, bound):
                 if ns in parents:
                     continue
                 if len(parents) >= budget:
-                    limit = "budget"
-                    queue.clear()
-                    break
+                    return None, "budget"
                 parents[ns] = (cur, move)
-                if target is not None and move[0] in ("swap", "gswap"):
+                if move[0] in ("swap", "gswap"):
                     nf, merges = reduce(ns)
                     if nf == target:
-                        return self._chain(parents, ns, merges), None, None
+                        return self._chain(parents, ns, merges), None
                 queue.append(ns)
-        return None, parents, limit
+        return None, "exhausted"
 
     def reach(self, begin, bound: int, seen: set):
         """Yield the quotient states reachable from the quotient state begin
@@ -588,8 +558,7 @@ class _Decider:
         """The chain of a targeted probe from the one-letter state x to y,
         or None when it proves nothing."""
         if (x, y) not in self._chains:
-            self._chains[x, y] = self.search.explore(
-                (x,), self.bound, self.budget, target=(y,))[0]
+            self._chains[x, y] = self.search.explore((x,), self.bound, self.budget, (y,))[0]
         return self._chains[x, y]
 
     def equal(self, x: int, y: int) -> Optional[bool]:
@@ -622,15 +591,14 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
         if not search.fp.is_reduced(w):
             raise MalformedSequence(f"word {w} is not reduced")
     start, target = search.fp.encode(w1), search.fp.encode(w2)
-    chain, _, limit = search.explore(start, bound, budget, target=target)
-    if chain is not None:
-        return EqualityVerdict(True, chain, None, bound, budget)
-    return EqualityVerdict(False, None, limit, bound, budget)
+    chain, limit = search.explore(start, bound, budget, target)
+    return EqualityVerdict(chain is not None, chain, limit, bound, budget)
 
 
 def replay_chain(a: GammaAmalgam, w1: Word, chain: Sequence[Step]) -> Word:
-    """Run a chain against the tables and relation pairs, validating every
-    move; returns the word it produces.  ValueError on any illegal step."""
+    """Run a chain from w1, each step checked to be a move of the search
+    from the word so far; returns the word it produces.  ValueError on any
+    malformed or illegal step."""
     search = a._search
     state = search.fp.encode(w1)
     for step in chain:
@@ -788,6 +756,8 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
     search = a._search
     fp = search.fp
     f1, f2 = a.maps
+    for g, part in zip((g1, g2), a.parts):
+        _require_ends(g, part, v)
     for u in a.core.elements:
         if g1.carrier_map[f1.carrier_map[u]] != g2.carrier_map[f2.carrier_map[u]]:
             raise CommutingSquareFails(u)

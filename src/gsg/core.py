@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DuplicateEntry,
+    GammaMismatch,
     IncompleteMap,
     InvalidIdentifier,
     MissingEntry,
@@ -331,6 +332,17 @@ def _require_homomorphism(f: GammaHomomorphism) -> None:
     w = verify_homomorphism(f)
     if w is not None:
         raise NotAHomomorphism(f.name, w)
+
+
+def _require_ends(f: GammaHomomorphism, source: GammaSemigroup,
+                  target: GammaSemigroup) -> None:
+    """GammaMismatch unless f goes from source to target."""
+    if f.source != source:
+        raise GammaMismatch(
+            f"hom {f.name!r} has source {f.source.name}, expected {source.name}")
+    if f.target != target:
+        raise GammaMismatch(
+            f"hom {f.name!r} has target {f.target.name}, expected {target.name}")
 
 
 def injective(f: GammaHomomorphism) -> tuple[bool, bool]:

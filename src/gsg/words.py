@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import GammaHomomorphism, GammaSemigroup, _require_homomorphism
+from .core import GammaHomomorphism, GammaSemigroup, _require_ends, _require_homomorphism
 from .errors import (
     CrossFamilyGamma,
     GammaMismatch,
@@ -274,12 +274,7 @@ class FreeProduct:
             if i >= len(homs) or homs[i] is None:
                 raise MissingHomomorphism(i)
             f = homs[i]
-            if f.source != member:
-                raise GammaMismatch(
-                    f"hom {f.name!r} has source {f.source.name}, expected {member.name}")
-            if f.target != target:
-                raise GammaMismatch(
-                    f"hom {f.name!r} has target {f.target.name}, expected {target.name}")
+            _require_ends(f, member, target)
             _require_homomorphism(f)
             if self.mode is Mode.SAME_GAMMA:
                 if set(target.gammas) != set(self.shared_gammas):

@@ -330,3 +330,80 @@ def targeted_bfs(search, start, bound, budget, target):
                 return search._chain(parents, ns, merges), None
             queue.append(ns)
     return None, "exhausted"
+
+
+def component_bfs(search, start, bound, budget):
+    """The deque BFS without a target on the moves of a `_Search`: (the
+    states it visits, stop reason).  Its visited set is the component of
+    start when the stop reason is "exhausted"."""
+    visited = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for ns, _ in search.neighbors(cur, bound):
+            if ns in visited:
+                continue
+            if len(visited) >= budget:
+                return visited, "budget"
+            visited.add(ns)
+            queue.append(ns)
+    return visited, "exhausted"
+
+
+def brute_step(a, tokens, step):
+    """The tokens after one named move (kind, pos, data) of the amalgam a,
+    or None when the move is not legal there.  The rules are read off the
+    tables and the structure maps by name:
+
+    * swap (x, y): x at element position pos, and x, y are the two images
+      f1(u), f2(u) of one core element u, in either order;
+    * gswap (g, h): disjoint mode only; g at the gamma after element pos,
+      and g, h are the two images of one core gamma;
+    * merge (x, g, y, z): x g y at pos, x and y in one part whose gammas
+      hold g (all of them in same-gamma mode, its own in disjoint mode),
+      and z their product there;
+    * unmerge (z, x, g, y): z at pos and the merge of x g y gives z.
+
+    pos counts element letters from the left."""
+    from gsg import Mode
+
+    kind, pos, data = step
+    toks = list(tokens)
+    m = (len(toks) + 1) // 2
+    owner = {e: p for p, s in enumerate(a.parts) for e in s.elements}
+    f1, f2 = a.maps
+    pairs = set()
+    for u in a.core.elements:
+        x, y = f1.carrier_map[u], f2.carrier_map[u]
+        pairs |= {(x, y), (y, x)}
+    gpairs = set()
+    if a.mode is Mode.DISJOINT:
+        for h in a.core.gammas:
+            g, k = f1.gamma_map[h], f2.gamma_map[h]
+            gpairs |= {(g, k), (k, g)}
+
+    def product(x, g, y):
+        p = owner.get(x)
+        if p is None or owner.get(y) != p or g not in a.parts[p].gammas:
+            return None
+        return a.parts[p].mul(x, g, y)
+
+    if not isinstance(pos, int) or not isinstance(data, tuple) or pos < 0:
+        return None
+    if kind == "swap" and len(data) == 2 and pos < m:
+        if toks[2 * pos] == data[0] and data in pairs:
+            toks[2 * pos] = data[1]
+            return toks
+    elif kind == "gswap" and len(data) == 2 and pos < m - 1:
+        if toks[2 * pos + 1] == data[0] and data in gpairs:
+            toks[2 * pos + 1] = data[1]
+            return toks
+    elif kind == "merge" and len(data) == 4 and pos < m - 1:
+        if toks[2 * pos:2 * pos + 3] == list(data[:3]) and product(*data[:3]) == data[3]:
+            toks[2 * pos:2 * pos + 3] = [data[3]]
+            return toks
+    elif kind == "unmerge" and len(data) == 4 and pos < m:
+        if toks[2 * pos] == data[0] and product(*data[1:]) == data[0]:
+            toks[2 * pos:2 * pos + 1] = list(data[1:])
+            return toks
+    return None

@@ -4,6 +4,7 @@ Every Equal verdict asserted here is replayed through replay_chain before
 the test passes; the chain is the proof object and must stay checkable.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -55,7 +56,7 @@ from gsg import (
     words_equal_within,
     zmod,
 )
-from oracles import per_pair_embedding_report, targeted_bfs
+from oracles import brute_step, component_bfs, per_pair_embedding_report, targeted_bfs
 
 
 def assert_equal_with_proof(a, w1, w2, **kw):
@@ -339,6 +340,116 @@ def test_replay_rejects_pairs_outside_the_relation_set():
         replay_chain(a, fp.embed(0, "b"), (Step("swap", 0, ("b", "c")),))
 
 
+def test_replay_rejects_malformed_steps():
+    # every malformed step is a ValueError that names the step, never a
+    # lookup or type error from inside the replay
+    a = make_trivial_amalgam()
+    fp = a.free_product()
+    w = fp.embed(0, "u1")
+    for step in (Step("swap", 0, ("u1",)),                   # too short
+                 Step("swap", 0, ("u1", "u2", "u1")),        # too long
+                 Step("merge", 0, ("u1", "g", "u1")),
+                 Step("swap", "0", ("u1", "u2")),            # pos not an int
+                 Step("swap", None, ("u1", "u2")),
+                 Step("twist", 0, ("u1", "u2")),             # unknown kind
+                 Step("swap", 1, ("u1", "u2")),              # out of range
+                 Step("swap", -1, ("u1", "u2")),
+                 Step("unmerge", 1, ("u1", "u1", "g", "u1")),
+                 Step("swap", 0, 7),                         # data not a sequence
+                 ("swap", 0)):                               # not a step
+        with pytest.raises(ValueError, match="swap|merge|twist"):
+            replay_chain(a, w, (step,))
+    # the same steps with the right shape replay
+    assert replay_chain(a, w, (Step("swap", 0, ["u1", "u2"]),)) == fp.embed(1, "u2")
+    assert replay_chain(a, w, (Step("unmerge", 0, ("u1", "u1", "g", "u1")),)).tokens() == \
+        ("u1", "g", "u1")
+
+
+_STEP_SHAPES = {"swap": "ee", "gswap": "gg", "merge": "egee", "unmerge": "eege"}
+
+
+def _random_step(rng, search, state):
+    """A step of any kind at any position, one past either end included.
+    Half of them are a move of the search from state, of the drawn kind
+    when it has one, with one field redrawn at random, or none.  The rest
+    have every field at random, each data slot the letter already there or
+    a random name of its sort."""
+    fp = search.fp
+    kind = str(rng.choice(sorted(_STEP_SHAPES)))
+    pos = int(rng.integers(-1, (len(state) + 3) // 2))
+    names = {"e": fp.element_names, "g": fp.gamma_names}
+    moves = [move for _, move in search.neighbors(state, len(state) + 1)]
+    moves = [move for move in moves if move[0] == kind] or moves
+    if moves and rng.random() < 0.5:
+        step = search._step(*moves[int(rng.integers(len(moves)))])
+        field = int(rng.integers(6))
+        if field == 0:
+            return step._replace(kind=kind)
+        if field == 1:
+            return step._replace(pos=pos)
+        if field - 2 < len(step.data):
+            i = field - 2
+            sort = names[_STEP_SHAPES[step.kind][i]]
+            data = list(step.data)
+            data[i] = sort[int(rng.integers(len(sort)))]
+            return step._replace(data=tuple(data))
+        return step
+    tokens = fp.decode(state).tokens()
+    here = list(tokens[2 * pos:]) if pos >= 0 else []
+    if kind == "gswap":
+        here = here[1:]
+    elif kind == "unmerge":
+        here = here[:1] + here
+    data = []
+    for i, sort in enumerate(_STEP_SHAPES[kind]):
+        if i < len(here) and rng.random() < 0.7:
+            data.append(here[i])
+        else:
+            data.append(names[sort][int(rng.integers(len(names[sort])))])
+    return Step(kind, pos, tuple(data))
+
+
+def test_replay_matches_the_name_oracle():
+    # replay_chain accepts exactly the steps brute_step accepts, which reads
+    # the rules off the tables and the maps by name, and lands on the same
+    # word.  Each chain is a legal prefix of search moves from a seeded
+    # start, then random steps of every kind and position; every kind is
+    # accepted somewhere on each fixture
+    rng = np.random.default_rng(15)
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(a)
+        fp = search.fp
+        accepted = collections.Counter()
+        for start in _seeded_states(fp, rng, 40):
+            chain, state = [], start
+            for _ in range(int(rng.integers(4))):
+                moves = search.neighbors(state, 3)
+                if not moves:
+                    break
+                state, move = moves[int(rng.integers(len(moves)))]
+                chain.append(search._step(*move))
+            tokens = list(fp.decode(start).tokens())
+            for step in chain:
+                tokens = brute_step(a, tokens, step)
+            assert tokens == list(fp.decode(state).tokens()), (a.name, chain)
+            for _ in range(4):
+                step = _random_step(rng, search, state)
+                want = brute_step(a, tokens, step)
+                try:
+                    got = replay_chain(a, fp.decode(start), chain + [step])
+                except ValueError:
+                    got = None
+                assert (got if got is None else list(got.tokens())) == want, (
+                    a.name, chain, step)
+                if want is not None:
+                    # a rejected step is dropped, and the chain goes on
+                    chain.append(step)
+                    tokens, state = want, fp.encode(got)
+                    accepted[step.kind] += 1
+        assert set(accepted) >= {"swap", "merge", "unmerge"}, (a.name, accepted)
+        assert accepted["gswap"] or a.mode is Mode.SAME_GAMMA, (a.name, accepted)
+
+
 # ----------------------------------------------------------------------- mu
 
 def test_mu_trivial_collapses_to_least_name():
@@ -382,7 +493,7 @@ def test_mu_keeps_the_own_word_of_a_budget_stopped_class():
                         if search.component(code, bound, budget)[1] == "budget":
                             assert got == own, where
                         else:
-                            _, visited, limit = search.explore((code,), bound, budget)
+                            visited, limit = component_bfs(search, (code,), bound, budget)
                             assert limit == "exhausted", where
                             assert got == fp.decode(
                                 min(st for st in visited if len(st) == 1)), where
@@ -585,7 +696,7 @@ def test_exhausted_explorations_from_one_class_agree(swapped):
         search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
         seen: dict[int, set] = {}
         for code in range(len(search.fp.element_names)):
-            _, visited, limit = search.explore((code,), 4, 200_000)
+            visited, limit = component_bfs(search, (code,), 4, 200_000)
             assert limit == "exhausted"
             states = set(visited)
             for other in (st[0] for st in states if len(st) == 1):
@@ -594,19 +705,18 @@ def test_exhausted_explorations_from_one_class_agree(swapped):
 
 @pytest.mark.parametrize("swapped", [False, True])
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
-def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkeypatch):
+def test_quotient_component_matches_the_deque_exploration(bound, swapped):
     # a class exploration walks the swap quotient; the deque BFS without a
     # target is its reference: the same stop reason, on exhaustion the same
     # one-letter members, and the quotient weight counts the BFS's states.
     # Where the BFS stops on budget, the class holds only its start.  Budgets
     # go from the largest down, so the one-entry cache lets a start whose
     # 200k run stopped on budget read that run again
-    monkeypatch.setattr(gsg.amalgams._Search, "explore",
-                        functools.lru_cache(maxsize=1)(gsg.amalgams._Search.explore))
+    bfs = functools.lru_cache(maxsize=1)(component_bfs)
     for a in _all_amalgams():
         search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
         for code in range(len(search.fp.element_names)):
-            _, full, full_limit = search.explore((code,), bound, 200_000)
+            full, full_limit = bfs(search, (code,), bound, 200_000)
             budgets = {1, 2, 50, 200_000}
             if full_limit == "exhausted":
                 budgets |= {len(full) - 1, len(full), len(full) + 1} - {0}
@@ -615,7 +725,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped, monkey
                 if full_limit == "exhausted" and budget >= len(full):
                     visited, limit = full, full_limit
                 else:
-                    _, visited, limit = search.explore((code,), bound, budget)
+                    visited, limit = bfs(search, (code,), bound, budget)
                 where = (a.name, code, budget)
                 found = search.walk((code,), bound, budget)
                 if limit == "exhausted":
@@ -654,15 +764,15 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
             for start, target in zip(states[0::2], states[1::2]):
                 for budget in (1, 2, 50, 2000, 200_000):
                     where = (a.name, bound, budget, start, target)
-                    chain, _, limit = search.explore(start, bound, budget, target)
+                    chain, limit = search.explore(start, bound, budget, target)
                     with monkeypatch.context() as m:
                         m.setattr(gsg.amalgams._Search, "settle", lambda *args: None)
-                        ref_chain, _, ref_limit = search.explore(start, bound, budget, target)
+                        ref_chain, ref_limit = search.explore(start, bound, budget, target)
                     assert (chain, limit) == (ref_chain, ref_limit), where
             # the walk's weight counts the states of the untargeted BFS,
             # from multi-letter starts too
             for start in states:
-                _, visited, limit = search.explore(start, bound, 2000)
+                visited, limit = component_bfs(search, start, bound, 2000)
                 walked = search.walk(start, bound, 2000)
                 if limit == "exhausted":
                     assert walked is not None and walked[1] == len(visited), (a.name, start)
@@ -679,7 +789,7 @@ def test_normal_form_test_only_after_swaps(monkeypatch):
     for a in _all_amalgams():
         search = gsg.amalgams._Search(a)
         reduce = search.fp.reduce
-        _, visited, _ = search.explore((0,), 4, 2000)
+        visited, _ = component_bfs(search, (0,), 4, 2000)
         for state in visited:
             nf = reduce(state)[0]
             for ns, move in search.neighbors(state, 4):
@@ -689,7 +799,7 @@ def test_normal_form_test_only_after_swaps(monkeypatch):
             states = _seeded_states(search.fp, rng, 6)
             for start, target in zip(states[0::2], states[1::2]):
                 for budget in (1, 2, 50, 2000):
-                    chain, _, limit = search.explore(start, bound, budget, target)
+                    chain, limit = search.explore(start, bound, budget, target)
                     assert (chain, limit) == targeted_bfs(
                         search, start, bound, budget, target), (a.name, bound, budget)
 
@@ -795,7 +905,7 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
         starts.append(code)
         return component(self, code, bound, budget)
 
-    def spy_explore(self, start, bound, budget, target=None):
+    def spy_explore(self, start, bound, budget, target):
         explores.append((start, target))
         return explore(self, start, bound, budget, target)
 
@@ -826,10 +936,9 @@ def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     calls = []
     original = gsg.amalgams._Search.explore
 
-    def explore(self, start, bound, budget, target=None):
-        if target is not None:
-            calls.append((start, target))
-        return original(self, start, bound, budget, target=target)
+    def explore(self, start, bound, budget, target):
+        calls.append((start, target))
+        return original(self, start, bound, budget, target)
 
     monkeypatch.setattr(gsg.amalgams._Search, "explore", explore)
     # every class exhausted: no targeted search at all
@@ -920,6 +1029,16 @@ def test_mediator_rejects_non_commuting_square():
     with pytest.raises(CommutingSquareFails) as exc:
         pushout_mediator(a, v, g1, g2)
     assert exc.value.element == "u0"
+
+
+def test_mediator_rejects_maps_that_miss_the_parts():
+    # the maps are checked against the parts and the target before the
+    # squares are read, so swapped maps are a GammaMismatch, not a KeyError
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    with pytest.raises(GammaMismatch, match="has source"):
+        pushout_mediator(a, t, psi2, psi1)
+    with pytest.raises(GammaMismatch, match="has target"):
+        pushout_mediator(a, a.parts[0], psi1, psi2)
 
 
 def test_mediator_rejects_non_commuting_gamma_square():
