@@ -44,21 +44,29 @@ one letter.  A swap keeps the length, so a component is closed under
 swapping any letter for any member of its class: it is the full preimage
 of its quotient component.  A quotient state weighs the product of its letters' class
 sizes, gamma letters included, and the weights of a quotient component add
-up to the size of the component.  The deque BFS stops on budget exactly
-when its component holds more than budget states, so the walk stops with
-the same reason once its running weight exceeds budget, and the budget
-still counts states of the unquotiented search.  A walk that stops on
-budget claims nothing, so its class holds only its start, and `mu` under
-it is the element's own word.
+up to the size of the component.  A breadth-first search of the states
+themselves stops on budget exactly when its component holds more than
+budget states, so the walk stops with the same reason once its running
+weight exceeds budget, and the budget still counts states of the
+unquotiented search.  A walk that stops on budget claims nothing, so its
+class holds only its start, and `mu` under it is the element's own word.
 
-A targeted search (`words_equal_within`, a report's probe) needs parents
-for its chain, so it runs the deque BFS on the states themselves, but
-only after walks of the quotient from the images of its start and its
-target have met (`_Search.settle`).  The component holds the target
-exactly when its quotient component holds the target's image, so a walk
-from the start that ends without meeting the target's settles the search
-with no BFS at all: no chain, and "budget" exactly when the walk's weight
-exceeds budget.
+A targeted search (`words_equal_within`, a report's probe) runs on the
+swap quotient as well, from the images of its start and of its target at
+once (`_Search.meet`).  The component holds the target exactly when its
+quotient component holds the target's image, so when the side from the
+start runs dry without meeting the other, there is no chain, and the stop
+reason is "budget" exactly when the start's component weighs more than
+budget.  When neither word is longer than the bound, every move is undone
+inside it, and the side from the target running dry says the same.  When
+the sides meet, the quotient path is lifted to named moves
+(`_Search._lift`) through one witness (x, g, y, z) per quotient merge
+(X, G, Y) -> Z.  A class has at most two letters, so one swap puts any
+letter where the witness needs it: a merge first swaps its three letters to
+the witness, an unmerge its one letter, and at the end letters are swapped
+until the word is the target.  Swaps keep the length, so the lifted chain
+stays inside the bound.  No targeted search expands a state of the search
+itself; `_Search.neighbors` serves replay.
 
 An amalgam is immutable, so it builds its search (moves, factorizations,
 swap quotient) once, on first use, and every entry point reads that one.
@@ -66,7 +74,6 @@ swap quotient) once, on first use, and every entry point reads that one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -263,11 +270,14 @@ def _partners(names: tuple[str, ...], pairs) -> list[Optional[int]]:
     return out
 
 
-# a settled probe walks the whole quotient component of its start; the walk
-# from its target only helps the two meet sooner (on null_collision at
-# bound 6 the walk from a reaches z1 in 4 states, the walk from z1 reaches a
-# in 64k), so it takes one step for this many of the walk from the start
-_TARGET_SHARE = 8
+def _trail(parents: dict, node) -> list:
+    """The states of a parent map from node back to the one whose parent
+    is None."""
+    out = [node]
+    while parents[node] is not None:
+        node = parents[node]
+        out.append(node)
+    return out
 
 
 class _SwapQuotient(NamedTuple):
@@ -279,6 +289,7 @@ class _SwapQuotient(NamedTuple):
     gsize: list[int]                       # gamma code -> size of its class
     qmerge: dict[tuple, tuple[int, ...]]   # (X, G, Y) -> classes of the products
     qfacts: dict[int, tuple[tuple, ...]]   # Z -> class factors of its members
+    witness: dict[tuple, tuple[int, ...]]  # (X, G, Y, Z) -> first such (x, g, y, z)
 
     def image(self, state) -> tuple:
         """The quotient state of a coded state."""
@@ -292,9 +303,9 @@ class _SwapQuotient(NamedTuple):
 
 class _Search:
     """The moves of the bounded search over coded states of the amalgam's
-    free product, the BFS itself, and the walk of its swap quotient.  A
-    move is (kind, pos, codes); named Steps are built only for the chains
-    that are returned."""
+    free product, and the searches of its swap quotient: class walks and
+    targeted probes.  A move is (kind, pos, codes); named Steps are built
+    only for the chains that are returned."""
 
     def __init__(self, a: GammaAmalgam):
         self.rel = rel = relation_generators(a)
@@ -319,16 +330,18 @@ class _Search:
                       for subs in (self.subs, self.gsubs))
         qmerge: dict[tuple, set[int]] = {}
         qfacts: dict[int, set[tuple]] = {}
+        witness: dict[tuple, tuple[int, ...]] = {}
         for z, pieces in self.facts.items():
             for x, g, y in pieces:
                 key = (erep[x], grep[g], erep[y])
                 qmerge.setdefault(key, set()).add(erep[z])
                 qfacts.setdefault(erep[z], set()).add(key)
+                witness.setdefault((*key, erep[z]), (x, g, y, z))
         return _SwapQuotient(
             erep, grep, [1 + (r is not None) for r in self.subs],
             [1 + (r is not None) for r in self.gsubs],
             {k: tuple(sorted(v)) for k, v in qmerge.items()},
-            {k: tuple(sorted(v)) for k, v in qfacts.items()})
+            {k: tuple(sorted(v)) for k, v in qfacts.items()}, witness)
 
     def _step(self, kind: str, pos: int, codes) -> Step:
         """The named Step of a coded move."""
@@ -384,122 +397,157 @@ class _Search:
 
     # the search itself ---------------------------------------------------
 
+    def qmoves(self, bound: int):
+        """The move function of the swap quotient at bound: it maps a
+        quotient state to its successors, merges, then unmerges while the
+        state has fewer than bound element letters.  This is the one move
+        loop of the swap quotient."""
+        q = self._quotient
+        qmerge, qfacts = q.qmerge, q.qfacts
+
+        def successors(qstate) -> list[tuple]:
+            m = (len(qstate) + 1) // 2
+            out = [qstate[:2 * k] + (z,) + qstate[2 * k + 3:]
+                   for k in range(m - 1) for z in qmerge.get(qstate[2 * k:2 * k + 3], ())]
+            if m < bound:
+                out += [qstate[:2 * k] + piece + qstate[2 * k + 1:]
+                        for k in range(m) for piece in qfacts.get(qstate[2 * k], ())]
+            return out
+        return successors
+
     def explore(self, start, bound: int, budget: int, target):
-        """BFS from start until some discovered sequence normalises to
-        target: (chain, None), else (None, stop reason) once the frontier or
-        the budget runs out.  The stop reason is "exhausted" or "budget".
-
-        It first runs `settle`, which walks the swap quotient and may answer
-        without expanding a state.  Otherwise the BFS below runs as it
-        would alone.
-
-        In the BFS only the start and states found by a swap or gamma swap
-        get the normal-form test.  A merge or an unmerge keeps the element
-        of the free product, so a state it finds normalises as its parent
-        does, and its parent was found earlier.  The first state that
-        normalises to target is therefore never found by one of them, and
-        skipping their test returns the same state and chain."""
-        limit = self.settle(start, target, bound, budget)
-        if limit is not None:
+        """A chain of moves from start to target inside bound: (chain,
+        None), else (None, stop reason), "exhausted" or "budget" by the
+        rule `_Decider` states.  `meet` finds a path in the swap quotient
+        and `_lift` turns it into named moves."""
+        q = self._quotient
+        halves = ({q.image(start): None}, {q.image(target): None})
+        meeting, limit = self.meet(halves, bound, budget)
+        if meeting is None:
             return None, limit
-        reduce = self.fp.reduce
-        parents: dict = {start: None}
-        nf, merges = reduce(start)
-        if nf == target:
-            return self._chain(parents, start, merges), None
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for ns, move in self.neighbors(cur, bound):
-                if ns in parents:
-                    continue
-                if len(parents) >= budget:
-                    return None, "budget"
-                parents[ns] = (cur, move)
-                if move[0] in ("swap", "gswap"):
-                    nf, merges = reduce(ns)
-                    if nf == target:
-                        return self._chain(parents, ns, merges), None
-                queue.append(ns)
-        return None, "exhausted"
+        near, far = halves
+        path = _trail(near, meeting)[::-1] + _trail(far, meeting)[1:]
+        return self._lift(start, path, target), None
+
+    def meet(self, halves: tuple[dict, dict], bound: int, budget: int):
+        """Bidirectional BFS of the swap quotient.  halves are the parent
+        maps of its two sides, each holding one quotient state mapped to
+        None: the image of the start, then the image of the target.  A
+        state found from another is mapped to it.  Returns (a state both
+        halves hold, None) when the sides meet, else (None, stop reason) by
+        the rule that `_Decider` states.
+
+        Each round expands the whole frontier of the side whose frontier
+        is smaller, the start's on a tie.  The target's side is read
+        backwards, so its moves must be undone inside bound, and all moves
+        are when neither end is longer than bound: a merge then leaves a
+        state shorter than bound, as its unmerge needs.  Otherwise the
+        start's side runs alone.  A side that runs dry holds its whole
+        component; when it is the target's, `walk` weighs the start's
+        component and stops once the weight exceeds budget."""
+        near, far = halves
+        (begin,), (end,) = near, far
+        if begin == end:
+            return begin, None
+        inside = len(begin) < 2 * bound and len(end) < 2 * bound
+        frontiers = [[begin], [end] if inside else []]
+        qmoves = self.qmoves(bound)
+        while frontiers[0]:
+            if inside and not frontiers[1]:
+                return None, "budget" if self.walk(begin, bound, budget) is None else "exhausted"
+            side = 1 if 0 < len(frontiers[1]) < len(frontiers[0]) else 0
+            mine, other = halves[side], halves[1 - side]
+            layer = []
+            for cur in frontiers[side]:
+                for ns in qmoves(cur):
+                    if ns in mine:
+                        continue
+                    if ns in other:
+                        mine[ns] = cur
+                        return ns, None
+                    if len(near) + len(far) >= budget:
+                        return None, "budget"
+                    mine[ns] = cur
+                    layer.append(ns)
+            frontiers[side] = layer
+        return None, "budget" if sum(map(self._quotient.weight, near)) > budget else "exhausted"
+
+    def _lift(self, start, path: list, target) -> tuple[Step, ...]:
+        """Named moves from start along a path of quotient states, from the
+        image of start to the image of target, and then on to target.  Each
+        move of the path replaces one letter Z of the shorter state by three
+        letters X G Y of the longer, and its witness (x, g, y, z)
+        (`_SwapQuotient.witness`) is a concrete merge with those classes.  A
+        class has at most two letters, so one swap puts any letter the
+        witness needs in its place: a merge swaps its three letters to the
+        witness, an unmerge its one letter, and at the end the letters are
+        swapped to those of target.  Swaps keep the length, so the chain
+        stays inside the bound of the path."""
+        witness = self._quotient.witness
+        state, moves = list(start), []
+
+        def put(i: int, c: int) -> None:
+            if state[i] != c:
+                moves.append(("gswap" if i % 2 else "swap", i // 2, (state[i], c)))
+                state[i] = c
+
+        for src, dst in zip(path, path[1:]):
+            merge = len(dst) < len(src)
+            short, long = (dst, src) if merge else (src, dst)
+            i = next(i for i in range(0, len(short), 2)
+                     if short[:i] == long[:i] and short[i + 1:] == long[i + 3:]
+                     and long[i:i + 3] + short[i:i + 1] in witness)
+            x, g, y, z = piece = witness[long[i:i + 3] + short[i:i + 1]]
+            if merge:
+                for j, c in enumerate((x, g, y)):
+                    put(i + j, c)
+                moves.append(("merge", i // 2, piece))
+                state[i:i + 3] = [z]
+            else:
+                put(i, z)
+                moves.append(("unmerge", i // 2, (z, x, g, y)))
+                state[i:i + 1] = [x, g, y]
+        for i, c in enumerate(target):
+            put(i, c)
+        return tuple(self._step(*move) for move in moves)
 
     def reach(self, begin, bound: int, seen: set):
         """Yield the quotient states reachable from the quotient state begin
         that seen does not hold, breadth-first, adding each to seen as it
-        is yielded.  This is the one move loop of the swap quotient."""
-        q = self._quotient
-        qmerge, qfacts = q.qmerge, q.qfacts
+        is yielded."""
+        qmoves = self.qmoves(bound)
         seen.add(begin)
         yield begin
-        todo = deque([begin])
-        while todo:
-            cur = todo.popleft()
-            m = (len(cur) + 1) // 2
-            nexts = [cur[:2 * k] + (z,) + cur[2 * k + 3:]
-                     for k in range(m - 1) for z in qmerge.get(cur[2 * k:2 * k + 3], ())]
-            if m < bound:
-                nexts += [cur[:2 * k] + piece + cur[2 * k + 1:]
-                          for k in range(m) for piece in qfacts.get(cur[2 * k], ())]
-            for ns in nexts:
-                if ns not in seen:
-                    seen.add(ns)
-                    yield ns
-                    todo.append(ns)
+        layer = [begin]
+        while layer:
+            nxt = []
+            for cur in layer:
+                for ns in qmoves(cur):
+                    if ns not in seen:
+                        seen.add(ns)
+                        yield ns
+                        nxt.append(ns)
+            layer = nxt
 
-    def walk(self, start, bound: int, budget: int) -> Optional[tuple[set, int]]:
-        """The quotient component of the coded state start and its weight,
-        the number of states the deque BFS from start visits; None as soon
-        as that weight exceeds budget."""
+    def walk(self, begin, bound: int, budget: int) -> Optional[tuple[set, int]]:
+        """The quotient component of the quotient state begin and its
+        weight, the number of states in the component of a state with image
+        begin; None as soon as that weight exceeds budget."""
         q = self._quotient
         seen: set = set()
         weight = 0
-        for qstate in self.reach(q.image(start), bound, seen):
+        for qstate in self.reach(begin, bound, seen):
             weight += q.weight(qstate)
             if weight > budget:
                 return None
         return seen, weight
-
-    def settle(self, start, target, bound: int, budget: int) -> Optional[str]:
-        """The stop reason of the targeted BFS from start when the swap
-        quotient shows that it finds no chain; None when the BFS must run.
-
-        Two walks of the quotient run at once, from the images of start and
-        of target.  The one from target takes a step only while it holds at
-        most 1/_TARGET_SHARE as many states as the other, and together they
-        hold at most budget quotient states.  When they meet, or would need
-        more states, the answer is None.  When the walk from target ends
-        first, the one from start goes on alone.  When the walk from start
-        ends without meeting the other, target is not in the component of
-        start: a component is the full preimage of its quotient component,
-        and the normal form of a state lies in its component.  The BFS would
-        then return no chain, stopped on "budget" exactly when the component,
-        whose size is the weight of the walk, holds more than budget states,
-        else on "exhausted"."""
-        q = self._quotient
-        near, far = set(), set()
-        ahead = self.reach(q.image(start), bound, near)
-        behind = self.reach(q.image(target), bound, far)
-        while len(near) + len(far) < budget:
-            if behind is not None and len(far) * _TARGET_SHARE <= len(near):
-                qstate = next(behind, None)
-                if qstate is None:
-                    behind = None
-                elif qstate in near:
-                    return None
-            else:
-                qstate = next(ahead, None)
-                if qstate is None:
-                    return "budget" if sum(map(q.weight, near)) > budget else "exhausted"
-                if qstate in far:
-                    return None
-        return None
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and
         the stop reason of its exploration, which walks the swap quotient.
         An exploration that stops on budget claims nothing, so it holds only
         its start: (frozenset((code,)), "budget")."""
-        found = self.walk((code,), bound, budget)
+        found = self.walk((self._quotient.erep[code],), bound, budget)
         if found is None:
             return frozenset((code,)), "budget"
         states = found[0]
@@ -521,17 +569,6 @@ class _Search:
                     out[c] = entry
         return out
 
-    def _chain(self, parents: dict, node, merges: list) -> tuple[Step, ...]:
-        """Named steps along the BFS tree from the start to node, then the
-        merges that normalise node."""
-        moves = []
-        while parents[node] is not None:
-            node, move = parents[node]
-            moves.append(move)
-        moves.reverse()
-        moves.extend(("merge", pos, codes) for pos, *codes in merges)
-        return tuple(self._step(*move) for move in moves)
-
 
 class _Decider:
     """Decides pairs of one-letter words for one report, at one bound and
@@ -544,9 +581,15 @@ class _Decider:
       `_Search.explore` as in `words_equal_within`, on the amalgam's one
       `_Search`, and is undecided unless the probe returns a chain.  So
       probes run only when some class stopped on budget, and no ordered
-      pair is probed twice.  A probe whose quotient walks put the target
-      outside the component of its start settles without the deque BFS
-      (`_Search.settle`); only the others expand states.
+      pair is probed twice;
+    * a probe searches the swap quotient from both ends (`_Search.meet`).
+      Without a chain it stops on "budget" when it finds a state that
+      neither end holds while the two hold budget quotient states or more
+      between them.  When an end runs dry without meeting the other (the
+      target's end runs only when neither word is longer than bound), the
+      target lies outside the start's component, and the probe stops on
+      "budget" if that component weighs more than budget (counts more
+      states than budget), else on "exhausted".
     """
 
     def __init__(self, search: _Search, bound: int, budget: int):

@@ -310,12 +310,22 @@ def per_pair_embedding_report(a, bound, budget):
 
 def targeted_bfs(search, start, bound, budget, target):
     """The targeted deque BFS with the normal-form test on every state it
-    discovers, on the moves of a `_Search`: (chain, stop reason)."""
+    discovers, on the moves of a `_Search`: (chain, stop reason).  The
+    chain is the path of the BFS tree to the first state that normalises
+    to target, then the merges of its normal form."""
     reduce = search.fp.reduce
     parents = {start: None}
+
+    def chain(node, merges):
+        moves = [("merge", pos, tuple(codes)) for pos, *codes in merges]
+        while parents[node] is not None:
+            node, move = parents[node]
+            moves.insert(0, move)
+        return tuple(search._step(*move) for move in moves)
+
     nf, merges = reduce(start)
     if nf == target:
-        return search._chain(parents, start, merges), None
+        return chain(start, merges), None
     queue = deque([start])
     while queue:
         cur = queue.popleft()
@@ -327,16 +337,17 @@ def targeted_bfs(search, start, bound, budget, target):
             parents[ns] = (cur, move)
             nf, merges = reduce(ns)
             if nf == target:
-                return search._chain(parents, ns, merges), None
+                return chain(ns, merges), None
             queue.append(ns)
     return None, "exhausted"
 
 
 def component_bfs(search, start, bound, budget):
     """The deque BFS without a target on the moves of a `_Search`: (the
-    states it visits, stop reason).  Its visited set is the component of
-    start when the stop reason is "exhausted"."""
-    visited = {start}
+    states it visits, as dict keys in the order it visits them, stop
+    reason).  They are the component of start when the stop reason is
+    "exhausted"."""
+    visited = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
@@ -345,7 +356,7 @@ def component_bfs(search, start, bound, budget):
                 continue
             if len(visited) >= budget:
                 return visited, "budget"
-            visited.add(ns)
+            visited[ns] = None
             queue.append(ns)
     return visited, "exhausted"
 

@@ -295,31 +295,31 @@ def test_equal_verdicts_are_monotone_in_bound():
 
 
 def test_equality_chains_are_pinned():
-    # captured from the search before it moved onto the shared word kernel:
-    # any change in move order, BFS order or the final merges shows up here
-    a = make_disjoint_amalgam()
-    fp = a.free_product()
-    v = assert_equal_with_proof(a, fp.parse_word("p g2 r"), fp.parse_word("r g2 q"),
-                                bound=4, budget=20_000)
-    assert v.chain == (
-        Step("swap", 0, ("p", "r")),
-        Step("swap", 1, ("r", "p")),
-        Step("unmerge", 1, ("p", "p", "g1", "q")),
-        Step("swap", 1, ("p", "r")),
-        Step("gswap", 1, ("g1", "g2")),
-        Step("merge", 0, ("r", "g2", "r", "r")),
-    )
-    a, *_ = make_embedded_z4_fixture()
-    fp = a.free_product()
-    v = assert_equal_with_proof(a, fp.parse_word("a0 g b1 g a2 g b3"),
-                                fp.parse_word("a2"), bound=4, budget=20_000)
-    assert v.chain == (
-        Step("swap", 1, ("b1", "a1")),
-        Step("swap", 3, ("b3", "a3")),
-        Step("merge", 0, ("a0", "g", "a1", "a1")),
-        Step("merge", 0, ("a1", "g", "a2", "a3")),
-        Step("merge", 0, ("a3", "g", "a3", "a2")),
-    )
+    # captured from the probe on the swap quotient: any change in move
+    # order, in which side of the search expands, in the witnesses of the
+    # lift or in its final swaps shows up here.  The targeted deque BFS
+    # finds chains of the same lengths
+    disjoint, z4 = make_disjoint_amalgam(), make_embedded_z4_fixture()[0]
+    for a, w1, w2, chain in (
+            (disjoint, "p g2 r", "r g2 q", (
+                Step("gswap", 0, ("g2", "g1")),
+                Step("swap", 1, ("r", "p")),
+                Step("merge", 0, ("p", "g1", "p", "p")),
+                Step("unmerge", 0, ("p", "p", "g1", "q")),
+                Step("swap", 0, ("p", "r")),
+                Step("gswap", 0, ("g1", "g2")))),
+            (z4, "a0 g b1 g a2 g b3", "a2", (
+                Step("swap", 1, ("b1", "a1")),
+                Step("merge", 0, ("a0", "g", "a1", "a1")),
+                Step("merge", 0, ("a1", "g", "a2", "a3")),
+                Step("swap", 1, ("b3", "a3")),
+                Step("merge", 0, ("a3", "g", "a3", "a2"))))):
+        fp = a.free_product()
+        w1, w2 = fp.parse_word(w1), fp.parse_word(w2)
+        v = assert_equal_with_proof(a, w1, w2, bound=4, budget=20_000)
+        assert v.chain == chain
+        ref, _ = targeted_bfs(a._search, fp.encode(w1), 4, 20_000, fp.encode(w2))
+        assert len(ref) == len(chain)
 
 
 def test_replay_validates_each_step():
@@ -727,7 +727,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                 else:
                     visited, limit = bfs(search, (code,), bound, budget)
                 where = (a.name, code, budget)
-                found = search.walk((code,), bound, budget)
+                found = search.walk(search._quotient.image((code,)), bound, budget)
                 if limit == "exhausted":
                     assert search.component(code, bound, budget) == (
                         frozenset(st[0] for st in visited if len(st) == 1), limit), where
@@ -738,117 +738,150 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                     assert found is None, where
 
 
-def _seeded_states(fp, rng, count):
-    """Reduced coded states of 1-3 element letters, drawn from rng."""
+def _seeded_states(fp, rng, count, letters=3):
+    """Reduced coded states of 1 to `letters` element letters, drawn from
+    rng."""
     ne, ng = len(fp.element_names), len(fp.gamma_names)
     out = []
     for _ in range(count):
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, letters + 1))
         raw = [int(rng.integers(ng if k % 2 else ne)) for k in range(2 * m - 1)]
         out.append(fp.reduce(tuple(raw))[0])
     return out
 
 
-@pytest.mark.parametrize("swapped", [False, True])
-def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
-    # a targeted search walks the swap quotient (`settle`) before its deque
-    # BFS; with settle turned off the BFS alone is the reference, and both
-    # give the same chain and stop reason.  Starts and targets have up to
-    # three letters, so some are longer than the bound
-    rng = np.random.default_rng(14)
+def _spy_on_halves(monkeypatch) -> list:
+    """The two parent maps of every probe from now on."""
+    held = []
+    meet = gsg.amalgams._Search.meet
+
+    def spy(self, halves, bound, budget):
+        held.append(halves)
+        return meet(self, halves, bound, budget)
+
+    monkeypatch.setattr(gsg.amalgams._Search, "meet", spy)
+    return held
+
+
+def _unmerges_inside(chain, start, bound) -> bool:
+    """Whether every unmerge of the chain starts from a state with fewer
+    than bound element letters, as the search's own unmerges do."""
+    m = (len(start) + 1) // 2
+    for step in chain:
+        if step.kind == "unmerge" and m >= bound:
+            return False
+        m += {"merge": -1, "unmerge": 1}.get(step.kind, 0)
+    return True
+
+
+def _deque_reference(search, start, bound):
+    """targeted_bfs from start at every budget up to 200k and for every
+    target at once, read off one untargeted run: a function of (target,
+    budget) that gives whether targeted_bfs finds a chain, and its stop
+    reason.  The two BFS visit states in one order, so targeted_bfs at
+    budget b finds a chain exactly when the i-th state visited normalises to
+    target for some i < b; otherwise it stops as the untargeted run does."""
+    visited, limit = component_bfs(search, start, bound, 200_000)
+    first: dict = {}
+    for i, state in enumerate(visited):
+        first.setdefault(search.fp.reduce(state)[0], i)
+
+    def ref(target, budget):
+        if first.get(target, budget) < budget:
+            return True, None
+        return False, ("exhausted" if limit == "exhausted" and len(visited) <= budget
+                       else "budget")
+    return ref
+
+
+def test_quotient_probe_claims_no_more_than_the_deque_bfs(monkeypatch):
+    # a probe searches the swap quotient from both ends and lifts the path
+    # it finds; the targeted deque BFS on the states themselves is its
+    # reference.  Whenever the BFS finds a chain the probe finds one too,
+    # which replays to the target and unmerges only inside the bound; the
+    # probe says "exhausted" only when the BFS does; its two halves hold at
+    # most budget quotient states, or the two it starts from.  Pairs are
+    # every ordered pair of one-letter states and seeded pairs of states of
+    # up to two letters.  The BFS runs only for starts with a pair the probe
+    # leaves without a chain
+    held = _spy_on_halves(monkeypatch)
+    rng = np.random.default_rng(16)
     for a in _all_amalgams():
-        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
+        search = gsg.amalgams._Search(a)
         fp = search.fp
+        n = len(fp.element_names)
         for bound in (1, 2, 3, 4, 5):
-            states = _seeded_states(fp, rng, 6)
-            for start, target in zip(states[0::2], states[1::2]):
+            states = _seeded_states(fp, rng, 12, letters=2)
+            pairs = [((x,), (y,)) for x in range(n) for y in range(n) if x != y]
+            pairs += zip(states[0::2], states[1::2])
+            refs: dict = {}
+            for start, target in pairs:
                 for budget in (1, 2, 50, 2000, 200_000):
                     where = (a.name, bound, budget, start, target)
+                    held.clear()
                     chain, limit = search.explore(start, bound, budget, target)
-                    with monkeypatch.context() as m:
-                        m.setattr(gsg.amalgams._Search, "settle", lambda *args: None)
-                        ref_chain, ref_limit = search.explore(start, bound, budget, target)
-                    assert (chain, limit) == (ref_chain, ref_limit), where
+                    near, far = held[0]
+                    assert len(near.keys() | far.keys()) <= max(budget, 2), where
+                    if chain is not None:
+                        assert limit is None, where
+                        assert fp.encode(replay_chain(a, fp.decode(start), chain)) == target
+                        assert _unmerges_inside(chain, start, bound), where
+                        continue
+                    if start not in refs:
+                        refs[start] = _deque_reference(search, start, bound)
+                    found, ref_limit = refs[start](target, budget)
+                    if budget <= 50:
+                        ref_chain, direct_limit = targeted_bfs(search, start, bound, budget, target)
+                        assert (ref_chain is not None, direct_limit) == (found, ref_limit), where
+                    assert not found, where
+                    assert limit == "budget" or ref_limit == "exhausted", where
             # the walk's weight counts the states of the untargeted BFS,
             # from multi-letter starts too
             for start in states:
                 visited, limit = component_bfs(search, start, bound, 2000)
-                walked = search.walk(start, bound, 2000)
+                walked = search.walk(search._quotient.image(start), bound, 2000)
                 if limit == "exhausted":
                     assert walked is not None and walked[1] == len(visited), (a.name, start)
                 else:
                     assert walked is None, (a.name, start)
 
 
-def test_normal_form_test_only_after_swaps(monkeypatch):
-    # merges and unmerges keep the element of the free product, so a
-    # targeted BFS that tests only the start and states found by a swap
-    # returns what testing every state returns
-    monkeypatch.setattr(gsg.amalgams._Search, "settle", lambda *args: None)
-    rng = np.random.default_rng(41)
-    for a in _all_amalgams():
-        search = gsg.amalgams._Search(a)
-        reduce = search.fp.reduce
-        visited, _ = component_bfs(search, (0,), 4, 2000)
-        for state in visited:
-            nf = reduce(state)[0]
-            for ns, move in search.neighbors(state, 4):
-                if move[0] in ("merge", "unmerge"):
-                    assert reduce(ns)[0] == nf, (a.name, state, move)
-        for bound in (1, 2, 3, 4, 5):
-            states = _seeded_states(search.fp, rng, 6)
-            for start, target in zip(states[0::2], states[1::2]):
-                for budget in (1, 2, 50, 2000):
-                    chain, limit = search.explore(start, bound, budget, target)
-                    assert (chain, limit) == targeted_bfs(
-                        search, start, bound, budget, target), (a.name, bound, budget)
-
-
-def _spy_on_quotient_states(monkeypatch) -> list:
-    """Every quotient state the walks yield from now on."""
-    held = []
-    reach = gsg.amalgams._Search.reach
-
-    def spy(self, begin, bound, seen):
-        for qstate in reach(self, begin, bound, seen):
-            held.append(qstate)
-            yield qstate
-
-    monkeypatch.setattr(gsg.amalgams._Search, "reach", spy)
-    return held
-
-
 def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
     # at bound 5 the class walk from z1 reaches a only after about 64k
-    # quotient states; a's own walk reaches z1 in 4, so the two walks meet
-    # while they hold a few dozen, and the probe falls through to the BFS
-    held = _spy_on_quotient_states(monkeypatch)
+    # quotient states; a's own side reaches z1 in 4, so the two sides meet
+    # while they hold a few dozen states, and the probe proves z1 = a
+    held = _spy_on_halves(monkeypatch)
     a = null_collision_amalgam()
     fp = a.free_product()
-    v = words_equal_within(a, fp.embed(0, "z1"), fp.embed(0, "a"), bound=5, budget=2000)
-    assert (v.equal, v.limit) == (False, "budget")
-    assert len(held) < 100
+    w1, w2 = fp.embed(0, "z1"), fp.embed(0, "a")
+    v = assert_equal_with_proof(a, w1, w2, bound=5, budget=2000)
+    assert len(v.chain) == 8 and _unmerges_inside(v.chain, fp.encode(w1), 5)
+    (near, far), = held
+    assert len(near) + len(far) < 100
 
 
-def test_precheck_holds_at_most_budget_quotient_states(monkeypatch):
-    # the quotient component of a1 at bound 4 has more than 50 states, so
-    # the walks stop at 50 and the BFS decides
-    held = _spy_on_quotient_states(monkeypatch)
+def test_probe_holds_at_most_budget_quotient_states(monkeypatch):
+    # the quotient component of a1 at bound 4 has more than 50 states and
+    # does not hold the image of b2, so the probe stops once its two halves
+    # hold 50 states, or the two it starts from
+    held = _spy_on_halves(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
-    assert len(gsg.amalgams._Search(a).walk(fp.encode(w1), 4, 10**6)[0]) > 50
+    search = gsg.amalgams._Search(a)
+    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6)[0]) > 50
     for budget in (1, 2, 50):
         held.clear()
         v = words_equal_within(a, w1, w2, bound=4, budget=budget)
         assert (v.equal, v.limit) == (False, "budget")
-        assert len(held) == budget
+        (near, far), = held
+        assert len(near) + len(far) == max(budget, 2)
 
 
 def test_separated_probe_expands_no_state(monkeypatch):
-    # psi1, psi2 fold a1 and b2 apart, so no chain joins them; the quotient
-    # walk sees that the class image of b2 is not in the component of a1,
-    # which holds more than 1000 states, and the deque BFS never runs
+    # psi1, psi2 fold a1 and b2 apart, so no chain joins them; the probe
+    # works on the swap quotient alone and never expands a state of the
+    # search, whatever it finds: neighbors() serves replay only
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
@@ -860,9 +893,11 @@ def test_separated_probe_expands_no_state(monkeypatch):
                         or neighbors(self, state, bound))
     v = words_equal_within(a, w1, w2, bound=4, budget=1000)
     assert (v.equal, v.limit) == (False, "budget")
-    assert expanded == []
-    # a pair in one component still runs the BFS for its chain
-    assert_equal_with_proof(a, fp.embed(0, "a1"), fp.embed(1, "b1"), bound=4, budget=1000)
+    # a pair in one component gets its chain without expanding a state too
+    w2 = fp.embed(1, "b1")
+    v = words_equal_within(a, w1, w2, bound=4, budget=1000)
+    assert v.equal and expanded == []
+    assert replay_chain(a, w1, v.chain) == w2
     assert expanded
 
 
@@ -918,7 +953,7 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
     # {a0, b0} and {a1, b1}, each from its part-1 member
     fp = a.free_product()
     assert [fp.decode((c,)) for c in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
-    # every class exhausted: no probe ran the deque BFS
+    # every class exhausted: no probe ran
     assert explores == []
     # class explorations never run it: at the default limits some classes
     # of core_not_regular stop on budget, and only targeted probes follow

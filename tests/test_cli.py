@@ -174,8 +174,10 @@ amalgam-check: PASS
 
 
 def test_amalgam_check_budget_stop_is_inconclusive(capsys):
-    # at the default budget this run proves a0 = b0 and a1 = b1; a budget of
-    # one state proves nothing, so it may claim neither absence nor PASS
+    # a budget of one state settles no class, so the run may claim neither
+    # absence of collisions nor PASS; a0 = b0 and a1 = b1 are still proven,
+    # each by one swap, because both sides of the probe have one image in
+    # the swap quotient
     code, out, _ = invoke(capsys, "amalgam-check", TWO_COPIES,
                           "--amalgam", "two_copies", "--budget", "1")
     assert code == 3
@@ -187,7 +189,9 @@ relations: 2 element pair(s)
   a1 ~ b1
 injectivity S1: budget 1 ran out before bound 6
 injectivity S2: budget 1 ran out before bound 6
-intersection: no cross pairs proven equal
+intersection: 2 cross pair(s) proven equal
+  a0 = b0: resolved by core element u0
+  a1 = b1: resolved by core element u1
 verdict: inconclusive
 amalgam-check: INCONCLUSIVE
 """
@@ -254,9 +258,9 @@ intersection: 1 cross pair(s) proven equal
 verdict: consistent-within-bound
 amalgam-check: PASS
 """),
-    # the whole core is glued, and S1's classes outgrow the default budget
-    # before bound 6; at bound 3 this amalgam fails with three collisions
-    "amalgam_null_collision.gsg": ("null_collision", 3, """\
+    # the whole core is glued; S1's classes outgrow the default budget before
+    # bound 6, and targeted probes prove the three collisions, as at bound 3
+    "amalgam_null_collision.gsg": ("null_collision", 1, """\
 amalgam null_collision: core U, parts S1 S2, mode same-gamma
 necessary-condition: not-applicable (not completely alpha-regular: S1, S2)
 relations: 4 element pair(s)
@@ -264,17 +268,49 @@ relations: 4 element pair(s)
   u1 ~ u2
   v1 ~ v2
   z1 ~ z2
-injectivity S1: budget 200000 ran out before bound 6
 injectivity S2: no collisions within bound 6
+collision in S1: z1 = a proven by:
+    1. swap @0: z1 -> z2
+    2. unmerge @0: z2 -> z2 g q
+    3. swap @0: z2 -> z1
+    4. unmerge @0: z1 -> x g p1
+    5. swap @1: p1 -> p2
+    6. merge @1: p2 g q -> u2
+    7. swap @1: u2 -> u1
+    8. merge @0: x g u1 -> a
+collision in S1: z1 = b proven by:
+    1. swap @0: z1 -> z2
+    2. unmerge @0: z2 -> z2 g r
+    3. swap @0: z2 -> z1
+    4. unmerge @0: z1 -> x g p1
+    5. swap @1: p1 -> p2
+    6. merge @1: p2 g r -> v2
+    7. swap @1: v2 -> v1
+    8. merge @0: x g v1 -> b
+collision in S1: a = b proven by:
+    1. unmerge @0: a -> x g u1
+    2. swap @1: u1 -> u2
+    3. unmerge @1: u2 -> p2 g q
+    4. swap @1: p2 -> p1
+    5. merge @0: x g p1 -> z1
+    6. swap @0: z1 -> z2
+    7. merge @0: z2 g q -> z2
+    8. unmerge @0: z2 -> z2 g r
+    9. swap @0: z2 -> z1
+    10. unmerge @0: z1 -> x g p1
+    11. swap @1: p1 -> p2
+    12. merge @1: p2 g r -> v2
+    13. swap @1: v2 -> v1
+    14. merge @0: x g v1 -> b
 intersection: 6 cross pair(s) proven equal
   p1 = p2: resolved by core element p
   u1 = u2: resolved by core element u
   v1 = v2: resolved by core element v
   z1 = z2: resolved by core element z
-  a = z2: unresolved within bound 6
-  b = z2: unresolved within bound 6
-verdict: inconclusive
-amalgam-check: INCONCLUSIVE
+  a = z2: resolved by core element z
+  b = z2: resolved by core element z
+verdict: violation-found
+amalgam-check: FAIL
 """),
     "amalgam_leftzero.gsg": ("leftzero", 0, """\
 amalgam leftzero: core U, parts S1 S2, mode same-gamma
