@@ -794,7 +794,8 @@ def _deque_reference(search, start, bound):
     return ref
 
 
-def test_quotient_probe_claims_no_more_than_the_deque_bfs(monkeypatch):
+@pytest.mark.parametrize("swapped", [False, True])
+def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
     # a probe searches the swap quotient from both ends and lifts the path
     # it finds; the targeted deque BFS on the states themselves is its
     # reference.  Whenever the BFS finds a chain the probe finds one too,
@@ -802,11 +803,13 @@ def test_quotient_probe_claims_no_more_than_the_deque_bfs(monkeypatch):
     # probe says "exhausted" only when the BFS does; its two halves hold at
     # most budget quotient states, or the two it starts from.  Pairs are
     # every ordered pair of one-letter states and seeded pairs of states of
-    # up to two letters.  The BFS runs only for starts with a pair the probe
-    # leaves without a chain
+    # up to two letters, on every fixture and on it with the parts swapped.
+    # The BFS runs only for starts with a pair the probe leaves without a
+    # chain
     held = _spy_on_halves(monkeypatch)
     rng = np.random.default_rng(16)
     for a in _all_amalgams():
+        a = swap_parts(a) if swapped else a
         search = gsg.amalgams._Search(a)
         fp = search.fp
         n = len(fp.element_names)
