@@ -70,6 +70,24 @@ itself; `_Search.neighbors` serves replay.
 
 An amalgam is immutable, so it builds its search (moves, factorizations,
 swap quotient) once, on first use, and every entry point reads that one.
+
+The search remembers, per bound, every whole quotient component it has
+walked: its quotient states and its weight, both fixed by the amalgam and
+the bound, whatever the budget.  A class walk that ends without passing its
+budget records one, and so does a side of a probe that runs dry.  Only
+components are recorded, never the part of one a search saw before it
+stopped on budget, and only from starts with at most bound element letters:
+from a longer start, a merge leads to a word still not shorter than bound,
+which may not be unmerged back, so the states reachable from it are not a
+component.  A later walk from a recorded state returns the record.  A probe
+whose start lies in a recorded component that does not hold its target has
+no chain, and its stop reason follows from the records as it would from the
+search: "budget" when the component weighs more than budget; "exhausted"
+when the target's component is recorded too and the two hold at most budget
+quotient states between them, so that the halves of the search, each inside
+its own component, never reach the cap.  In every other case the probe
+searches, so a chain is always the search's own, and every answer is the
+one a new search would give.
 """
 
 from __future__ import annotations
@@ -301,6 +319,14 @@ class _SwapQuotient(NamedTuple):
                 * prod(map(self.gsize.__getitem__, qstate[1::2])))
 
 
+class _Component(NamedTuple):
+    """The quotient states reachable from one start at one bound.  From a
+    start with at most bound element letters they are a whole component,
+    and the search's table at that bound maps each of them to it."""
+    size: int     # how many quotient states it holds
+    weight: int   # how many states of the search they stand for
+
+
 class _Search:
     """The moves of the bounded search over coded states of the amalgam's
     free product, and the searches of its swap quotient: class walks and
@@ -321,6 +347,11 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
+        # bound -> key of a quotient state -> the recorded component that
+        # holds it.  A key is the state's bytes when every code fits in one,
+        # about a third of the memory of the tuple
+        self._components: dict[int, dict[object, _Component]] = {}
+        self._key = bytes if max(len(fp.element_names), len(fp.gamma_names)) <= 256 else tuple
 
     @cached_property
     def _quotient(self) -> _SwapQuotient:
@@ -443,18 +474,37 @@ class _Search:
         are when neither end is longer than bound: a merge then leaves a
         state shorter than bound, as its unmerge needs.  Otherwise the
         start's side runs alone.  A side that runs dry holds its whole
-        component; when it is the target's, `walk` weighs the start's
-        component and stops once the weight exceeds budget."""
+        component and records it; when it is the target's, the start's
+        side goes on alone, weighing its component, until the weight
+        exceeds budget or the component is complete.
+
+        When the start's image lies in a recorded component that does not
+        hold the target's image, there is no chain, and the stop reason is
+        read off the records without expanding a state: "budget" when that
+        component weighs more than budget, "exhausted" when the target's
+        component is recorded too and the two hold at most budget quotient
+        states between them, so that the halves could never reach the cap.
+        Otherwise the search runs."""
         near, far = halves
         (begin,), (end,) = near, far
         if begin == end:
             return begin, None
+        known = self._components.get(bound, {})
+        here, there = known.get(self._key(begin)), known.get(self._key(end))
+        if here is not None and here is not there:
+            if here.weight > budget:
+                return None, "budget"
+            if there is not None and here.size + there.size <= budget:
+                return None, "exhausted"
         inside = len(begin) < 2 * bound and len(end) < 2 * bound
         frontiers = [[begin], [end] if inside else []]
-        qmoves = self.qmoves(bound)
+        qmoves, weigh = self.qmoves(bound), self._quotient.weight
         while frontiers[0]:
             if inside and not frontiers[1]:
-                return None, "budget" if self.walk(begin, bound, budget) is None else "exhausted"
+                self._record(end, far, sum(map(weigh, far)), bound)
+                found = self._grow(begin, set(near), frontiers[0],
+                                   sum(map(weigh, near)), bound, budget)
+                return None, "budget" if found is None else "exhausted"
             side = 1 if 0 < len(frontiers[1]) < len(frontiers[0]) else 0
             mine, other = halves[side], halves[1 - side]
             layer = []
@@ -470,7 +520,9 @@ class _Search:
                     mine[ns] = cur
                     layer.append(ns)
             frontiers[side] = layer
-        return None, "budget" if sum(map(self._quotient.weight, near)) > budget else "exhausted"
+        total = sum(map(weigh, near))
+        self._record(begin, near, total, bound)
+        return None, "budget" if total > budget else "exhausted"
 
     def _lift(self, start, path: list, target) -> tuple[Step, ...]:
         """Named moves from start along a path of quotient states, from the
@@ -511,48 +563,67 @@ class _Search:
             put(i, c)
         return tuple(self._step(*move) for move in moves)
 
-    def reach(self, begin, bound: int, seen: set):
-        """Yield the quotient states reachable from the quotient state begin
-        that seen does not hold, breadth-first, adding each to seen as it
-        is yielded."""
-        qmoves = self.qmoves(bound)
-        seen.add(begin)
-        yield begin
-        layer = [begin]
+    def _record(self, begin, states, weight: int, bound: int) -> _Component:
+        """The component of the quotient state begin at bound, whose
+        quotient states are states, all those reachable from begin, of total
+        weight weight.  Each of them is mapped to it only when begin has at
+        most bound element letters; from a longer start, the states
+        reachable are not a component, since a merge that shortens it has
+        no inverse inside bound."""
+        found = _Component(len(states), weight)
+        if len(begin) < 2 * bound:
+            table = self._components.setdefault(bound, {})
+            for qstate in states:
+                table[self._key(qstate)] = found
+        return found
+
+    def _grow(self, begin, seen: set, layer: list, weight: int, bound: int,
+              budget: int) -> Optional[_Component]:
+        """Go on with a breadth-first search of the swap quotient from the
+        quotient state begin: seen holds the states it has found, of total
+        weight weight, and layer those whose successors it has not looked
+        at yet.  None as soon as the weight exceeds budget, else the
+        component, which is recorded."""
+        if weight > budget:
+            return None
+        qmoves, q = self.qmoves(bound), self._quotient
         while layer:
             nxt = []
             for cur in layer:
                 for ns in qmoves(cur):
                     if ns not in seen:
+                        weight += q.weight(ns)
+                        if weight > budget:
+                            return None
                         seen.add(ns)
-                        yield ns
                         nxt.append(ns)
             layer = nxt
+        return self._record(begin, seen, weight, bound)
 
-    def walk(self, begin, bound: int, budget: int) -> Optional[tuple[set, int]]:
-        """The quotient component of the quotient state begin and its
-        weight, the number of states in the component of a state with image
-        begin; None as soon as that weight exceeds budget."""
-        q = self._quotient
-        seen: set = set()
-        weight = 0
-        for qstate in self.reach(begin, bound, seen):
-            weight += q.weight(qstate)
-            if weight > budget:
-                return None
-        return seen, weight
+    def walk(self, begin, bound: int, budget: int) -> Optional[_Component]:
+        """The quotient component of the quotient state begin: how many
+        quotient states it holds, and its weight, the number of states in
+        the component of a state with image begin; None as soon as that
+        weight exceeds budget.  A recorded component is read back without
+        a search."""
+        found = self._components.get(bound, {}).get(self._key(begin))
+        if found is None:
+            return self._grow(begin, {begin}, [begin], self._quotient.weight(begin),
+                              bound, budget)
+        return None if found.weight > budget else found
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and
         the stop reason of its exploration, which walks the swap quotient.
         An exploration that stops on budget claims nothing, so it holds only
         its start: (frozenset((code,)), "budget")."""
-        found = self.walk((self._quotient.erep[code],), bound, budget)
+        erep = self._quotient.erep
+        found = self.walk((erep[code],), bound, budget)
         if found is None:
             return frozenset((code,)), "budget"
-        states = found[0]
-        return frozenset(c for c, r in enumerate(self._quotient.erep)
-                         if (r,) in states), "exhausted"
+        table, key = self._components[bound], self._key
+        return frozenset(c for c, r in enumerate(erep)
+                         if table.get(key((r,))) is found), "exhausted"
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).
@@ -590,6 +661,10 @@ class _Decider:
       target lies outside the start's component, and the probe stops on
       "budget" if that component weighs more than budget (counts more
       states than budget), else on "exhausted".
+
+    The components the search records (see the module docstring) change
+    none of these rules: a walk or probe that reads them gives the answer
+    its search would give, and only skips the work.
     """
 
     def __init__(self, search: _Search, bound: int, budget: int):
@@ -615,9 +690,12 @@ class _Decider:
         return True if self.chain(x, y) is not None else None
 
 
-def _check_limits(bound: int, budget: int) -> None:
+def _search_within(a: GammaAmalgam, bound: int, budget: int) -> _Search:
+    """The amalgam's search, for an entry point that runs it at bound and
+    budget, once both are checked to be positive."""
     if bound < 1 or budget < 1:
         raise ValueError("bound and budget must be positive")
+    return a._search
 
 
 def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
@@ -628,8 +706,7 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     Equal means proven equal, with the move chain from w1 to w2 attached.
     An inconclusive verdict carries no claim at all: the pair may be equal
     through longer words or not equal at all."""
-    _check_limits(bound, budget)
-    search = a._search
+    search = _search_within(a, bound, budget)
     for w in (w1, w2):
         if not search.fp.is_reduced(w):
             raise MalformedSequence(f"word {w} is not reduced")
@@ -661,8 +738,7 @@ def mu(a: GammaAmalgam, part: int, element: str,
     `pushout_mediator` reports which case its representatives are in."""
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    _check_limits(bound, budget)
-    search = a._search
+    search = _search_within(a, bound, budget)
     fp = search.fp
     members, _ = search.component(fp.encode(fp.embed(part - 1, element))[0], bound, budget)
     return fp.decode((min(members),))
@@ -720,8 +796,7 @@ def check_natural_embedding(a: GammaAmalgam,
     exploration stopped on budget; failing that, by the first u for which
     f1(u) = e1 is proven, else by none.
     """
-    _check_limits(bound, budget)
-    search = a._search
+    search = _search_within(a, bound, budget)
     decide = _Decider(search, bound, budget)
     code = {e: c for c, e in enumerate(search.fp.element_names)}
 
@@ -795,8 +870,7 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
     through them and certify the mediating-map equations.  The canonical
     representative of each part element is `mu`'s, read off one
     exploration per class."""
-    _check_limits(bound, budget)
-    search = a._search
+    search = _search_within(a, bound, budget)
     fp = search.fp
     f1, f2 = a.maps
     for g, part in zip((g1, g2), a.parts):

@@ -805,7 +805,8 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
     # every ordered pair of one-letter states and seeded pairs of states of
     # up to two letters, on every fixture and on it with the parts swapped.
     # The BFS runs only for starts with a pair the probe leaves without a
-    # chain
+    # chain.  Each probe runs on a fresh search, so that no component an
+    # earlier probe recorded spares it the traversal its halves measure
     held = _spy_on_halves(monkeypatch)
     rng = np.random.default_rng(16)
     for a in _all_amalgams():
@@ -822,7 +823,7 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
                 for budget in (1, 2, 50, 2000, 200_000):
                     where = (a.name, bound, budget, start, target)
                     held.clear()
-                    chain, limit = search.explore(start, bound, budget, target)
+                    chain, limit = gsg.amalgams._Search(a).explore(start, bound, budget, target)
                     near, far = held[0]
                     assert len(near.keys() | far.keys()) <= max(budget, 2), where
                     if chain is not None:
@@ -866,19 +867,55 @@ def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
 def test_probe_holds_at_most_budget_quotient_states(monkeypatch):
     # the quotient component of a1 at bound 4 has more than 50 states and
     # does not hold the image of b2, so the probe stops once its two halves
-    # hold 50 states, or the two it starts from
+    # hold 50 states, or the two it starts from.  The walk runs on a search
+    # of its own and each probe on an amalgam no earlier call has used, so
+    # no recorded component spares a probe its traversal
     held = _spy_on_halves(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     search = gsg.amalgams._Search(a)
-    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6)[0]) > 50
+    assert search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6).size > 50
     for budget in (1, 2, 50):
         held.clear()
-        v = words_equal_within(a, w1, w2, bound=4, budget=budget)
+        v = words_equal_within(make_embedded_z4_fixture()[0], w1, w2, bound=4, budget=budget)
         assert (v.equal, v.limit) == (False, "budget")
         (near, far), = held
         assert len(near) + len(far) == max(budget, 2)
+
+
+def _spy_on_expansions(monkeypatch) -> list:
+    """Every quotient state expanded from now on."""
+    expanded = []
+    qmoves = gsg.amalgams._Search.qmoves
+
+    def spy(self, bound):
+        successors = qmoves(self, bound)
+        return lambda qstate: expanded.append(qstate) or successors(qstate)
+
+    monkeypatch.setattr(gsg.amalgams._Search, "qmoves", spy)
+    return expanded
+
+
+def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
+    # the first probe from a1 to b2 runs its start's side dry, so it records
+    # the component of a1, which weighs more than the budget, and stops on
+    # budget.  The same probe again, and the class walk from a1, read that
+    # record and expand nothing
+    expanded = _spy_on_expansions(monkeypatch)
+    a = make_embedded_z4_fixture()[0]
+    fp = a.free_product()
+    w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
+    first = words_equal_within(a, w1, w2, bound=4, budget=1000)
+    assert (first.equal, first.limit) == (False, "budget")
+    table, key = a._search._components[4], a._search._key
+    recorded = table[key(a._search._quotient.image(fp.encode(w1)))]
+    assert recorded.weight > 1000
+    assert {k for k, found in table.items() if found is recorded} <= set(map(key, expanded))
+    expanded.clear()
+    assert words_equal_within(a, w1, w2, bound=4, budget=1000) == first
+    assert mu(a, 1, "a1", bound=4, budget=1000) == w1
+    assert expanded == []
 
 
 def test_separated_probe_expands_no_state(monkeypatch):
@@ -902,6 +939,63 @@ def test_separated_probe_expands_no_state(monkeypatch):
     assert v.equal and expanded == []
     assert replay_chain(a, w1, v.chain) == w2
     assert expanded
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_search_answers_do_not_depend_on_earlier_queries(swapped):
+    # a search remembers every whole quotient component it walks, per
+    # bound, and later walks and probes read them back; so each answer is
+    # that of a fresh search asked that one question.  Walks, class
+    # explorations and probes run in a shuffled order on one search per
+    # fixture and part order, at every bound, from one-letter states and
+    # seeded states of up to three letters, which are longer than the bound
+    # at bounds 1 and 2.  Besides the usual budgets, each bound runs at the
+    # weight of every class up to 2000: there a probe from that class to
+    # another may stop on budget only because its halves reach the cap.  A
+    # walk that stops on budget, or starts from a state longer than the
+    # bound, records nothing
+    rng = np.random.default_rng(17)
+    for a in _all_amalgams():
+        a = swap_parts(a) if swapped else a
+        search = gsg.amalgams._Search(a)
+        image = search._quotient.image
+        n = len(search.fp.element_names)
+        starts = [(c,) for c in range(n)] + _seeded_states(search.fp, rng, 8)
+        pairs = [(x, y) for x in starts for y in starts if x != y]
+        pairs = [pairs[i] for i in rng.choice(len(pairs), min(len(pairs), 60), replace=False)]
+        queries = []
+        for bound in (1, 2, 3, 4, 5):
+            walks = [gsg.amalgams._Search(a).walk(image((c,)), bound, 2000) for c in range(n)]
+            weights = {found.weight for found in walks if found is not None}
+            for budget in weights | {1, 2, 50, 2000, 200_000}:
+                queries.append(("classes", (bound, budget)))
+                queries += [("component", (c, bound, budget)) for c in range(n)]
+                queries += [("walk", (image(s), bound, budget)) for s in starts]
+                queries += [("explore", (s, bound, budget, t)) for s, t in pairs]
+        for i in rng.permutation(len(queries)):
+            kind, args = queries[i]
+            recorded = sum(map(len, search._components.values()))
+            got = getattr(search, kind)(*args)
+            assert got == getattr(gsg.amalgams._Search(a), kind)(*args), (a.name, kind, args)
+            if kind == "walk" and (got is None or len(args[0]) >= 2 * args[1]):
+                assert sum(map(len, search._components.values())) == recorded, (a.name, args)
+
+
+def test_records_keyed_by_tuples_give_the_same_answers():
+    # a product with more than 256 letters of one sort keys its records by
+    # the quotient states themselves instead of their bytes
+    a = null_collision_amalgam()
+    search = gsg.amalgams._Search(a)
+    assert search._key is bytes
+    search._key = tuple
+    n = len(search.fp.element_names)
+    for bound, budget in ((3, 2000), (4, 50), (3, 200_000), (4, 2000)):
+        assert search.classes(bound, budget) == gsg.amalgams._Search(a).classes(bound, budget)
+        for x in range(n):
+            for y in range(n):
+                assert search.explore((x,), bound, budget, (y,)) == \
+                    gsg.amalgams._Search(a).explore((x,), bound, budget, (y,)), (bound, budget, x, y)
+    assert all(type(k) is tuple for table in search._components.values() for k in table)
 
 
 def test_one_search_per_amalgam(monkeypatch):
