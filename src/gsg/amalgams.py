@@ -87,7 +87,9 @@ when the target's component is recorded too and the two hold at most budget
 quotient states between them, so that the halves of the search, each inside
 its own component, never reach the cap.  In every other case the probe
 searches, so a chain is always the search's own, and every answer is the
-one a new search would give.
+one a new search would give.  The records hold at most `_RECORD_LIMIT`
+quotient states over all bounds: a larger component is not recorded, and
+one that would pass the limit drops every older record first.
 """
 
 from __future__ import annotations
@@ -139,6 +141,9 @@ __all__ = [
 
 DEFAULT_BOUND = 6
 DEFAULT_BUDGET = 200_000
+
+# the most quotient states one search keeps records of, over all bounds
+_RECORD_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -322,9 +327,11 @@ class _SwapQuotient(NamedTuple):
 class _Component(NamedTuple):
     """The quotient states reachable from one start at one bound.  From a
     start with at most bound element letters they are a whole component,
-    and the search's table at that bound maps each of them to it."""
-    size: int     # how many quotient states it holds
-    weight: int   # how many states of the search they stand for
+    and when the search records it, its table at that bound maps each of
+    them to it."""
+    size: int             # how many quotient states it holds
+    weight: int           # how many states of the search they stand for
+    letters: frozenset    # the classes X of its one-letter states (X,)
 
 
 class _Search:
@@ -347,11 +354,8 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
-        # bound -> key of a quotient state -> the recorded component that
-        # holds it.  A key is the state's bytes when every code fits in one,
-        # about a third of the memory of the tuple
-        self._components: dict[int, dict[object, _Component]] = {}
-        self._key = bytes if max(len(fp.element_names), len(fp.gamma_names)) <= 256 else tuple
+        # bound -> quotient state -> the recorded component that holds it
+        self._components: dict[int, dict[tuple, _Component]] = {}
 
     @cached_property
     def _quotient(self) -> _SwapQuotient:
@@ -490,7 +494,7 @@ class _Search:
         if begin == end:
             return begin, None
         known = self._components.get(bound, {})
-        here, there = known.get(self._key(begin)), known.get(self._key(end))
+        here, there = known.get(begin), known.get(end)
         if here is not None and here is not there:
             if here.weight > budget:
                 return None, "budget"
@@ -566,15 +570,23 @@ class _Search:
     def _record(self, begin, states, weight: int, bound: int) -> _Component:
         """The component of the quotient state begin at bound, whose
         quotient states are states, all those reachable from begin, of total
-        weight weight.  Each of them is mapped to it only when begin has at
-        most bound element letters; from a longer start, the states
-        reachable are not a component, since a merge that shortens it has
-        no inverse inside bound."""
-        found = _Component(len(states), weight)
-        if len(begin) < 2 * bound:
+        weight weight.  It is recorded, each of its states mapped to it,
+        only when begin has at most bound element letters (from a longer
+        start the states reachable are not a component, since a merge that
+        shortens it has no inverse inside bound) and it holds at most
+        _RECORD_LIMIT states.  The records of every bound are dropped first
+        when they would hold more."""
+        table = self._components.get(bound, {})
+        if begin in table:
+            return table[begin]
+        found = _Component(len(states), weight,
+                           frozenset(qstate[0] for qstate in states if len(qstate) == 1))
+        if len(begin) < 2 * bound and len(states) <= _RECORD_LIMIT:
+            if sum(map(len, self._components.values())) + len(states) > _RECORD_LIMIT:
+                self._components.clear()
             table = self._components.setdefault(bound, {})
             for qstate in states:
-                table[self._key(qstate)] = found
+                table[qstate] = found
         return found
 
     def _grow(self, begin, seen: set, layer: list, weight: int, bound: int,
@@ -606,7 +618,7 @@ class _Search:
         the component of a state with image begin; None as soon as that
         weight exceeds budget.  A recorded component is read back without
         a search."""
-        found = self._components.get(bound, {}).get(self._key(begin))
+        found = self._components.get(bound, {}).get(begin)
         if found is None:
             return self._grow(begin, {begin}, [begin], self._quotient.weight(begin),
                               bound, budget)
@@ -621,9 +633,7 @@ class _Search:
         found = self.walk((erep[code],), bound, budget)
         if found is None:
             return frozenset((code,)), "budget"
-        table, key = self._components[bound], self._key
-        return frozenset(c for c, r in enumerate(erep)
-                         if table.get(key((r,))) is found), "exhausted"
+        return frozenset(c for c, r in enumerate(erep) if r in found.letters), "exhausted"
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).

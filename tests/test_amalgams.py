@@ -711,10 +711,13 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
     # one-letter members, and the quotient weight counts the BFS's states.
     # Where the BFS stops on budget, the class holds only its start.  Budgets
     # go from the largest down, so the one-entry cache lets a start whose
-    # 200k run stopped on budget read that run again
+    # 200k run stopped on budget read that run again.  The walk and the
+    # class exploration each run on a fresh search, so that no component an
+    # earlier budget recorded spares them the traversal checked here
     bfs = functools.lru_cache(maxsize=1)(component_bfs)
     for a in _all_amalgams():
-        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
+        a = swap_parts(a) if swapped else a
+        search = gsg.amalgams._Search(a)
         for code in range(len(search.fp.element_names)):
             full, full_limit = bfs(search, (code,), bound, 200_000)
             budgets = {1, 2, 50, 200_000}
@@ -727,14 +730,15 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                 else:
                     visited, limit = bfs(search, (code,), bound, budget)
                 where = (a.name, code, budget)
-                found = search.walk(search._quotient.image((code,)), bound, budget)
+                found = gsg.amalgams._Search(a).walk(search._quotient.image((code,)),
+                                                     bound, budget)
+                explored = gsg.amalgams._Search(a).component(code, bound, budget)
                 if limit == "exhausted":
-                    assert search.component(code, bound, budget) == (
+                    assert explored == (
                         frozenset(st[0] for st in visited if len(st) == 1), limit), where
                     assert found is not None and found[1] == len(visited), where
                 else:
-                    assert search.component(code, bound, budget) == (
-                        frozenset((code,)), "budget"), where
+                    assert explored == (frozenset((code,)), "budget"), where
                     assert found is None, where
 
 
@@ -908,10 +912,10 @@ def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     first = words_equal_within(a, w1, w2, bound=4, budget=1000)
     assert (first.equal, first.limit) == (False, "budget")
-    table, key = a._search._components[4], a._search._key
-    recorded = table[key(a._search._quotient.image(fp.encode(w1)))]
+    table = a._search._components[4]
+    recorded = table[a._search._quotient.image(fp.encode(w1))]
     assert recorded.weight > 1000
-    assert {k for k, found in table.items() if found is recorded} <= set(map(key, expanded))
+    assert {k for k, found in table.items() if found is recorded} <= set(expanded)
     expanded.clear()
     assert words_equal_within(a, w1, w2, bound=4, budget=1000) == first
     assert mu(a, 1, "a1", bound=4, budget=1000) == w1
@@ -981,21 +985,39 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
                 assert sum(map(len, search._components.values())) == recorded, (a.name, args)
 
 
-def test_records_keyed_by_tuples_give_the_same_answers():
-    # a product with more than 256 letters of one sort keys its records by
-    # the quotient states themselves instead of their bytes
-    a = null_collision_amalgam()
-    search = gsg.amalgams._Search(a)
-    assert search._key is bytes
-    search._key = tuple
-    n = len(search.fp.element_names)
-    for bound, budget in ((3, 2000), (4, 50), (3, 200_000), (4, 2000)):
-        assert search.classes(bound, budget) == gsg.amalgams._Search(a).classes(bound, budget)
-        for x in range(n):
-            for y in range(n):
-                assert search.explore((x,), bound, budget, (y,)) == \
-                    gsg.amalgams._Search(a).explore((x,), bound, budget, (y,)), (bound, budget, x, y)
-    assert all(type(k) is tuple for table in search._components.values() for k in table)
+def test_records_hold_at_most_the_record_limit(monkeypatch):
+    # under a limit of 12 quotient states, a component larger than that is
+    # not recorded, and a new one that would pass it drops the older
+    # records first; whatever the records hold, every answer is that of a
+    # fresh search
+    monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 12)
+    rng = np.random.default_rng(18)
+    dropped = skipped = 0
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(a)
+        n = len(search.fp.element_names)
+        queries = [("component", (c, bound, budget)) for c in range(n)
+                   for bound in (2, 3, 4) for budget in (50, 2000)]
+        queries += [("explore", ((x,), bound, 2000, (y,)))
+                    for x in range(n) for y in range(n) for bound in (2, 3)]
+        for i in rng.permutation(len(queries)):
+            kind, args = queries[i]
+            before = {b: dict(table) for b, table in search._components.items()}
+            got = getattr(search, kind)(*args)
+            assert got == getattr(gsg.amalgams._Search(a), kind)(*args), (a.name, kind, args)
+            held = sum(map(len, search._components.values()))
+            assert held <= 12, (a.name, kind, args)
+            if kind == "component" and got[1] == "exhausted":
+                bound = args[1]
+                found = search.walk(search._quotient.image((args[0],)), bound, args[2])
+                if found.size > 12:
+                    skipped += 1
+                    assert search._components.get(bound, {}) == before.get(bound, {})
+                elif any(table.items() - search._components.get(b, {}).items()
+                         for b, table in before.items()):
+                    dropped += 1
+                    assert held == found.size, (a.name, kind, args)
+    assert skipped and dropped
 
 
 def test_one_search_per_amalgam(monkeypatch):
