@@ -79,10 +79,12 @@ components are recorded, never the part of one a search saw before it
 stopped on budget, and only from starts with at most bound element letters:
 from a longer start, a merge leads to a word still not shorter than bound,
 which may not be unmerged back, so the states reachable from it are not a
-component.  A later walk from a recorded state returns the record.  A probe
-whose start lies in a recorded component that does not hold its target has
-no chain, and its stop reason follows from the records as it would from the
-search: "budget" when the component weighs more than budget; "exhausted"
+component.  A later walk from a recorded state that weighs more than its
+budget stops without a search; any other walk runs, so a report costs the
+same whatever ran before it on the same amalgam.  A probe whose start lies
+in a recorded component that does not hold its target has no chain, and
+its stop reason follows from the records as it would from the search:
+"budget" when the component weighs more than budget; "exhausted"
 when the target's component is recorded too and the two hold at most budget
 quotient states between them, so that the halves of the search, each inside
 its own component, never reach the cap.  In every other case the probe
@@ -616,13 +618,14 @@ class _Search:
         """The quotient component of the quotient state begin: how many
         quotient states it holds, and its weight, the number of states in
         the component of a state with image begin; None as soon as that
-        weight exceeds budget.  A recorded component is read back without
-        a search."""
+        weight exceeds budget.  A recorded component that weighs more than
+        budget gives None without a search; any other start is walked, so
+        a report's class explorations cost the same whatever ran before."""
         found = self._components.get(bound, {}).get(begin)
-        if found is None:
-            return self._grow(begin, {begin}, [begin], self._quotient.weight(begin),
-                              bound, budget)
-        return None if found.weight > budget else found
+        if found is not None and found.weight > budget:
+            return None
+        return self._grow(begin, {begin}, [begin], self._quotient.weight(begin),
+                          bound, budget)
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and

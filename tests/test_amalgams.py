@@ -922,6 +922,20 @@ def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     assert expanded == []
 
 
+def test_repeated_report_walks_its_classes_again(monkeypatch):
+    # a class walk within budget runs even when its component is recorded,
+    # so a report on one amalgam expands the same quotient states each time
+    # it runs, whatever ran before it
+    expanded = _spy_on_expansions(monkeypatch)
+    a = make_embedded_z4_fixture()[0]
+    first = check_natural_embedding(a, bound=4)
+    assert first.verdict == "consistent-within-bound"
+    once = list(expanded)
+    expanded.clear()
+    assert check_natural_embedding(a, bound=4) == first
+    assert once and expanded == once
+
+
 def test_separated_probe_expands_no_state(monkeypatch):
     # psi1, psi2 fold a1 and b2 apart, so no chain joins them; the probe
     # works on the swap quotient alone and never expands a state of the
@@ -947,17 +961,17 @@ def test_separated_probe_expands_no_state(monkeypatch):
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_search_answers_do_not_depend_on_earlier_queries(swapped):
-    # a search remembers every whole quotient component it walks, per
-    # bound, and later walks and probes read them back; so each answer is
-    # that of a fresh search asked that one question.  Walks, class
-    # explorations and probes run in a shuffled order on one search per
-    # fixture and part order, at every bound, from one-letter states and
-    # seeded states of up to three letters, which are longer than the bound
-    # at bounds 1 and 2.  Besides the usual budgets, each bound runs at the
-    # weight of every class up to 2000: there a probe from that class to
-    # another may stop on budget only because its halves reach the cap.  A
-    # walk that stops on budget, or starts from a state longer than the
-    # bound, records nothing
+    # a search remembers every whole quotient component it walks, per bound,
+    # and later probes, and walks whose budget a record exceeds, read them
+    # back; so each answer is that of a fresh search asked that one
+    # question.  Walks, class explorations and probes run in a shuffled order
+    # on one search per fixture and part order, at every bound, from
+    # one-letter states and seeded states of up to three letters, which are
+    # longer than the bound at bounds 1 and 2.  Besides the usual budgets, each
+    # bound runs at the weight of every class up to 2000: there a probe from
+    # that class to another may stop on budget only because its halves reach
+    # the cap.  A walk that stops on budget, or starts from a state longer than
+    # the bound, records nothing
     rng = np.random.default_rng(17)
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
