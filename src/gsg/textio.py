@@ -17,13 +17,18 @@ the canonical form: declaration order, op lines sorted by index, single
 spaces, newline line endings; its output is a byte-exact fixpoint of
 parse-then-serialize.
 
-Parsing is one pass over the lines.  A line is split on whitespace once,
-and goes through `_TOKEN_RE` only when some `=` or `->` is glued to a name.
-An `op` line resolves its four names through the name-to-index dicts of
-its block and writes the result index straight into the block's table, so
-a conflicting entry is caught on its own line; at `end` the block checks
-names and totality (`core.semigroup_from_cells`).  Columns are not tracked:
-an error re-scans its one line to find the column it reports.
+Parsing is one pass over the lines.  A clean `op` line is one whose
+whitespace split is `op x g y = z` with all four names declared in its
+block; it resolves straight from that split.  Its pieces are its tokens:
+a declared name is a token other than `=` and `->` (the `elements` and
+`gammas` lines reject those two), so it holds no whitespace, `#`, `=` or
+`->`, and the line has no comment and nothing glued.  Every other line
+goes through `_tokens`.  An `op` line resolves its four names through the
+name-to-index dicts of its block and writes the result index straight into
+the block's table, so a conflicting entry is caught on its own line; at
+`end` the block checks names and totality (`core.semigroup_from_cells`).
+Columns are not tracked: an error re-scans its one line to find the column
+it reports.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .core import GammaHomomorphism, GammaSemigroup, semigroup_from_cells
 from .errors import (
     DuplicateEntry,
     GsgError,
+    InvalidIdentifier,
     ParseError,
     UnknownIdentifier,
     UnresolvedReference,
@@ -85,7 +91,8 @@ def _by_name(items, name: str, kind: str):
 
 
 def _tokens(raw: str) -> list[str]:
-    """The tokens of one line, comment stripped.
+    """The tokens of one line, comment stripped: every line but a clean
+    'op' line (see the module docstring) comes here.
 
     A whitespace split already gives the tokens unless some '=' or '->' is
     glued to a name; an occurrence of either never spans whitespace, so
@@ -169,55 +176,78 @@ def _parse_semigroup(lines, start: int, header):
     gammas: Optional[tuple[str, ...]] = None
     eindex: dict[str, int] = {}
     gindex: dict[str, int] = {}
+    # until both name lines are read one dict is empty, so the clean-line
+    # lookup below misses and the line reaches the tokenizer's checks
+    n = g = 0
     # the index table, row-major over (x, g, y); -1 marks an empty cell
     table: Optional[list[int]] = None
-    for i, toks in _body(lines, start):
-        key = toks[0]
-        if key == "op":
-            if table is None:
-                raise _error(lines, i, 0, "'op' lines must follow 'elements' and 'gammas'")
-            if len(toks) != 6 or toks[4] != "=":
-                raise _error(lines, i, 0, "expected 'op <x> <g> <y> = <z>'")
+    for i in range(start + 1, len(lines)):
+        # a clean 'op' line: six whitespace pieces whose four names resolve
+        # are its six tokens (see the module docstring)
+        toks = lines[i].split()
+        cell = -1
+        if len(toks) == 6 and toks[0] == "op" and toks[4] == "=":
             try:
                 cell = (eindex[toks[1]] * g + gindex[toks[2]]) * n + eindex[toks[3]]
                 z = eindex[toks[5]]
             except KeyError:
-                k = next(k for k in (1, 3, 5, 2)
-                         if toks[k] not in (gindex if k == 2 else eindex))
-                raise _unresolved(lines, i, toks, k) from None
-            old = table[cell]
-            if old != z:
-                if old >= 0:
-                    raise _error(lines, i, 0, str(DuplicateEntry(
-                        toks[1], toks[2], toks[3], elements[old], toks[5])))
-                table[cell] = z
-        elif key == "end":
-            if len(toks) != 1:
-                raise _error(lines, i, 1, "nothing may follow 'end'")
-            if elements is None:
-                raise _error(lines, i, 0, "semigroup block has no 'elements' line")
-            if gammas is None:
-                raise _error(lines, i, 0, "semigroup block has no 'gammas' line")
-            try:
-                return semigroup_from_cells(name, elements, gammas, table), i + 1
-            except GsgError as e:
-                raise _error(lines, i, 0, str(e)) from None
-        elif key == "elements" or key == "gammas":
-            if (elements if key == "elements" else gammas) is not None:
-                raise _error(lines, i, 0, f"'{key}' given twice")
-            if len(toks) < 2:
-                raise _error(lines, i, 0, f"'{key}' needs at least one name")
-            names = tuple(toks[1:])
-            index = {t: k for k, t in enumerate(names)}
-            if key == "elements":
-                elements, eindex, n = names, index, len(names)
+                cell = -1
+        if cell < 0:
+            toks = _tokens(lines[i])
+            if not toks:
+                continue
+            key = toks[0]
+            if key == "op":
+                if table is None:
+                    raise _error(lines, i, 0, "'op' lines must follow 'elements' and 'gammas'")
+                if len(toks) != 6 or toks[4] != "=":
+                    raise _error(lines, i, 0, "expected 'op <x> <g> <y> = <z>'")
+                try:
+                    cell = (eindex[toks[1]] * g + gindex[toks[2]]) * n + eindex[toks[3]]
+                    z = eindex[toks[5]]
+                except KeyError:
+                    k = next(k for k in (1, 3, 5, 2)
+                             if toks[k] not in (gindex if k == 2 else eindex))
+                    raise _unresolved(lines, i, toks, k) from None
+            elif key == "end":
+                if len(toks) != 1:
+                    raise _error(lines, i, 1, "nothing may follow 'end'")
+                if elements is None:
+                    raise _error(lines, i, 0, "semigroup block has no 'elements' line")
+                if gammas is None:
+                    raise _error(lines, i, 0, "semigroup block has no 'gammas' line")
+                try:
+                    return semigroup_from_cells(name, elements, gammas, table), i + 1
+                except GsgError as e:
+                    raise _error(lines, i, 0, str(e)) from None
+            elif key == "elements" or key == "gammas":
+                if (elements if key == "elements" else gammas) is not None:
+                    raise _error(lines, i, 0, f"'{key}' given twice")
+                if len(toks) < 2:
+                    raise _error(lines, i, 0, f"'{key}' needs at least one name")
+                kind = key[:-1]
+                for k in range(1, len(toks)):
+                    # '=' and '->' are the only tokens that are not names
+                    if toks[k] == "=" or toks[k] == "->":
+                        raise _error(lines, i, k, str(InvalidIdentifier(toks[k], kind)))
+                names = tuple(toks[1:])
+                index = {t: k for k, t in enumerate(names)}
+                if key == "elements":
+                    elements, eindex, n = names, index, len(names)
+                else:
+                    gammas, gindex, g = names, index, len(names)
+                if elements is not None and gammas is not None:
+                    table = [-1] * (n * g * n)
+                continue
             else:
-                gammas, gindex, g = names, index, len(names)
-            if elements is not None and gammas is not None:
-                table = [-1] * (n * g * n)
-        else:
-            raise _error(lines, i, 0,
-                         f"expected 'elements', 'gammas', 'op', or 'end', got {key!r}")
+                raise _error(lines, i, 0,
+                             f"expected 'elements', 'gammas', 'op', or 'end', got {key!r}")
+        old = table[cell]
+        if old != z:
+            if old >= 0:
+                raise _error(lines, i, 0, str(DuplicateEntry(
+                    toks[1], toks[2], toks[3], elements[old], toks[5])))
+            table[cell] = z
     raise ParseError(len(lines), 1, f"semigroup {name!r} is missing 'end'")
 
 
@@ -343,10 +373,11 @@ def _ser_semigroup(s: GammaSemigroup) -> str:
     out = [f"semigroup {s.name}",
            "elements " + " ".join(s.elements),
            "gammas " + " ".join(s.gammas)]
-    for i, x in enumerate(s.elements):
-        for j, g in enumerate(s.gammas):
-            for k, y in enumerate(s.elements):
-                out.append(f"op {x} {g} {y} = {s.elements[s.table[i, j, k]]}")
+    names = s.elements
+    for x, rows in zip(names, s.table.tolist()):
+        for g, row in zip(s.gammas, rows):
+            for y, z in zip(names, row):
+                out.append(f"op {x} {g} {y} = {names[z]}")
     out.append("end")
     return "\n".join(out) + "\n"
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import DATA, k2, make_two_copies
 from gsg import (
     GammaSemigroup,
     GsgError,
+    InvalidIdentifier,
     ParseError,
     UnknownIdentifier,
     UnresolvedReference,
@@ -19,6 +21,7 @@ from gsg import (
     serialize,
     validate_table,
 )
+from gsg import textio
 from gsg.families import zmod
 from gsg.textio import _TOKEN_RE, _tokens
 
@@ -178,9 +181,26 @@ def test_incomplete_table_surfaces_at_end():
 
 
 def test_bad_identifier_surfaces_at_end():
-    # '=' tokenizes alone, so it lands in the element list and is rejected
-    e = err("semigroup S\nelements a = b\ngammas g\nend\n")
-    assert e.line == 4
+    # '->' tokenizes alone, so it is taken as the block's name, and the
+    # semigroup built at 'end' rejects it
+    text = "semigroup ->\nelements a\ngammas g\nop a g a = a\nend\n"
+    e = err(text)
+    assert (e.line, e.col) == (5, 1)
+    assert e.message == str(InvalidIdentifier("->", "semigroup name"))
+
+
+@pytest.mark.parametrize("text, line, col, token, kind", [
+    ("semigroup S\nelements a = b\ngammas g\nend\n", 2, 12, "=", "element"),
+    ("semigroup S\nelements = a\ngammas g\nend\n", 2, 10, "=", "element"),
+    ("semigroup S\nelements -> a\ngammas g\n"
+     + "".join(f"op {x} g {y} = a\n" for x in ("->", "a") for y in ("->", "a"))
+     + "end\n", 2, 10, "->", "element"),
+    ("semigroup S\nelements a\ngammas g->\nend\n", 3, 9, "->", "gamma"),
+], ids=["equals-between-names", "equals-first", "arrow-with-full-table", "glued-arrow-gamma"])
+def test_equals_and_arrow_are_rejected_on_the_name_lines(text, line, col, token, kind):
+    e = err(text)
+    assert (e.line, e.col) == (line, col)
+    assert e.message == str(InvalidIdentifier(token, kind))
 
 
 def test_duplicate_semigroup_name_points_at_second_header():
@@ -302,7 +322,10 @@ def test_line_tokens_follow_the_token_grammar(line):
     assert _tokens(line) == _TOKEN_RE.findall(line.split("#", 1)[0])
 
 
-def test_workload_size_table_parses_to_the_validated_table():
+def workload_size_table():
+    """An n = 40, two-gamma table as the cli benchmark writes it: its
+    elements, gammas, index table, row-major entries, the entries in
+    shuffled order, and the text of its block with the shuffled op lines."""
     n, g = 40, 2
     rng = np.random.default_rng(7)
     elements = tuple(f"s{i}" for i in range(n))
@@ -314,6 +337,11 @@ def test_workload_size_table_parses_to_the_validated_table():
     text = ("semigroup S\nelements " + " ".join(elements)
             + "\ngammas " + " ".join(gammas) + "\n"
             + "".join(f"op {x} {h} {y} = {z}\n" for x, h, y, z in shuffled) + "end\n")
+    return elements, gammas, table, entries, shuffled, text
+
+
+def test_workload_size_table_parses_to_the_validated_table():
+    elements, gammas, table, entries, shuffled, text = workload_size_table()
     s = parse(text).semigroup("S")
     assert s == validate_table("S", elements, gammas, shuffled)
     assert s == GammaSemigroup("S", elements, gammas, table)
@@ -323,16 +351,107 @@ def test_workload_size_table_parses_to_the_validated_table():
     assert serialize(parse(canonical)) == canonical
 
 
+def spied_tokens(text):
+    """The lines parse(text) hands to the tokenizer, and parse's outcome."""
+    seen = []
+
+    def spy(raw):
+        seen.append(raw)
+        return _tokens(raw)
+
+    with mock.patch.object(textio, "_tokens", spy):
+        return seen, parse_outcome(text)
+
+
+def test_clean_op_lines_skip_the_tokenizer():
+    text = workload_size_table()[-1]
+    seen, outcome = spied_tokens(text)
+    assert outcome == serialize(parse(text))
+    assert seen == [ln for ln in text.splitlines() if not ln.startswith("op ")]
+
+
+# whitespace that does not end a line: str.split and the token grammar's
+# \s both split on it
+INLINE_SPACE = "".join(c for c in map(chr, range(0x110000))
+                       if c.isspace() and len(f"a{c}a".splitlines()) == 1)
+OP_HEADER = "semigroup S\nelements a b c\ngammas g\n"
+
+
+@st.composite
+def op_lines(draw):
+    """Mostly well-formed op lines over OP_HEADER's names: each piece may be
+    swapped for a stray one, pieces may be glued or spaced by any inline
+    whitespace, and a comment may follow."""
+    def rarely():
+        return draw(st.sampled_from(range(6))) == 5
+
+    stray = st.sampled_from(["op", "a", "g", "=", "->", "#", "b=c", "a->", "=c",
+                             "#a", "c#", "x"])
+    right = ["op", draw(st.sampled_from("abc")), "g",
+             draw(st.sampled_from("abc")), "=", draw(st.sampled_from("abc"))]
+    pieces = [draw(stray) if rarely() else r for r in right]
+    space = st.text(alphabet=INLINE_SPACE, max_size=2)
+    line = draw(space) + pieces[0]
+    for piece in pieces[1:]:
+        line += ("" if rarely() else draw(space) or " ") + piece
+    line += draw(space)
+    if rarely():
+        line += draw(st.sampled_from(["#", " # a = b", "#->", "\t#op"]))
+    return line
+
+
+@given(op_lines())
+def test_lines_that_skip_the_tokenizer_split_into_their_tokens(line):
+    # a line the parser resolves without the tokenizer must be one whose
+    # whitespace split is its token list, and must parse as its tokens do
+    # on a line that a trailing '#' sends through the tokenizer
+    seen, outcome = spied_tokens(OP_HEADER + line + "\nend\n")
+    if line not in seen:
+        toks = _TOKEN_RE.findall(line.split("#", 1)[0])
+        assert line.split() == toks
+        tokenized = " ".join(toks) + " #"
+        again, tokenized_outcome = spied_tokens(OP_HEADER + tokenized + "\nend\n")
+        assert tokenized in again
+        assert outcome == tokenized_outcome
+
+
 # ------------------------------------------------------------------- fuzzing
 
-MUTATION_BASES = ("amalgam_two_copies.gsg", "z4.gsg")
+# clean and glued op lines, trailing comments, tabs and no-break spaces
+NOISY_BASE = (
+    "semigroup U\n"
+    "elements\tu0 u1\n"
+    "gammas g # one gamma\n"
+    "op u0 g u0=u0\n"
+    "op u0\tg u1 = u1   # spaced\n"
+    "op u1 g\xa0u0 =u1\n"
+    "op\xa0u1 g u1 = u0\t\n"
+    "end\n"
+    "semigroup A\n"
+    "elements a0\xa0a1\n"
+    "gammas\tg\n"
+    "op a0 g a0 = a0 # comment\n"
+    "op a0 g a1= a1\n"
+    "op a1\tg a0 = a1\n"
+    "op a1 g a1 = a0\n"
+    "end\n"
+    "hom f : U->A\n"
+    "map u0->a0 # glued arrow\n"
+    "map\tu1 -> a1\n"
+    "gmap g\xa0-> g\n"
+    "end\n"
+)
+MUTATION_BASES = {
+    "amalgam_two_copies.gsg": (DATA / "amalgam_two_copies.gsg").read_text(),
+    "z4.gsg": (DATA / "z4.gsg").read_text(),
+    "noisy op lines": NOISY_BASE,
+}
 MUTATION_GOLDEN = DATA / "parse_mutation_outcomes.json"
 
 
-def mutants(name):
-    """200 seeded mutations of one fixture file, each 1 to 6 single
+def mutants(base):
+    """200 seeded mutations of one file's text, each 1 to 6 single
     character replacements, insertions or deletions."""
-    base = (DATA / name).read_text()
     rng = random.Random(11)
     alphabet = "abgu01 #=->\n"
     for _ in range(200):
@@ -363,5 +482,5 @@ def test_mutated_files_never_crash_the_parser():
     # message included, is pinned in the golden file
     golden = json.loads(MUTATION_GOLDEN.read_text())
     assert sorted(golden) == sorted(MUTATION_BASES)
-    for name in MUTATION_BASES:
-        assert [parse_outcome(m) for m in mutants(name)] == golden[name], name
+    for name, base in MUTATION_BASES.items():
+        assert [parse_outcome(m) for m in mutants(base)] == golden[name], name
