@@ -71,27 +71,25 @@ itself; `_Search.neighbors` serves replay.
 An amalgam is immutable, so it builds its search (moves, factorizations,
 swap quotient) once, on first use, and every entry point reads that one.
 
-The search remembers, per bound, every whole quotient component it has
-walked: its quotient states and its weight, both fixed by the amalgam and
-the bound, whatever the budget.  A class walk that ends without passing its
-budget records one, and so does a side of a probe that runs dry.  Only
-components are recorded, never the part of one a search saw before it
-stopped on budget, and only from starts with at most bound element letters:
-from a longer start, a merge leads to a word still not shorter than bound,
-which may not be unmerged back, so the states reachable from it are not a
-component.  A later walk from a recorded state that weighs more than its
-budget stops without a search; any other walk runs, so a report costs the
-same whatever ran before it on the same amalgam.  A probe whose start lies
-in a recorded component that does not hold its target has no chain, and
-its stop reason follows from the records as it would from the search:
-"budget" when the component weighs more than budget; "exhausted"
-when the target's component is recorded too and the two hold at most budget
-quotient states between them, so that the halves of the search, each inside
-its own component, never reach the cap.  In every other case the probe
-searches, so a chain is always the search's own, and every answer is the
-one a new search would give.  The records hold at most `_RECORD_LIMIT`
-quotient states over all bounds: a larger component is not recorded, and
-one that would pass the limit drops every older record first.
+A search remembers, per bound, the whole quotient components that its
+probes have walked: their quotient states and weights, both fixed by the
+amalgam and the bound, whatever the budget.  The records are written and
+read in `_Search.meet` alone.  A component is recorded only when a side of
+a probe runs dry: the target's side, the start's side, or the
+start's side when it goes on alone after the target's side ran dry.  It is
+recorded only from a start with at most bound element letters: from a
+longer start, a merge leads to a word still not shorter than bound, which
+may not be unmerged back, so the states reachable from it are not a
+component.  The one reading rule: a probe whose start lies in a recorded
+component that does not hold its target, and that weighs more than its
+budget, stops on "budget" without a search, as its search would.  Every
+other probe searches, so a chain is always the search's own, and every
+answer is the one a new search would give.  Class walks (`walk`, and so
+every report and `mu`) neither read nor write the records, so a report
+costs the same whatever ran before it on the same amalgam.  The records
+hold at most `_RECORD_LIMIT` quotient states over all bounds: a larger
+component is not recorded, and one that would pass the limit drops every
+older record first.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .core import (
     GammaHomomorphism,
@@ -329,11 +327,10 @@ class _SwapQuotient(NamedTuple):
 class _Component(NamedTuple):
     """The quotient states reachable from one start at one bound.  From a
     start with at most bound element letters they are a whole component,
-    and when the search records it, its table at that bound maps each of
-    them to it."""
-    size: int             # how many quotient states it holds
+    and when a probe records it, its table at that bound maps each of them
+    to it."""
+    states: Collection    # its quotient states
     weight: int           # how many states of the search they stand for
-    letters: frozenset    # the classes X of its one-letter states (X,)
 
 
 class _Search:
@@ -480,37 +477,35 @@ class _Search:
         are when neither end is longer than bound: a merge then leaves a
         state shorter than bound, as its unmerge needs.  Otherwise the
         start's side runs alone.  A side that runs dry holds its whole
-        component and records it; when it is the target's, the start's
-        side goes on alone, weighing its component, until the weight
-        exceeds budget or the component is complete.
+        component, and this is the one place where components are recorded
+        (`_record`).  When the target's side runs dry, the start's side
+        goes on alone, weighing its component, until the weight exceeds
+        budget or the component is complete, which is recorded too.
 
-        When the start's image lies in a recorded component that does not
-        hold the target's image, there is no chain, and the stop reason is
-        read off the records without expanding a state: "budget" when that
-        component weighs more than budget, "exhausted" when the target's
-        component is recorded too and the two hold at most budget quotient
-        states between them, so that the halves could never reach the cap.
-        Otherwise the search runs."""
+        This is also the one place where the records are read: when the
+        start's image lies in a recorded component that does not hold the
+        target's image and weighs more than budget, there is no chain, and
+        the probe stops on "budget" without expanding a state.  Otherwise
+        the search runs."""
         near, far = halves
         (begin,), (end,) = near, far
         if begin == end:
             return begin, None
-        known = self._components.get(bound, {})
-        here, there = known.get(begin), known.get(end)
-        if here is not None and here is not there:
-            if here.weight > budget:
-                return None, "budget"
-            if there is not None and here.size + there.size <= budget:
-                return None, "exhausted"
+        here = self._components.get(bound, {}).get(begin)
+        if here is not None and end not in here.states and here.weight > budget:
+            return None, "budget"
         inside = len(begin) < 2 * bound and len(end) < 2 * bound
         frontiers = [[begin], [end] if inside else []]
         qmoves, weigh = self.qmoves(bound), self._quotient.weight
         while frontiers[0]:
             if inside and not frontiers[1]:
-                self._record(end, far, sum(map(weigh, far)), bound)
-                found = self._grow(begin, set(near), frontiers[0],
-                                   sum(map(weigh, near)), bound, budget)
-                return None, "budget" if found is None else "exhausted"
+                self._record(end, _Component(far, sum(map(weigh, far))), bound)
+                found = self._grow(set(near), frontiers[0], sum(map(weigh, near)),
+                                   bound, budget)
+                if found is None:
+                    return None, "budget"
+                self._record(begin, found, bound)
+                return None, "exhausted"
             side = 1 if 0 < len(frontiers[1]) < len(frontiers[0]) else 0
             mine, other = halves[side], halves[1 - side]
             layer = []
@@ -526,9 +521,9 @@ class _Search:
                     mine[ns] = cur
                     layer.append(ns)
             frontiers[side] = layer
-        total = sum(map(weigh, near))
-        self._record(begin, near, total, bound)
-        return None, "budget" if total > budget else "exhausted"
+        found = _Component(near, sum(map(weigh, near)))
+        self._record(begin, found, bound)
+        return None, "budget" if found.weight > budget else "exhausted"
 
     def _lift(self, start, path: list, target) -> tuple[Step, ...]:
         """Named moves from start along a path of quotient states, from the
@@ -569,35 +564,31 @@ class _Search:
             put(i, c)
         return tuple(self._step(*move) for move in moves)
 
-    def _record(self, begin, states, weight: int, bound: int) -> _Component:
-        """The component of the quotient state begin at bound, whose
-        quotient states are states, all those reachable from begin, of total
-        weight weight.  It is recorded, each of its states mapped to it,
-        only when begin has at most bound element letters (from a longer
-        start the states reachable are not a component, since a merge that
-        shortens it has no inverse inside bound) and it holds at most
-        _RECORD_LIMIT states.  The records of every bound are dropped first
-        when they would hold more."""
+    def _record(self, begin, found: _Component, bound: int) -> None:
+        """Record found, the component of the quotient state begin at bound,
+        which a side of a probe has run dry: each of its states is mapped
+        to it.  Only when begin has at most bound element letters (from a
+        longer start the states reachable are not a component, since a
+        merge that shortens it has no inverse inside bound), begin is not
+        recorded yet, and found holds at most _RECORD_LIMIT states.  The
+        records of every bound are dropped first when they would hold
+        more."""
         table = self._components.get(bound, {})
-        if begin in table:
-            return table[begin]
-        found = _Component(len(states), weight,
-                           frozenset(qstate[0] for qstate in states if len(qstate) == 1))
-        if len(begin) < 2 * bound and len(states) <= _RECORD_LIMIT:
-            if sum(map(len, self._components.values())) + len(states) > _RECORD_LIMIT:
-                self._components.clear()
-            table = self._components.setdefault(bound, {})
-            for qstate in states:
-                table[qstate] = found
-        return found
+        size = len(found.states)
+        if begin in table or len(begin) >= 2 * bound or size > _RECORD_LIMIT:
+            return
+        if sum(map(len, self._components.values())) + size > _RECORD_LIMIT:
+            self._components.clear()
+        table = self._components.setdefault(bound, {})
+        for qstate in found.states:
+            table[qstate] = found
 
-    def _grow(self, begin, seen: set, layer: list, weight: int, bound: int,
+    def _grow(self, seen: set, layer: list, weight: int, bound: int,
               budget: int) -> Optional[_Component]:
-        """Go on with a breadth-first search of the swap quotient from the
-        quotient state begin: seen holds the states it has found, of total
-        weight weight, and layer those whose successors it has not looked
-        at yet.  None as soon as the weight exceeds budget, else the
-        component, which is recorded."""
+        """Go on with a breadth-first search of the swap quotient: seen
+        holds the quotient states it has found, of total weight weight, and
+        layer those whose successors it has not looked at yet.  None as
+        soon as the weight exceeds budget, else the component."""
         if weight > budget:
             return None
         qmoves, q = self.qmoves(bound), self._quotient
@@ -612,20 +603,15 @@ class _Search:
                         seen.add(ns)
                         nxt.append(ns)
             layer = nxt
-        return self._record(begin, seen, weight, bound)
+        return _Component(seen, weight)
 
     def walk(self, begin, bound: int, budget: int) -> Optional[_Component]:
-        """The quotient component of the quotient state begin: how many
-        quotient states it holds, and its weight, the number of states in
-        the component of a state with image begin; None as soon as that
-        weight exceeds budget.  A recorded component that weighs more than
-        budget gives None without a search; any other start is walked, so
-        a report's class explorations cost the same whatever ran before."""
-        found = self._components.get(bound, {}).get(begin)
-        if found is not None and found.weight > budget:
-            return None
-        return self._grow(begin, {begin}, [begin], self._quotient.weight(begin),
-                          bound, budget)
+        """The quotient component of the quotient state begin: its quotient
+        states, and its weight, the number of states in the component of a
+        state with image begin; None as soon as that weight exceeds budget.
+        A walk neither reads nor writes the records, so a report's class
+        explorations cost the same whatever ran before."""
+        return self._grow({begin}, [begin], self._quotient.weight(begin), bound, budget)
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and
@@ -636,7 +622,7 @@ class _Search:
         found = self.walk((erep[code],), bound, budget)
         if found is None:
             return frozenset((code,)), "budget"
-        return frozenset(c for c, r in enumerate(erep) if r in found.letters), "exhausted"
+        return frozenset(c for c, r in enumerate(erep) if (r,) in found.states), "exhausted"
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).
@@ -675,9 +661,10 @@ class _Decider:
       "budget" if that component weighs more than budget (counts more
       states than budget), else on "exhausted".
 
-    The components the search records (see the module docstring) change
-    none of these rules: a walk or probe that reads them gives the answer
-    its search would give, and only skips the work.
+    The components that probes record (see the module docstring) change
+    none of these rules: a probe reads them only to stop on "budget" when
+    its start's recorded component lacks its target and weighs more than
+    budget, as its search would, and a class walk never reads them.
     """
 
     def __init__(self, search: _Search, bound: int, budget: int):
@@ -857,7 +844,14 @@ class MediatorReport:
     check was exhausted, else "budget": the representative of a class that
     stopped on budget is then the element's own word, which the diagram
     check passes without proving anything, while a failing check still
-    exhibits two equal words that fold apart."""
+    exhibits two equal words that fold apart.
+
+    relations_respected and products_respected are never False once
+    `pushout_mediator` returns: it raises first unless the square commutes
+    on every core element, which is the relations check, and
+    `FreeProduct.folder` raises unless g1, g2 are homomorphisms, which
+    makes a one-letter product fold as its normal form does.  Both checks
+    stay as stated certificates, and all_pass rests on diagram_commutes."""
     amalgam: str
     target: str
     relations_respected: bool

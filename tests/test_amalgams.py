@@ -37,6 +37,7 @@ from gsg import (
     Mode,
     ModeMismatch,
     NameClash,
+    NotAHomomorphism,
     NotAssociative,
     NotMonomorphism,
     Step,
@@ -871,15 +872,15 @@ def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
 def test_probe_holds_at_most_budget_quotient_states(monkeypatch):
     # the quotient component of a1 at bound 4 has more than 50 states and
     # does not hold the image of b2, so the probe stops once its two halves
-    # hold 50 states, or the two it starts from.  The walk runs on a search
-    # of its own and each probe on an amalgam no earlier call has used, so
-    # no recorded component spares a probe its traversal
+    # hold 50 states, or the two it starts from.  Each probe runs on an
+    # amalgam no earlier call has used, so no component an earlier probe
+    # recorded spares it its traversal
     held = _spy_on_halves(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     search = gsg.amalgams._Search(a)
-    assert search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6).size > 50
+    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6).states) > 50
     for budget in (1, 2, 50):
         held.clear()
         v = words_equal_within(make_embedded_z4_fixture()[0], w1, w2, bound=4, budget=budget)
@@ -904,8 +905,7 @@ def _spy_on_expansions(monkeypatch) -> list:
 def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     # the first probe from a1 to b2 runs its start's side dry, so it records
     # the component of a1, which weighs more than the budget, and stops on
-    # budget.  The same probe again, and the class walk from a1, read that
-    # record and expand nothing
+    # budget.  The same probe again reads that record and expands nothing
     expanded = _spy_on_expansions(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
@@ -918,14 +918,13 @@ def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     assert {k for k, found in table.items() if found is recorded} <= set(expanded)
     expanded.clear()
     assert words_equal_within(a, w1, w2, bound=4, budget=1000) == first
-    assert mu(a, 1, "a1", bound=4, budget=1000) == w1
     assert expanded == []
 
 
 def test_repeated_report_walks_its_classes_again(monkeypatch):
-    # a class walk within budget runs even when its component is recorded,
-    # so a report on one amalgam expands the same quotient states each time
-    # it runs, whatever ran before it
+    # a class walk never reads the records, so a report on one amalgam
+    # expands the same quotient states each time it runs, whatever ran
+    # before it
     expanded = _spy_on_expansions(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     first = check_natural_embedding(a, bound=4)
@@ -961,17 +960,16 @@ def test_separated_probe_expands_no_state(monkeypatch):
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_search_answers_do_not_depend_on_earlier_queries(swapped):
-    # a search remembers every whole quotient component it walks, per bound,
-    # and later probes, and walks whose budget a record exceeds, read them
-    # back; so each answer is that of a fresh search asked that one
-    # question.  Walks, class explorations and probes run in a shuffled order
+    # a search remembers, per bound, every whole quotient component that a
+    # side of a probe runs dry, and later probes read them back; so each
+    # answer is that of a fresh search asked that one question.  Walks,
+    # class explorations and probes run in a shuffled order
     # on one search per fixture and part order, at every bound, from
     # one-letter states and seeded states of up to three letters, which are
     # longer than the bound at bounds 1 and 2.  Besides the usual budgets, each
     # bound runs at the weight of every class up to 2000: there a probe from
     # that class to another may stop on budget only because its halves reach
-    # the cap.  A walk that stops on budget, or starts from a state longer than
-    # the bound, records nothing
+    # the cap.  Walks and class explorations record nothing
     rng = np.random.default_rng(17)
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
@@ -995,43 +993,79 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
             recorded = sum(map(len, search._components.values()))
             got = getattr(search, kind)(*args)
             assert got == getattr(gsg.amalgams._Search(a), kind)(*args), (a.name, kind, args)
-            if kind == "walk" and (got is None or len(args[0]) >= 2 * args[1]):
+            if kind != "explore":
                 assert sum(map(len, search._components.values())) == recorded, (a.name, args)
 
 
 def test_records_hold_at_most_the_record_limit(monkeypatch):
-    # under a limit of 12 quotient states, a component larger than that is
-    # not recorded, and a new one that would pass it drops the older
-    # records first; whatever the records hold, every answer is that of a
-    # fresh search
+    # only probes fill the records.  Under a limit of 12 quotient states, a
+    # component larger than that is not recorded, a new one that would pass
+    # it drops the older records first, and any other new one maps each of
+    # its states to it; whatever the records hold, every answer is that of a
+    # fresh search.  Probes run from one-letter and seeded states at bounds
+    # 2 to 4, in a shuffled order on one search per fixture
     monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 12)
+    seen = collections.Counter()
+    record = gsg.amalgams._Search._record
+
+    def spy(self, begin, found, bound):
+        before = {b: dict(table) for b, table in self._components.items()}
+        record(self, begin, found, bound)
+        after = self._components
+        assert sum(map(len, after.values())) <= 12
+        if len(found.states) > 12:
+            seen["skipped"] += 1
+            assert after == before
+        elif any(table.keys() - after.get(b, {}).keys() for b, table in before.items()):
+            seen["dropped"] += 1
+            assert after == {bound: dict.fromkeys(found.states, found)}
+        elif begin not in before.get(bound, {}) and len(begin) < 2 * bound:
+            assert all(after[bound][qstate] is found for qstate in found.states)
+
+    monkeypatch.setattr(gsg.amalgams._Search, "_record", spy)
     rng = np.random.default_rng(18)
-    dropped = skipped = 0
     for a in _all_amalgams():
         search = gsg.amalgams._Search(a)
         n = len(search.fp.element_names)
-        queries = [("component", (c, bound, budget)) for c in range(n)
-                   for bound in (2, 3, 4) for budget in (50, 2000)]
-        queries += [("explore", ((x,), bound, 2000, (y,)))
-                    for x in range(n) for y in range(n) for bound in (2, 3)]
+        starts = [(c,) for c in range(n)] + _seeded_states(search.fp, rng, 6, letters=2)
+        pairs = [(x, y) for x in starts for y in starts if x != y]
+        queries = [(x, bound, 2000, y) for bound in (2, 3, 4)
+                   for i in rng.choice(len(pairs), min(len(pairs), 30), replace=False)
+                   for x, y in [pairs[i]]]
         for i in rng.permutation(len(queries)):
-            kind, args = queries[i]
-            before = {b: dict(table) for b, table in search._components.items()}
-            got = getattr(search, kind)(*args)
-            assert got == getattr(gsg.amalgams._Search(a), kind)(*args), (a.name, kind, args)
-            held = sum(map(len, search._components.values()))
-            assert held <= 12, (a.name, kind, args)
-            if kind == "component" and got[1] == "exhausted":
-                bound = args[1]
-                found = search.walk(search._quotient.image((args[0],)), bound, args[2])
-                if found.size > 12:
-                    skipped += 1
-                    assert search._components.get(bound, {}) == before.get(bound, {})
-                elif any(table.items() - search._components.get(b, {}).items()
-                         for b, table in before.items()):
-                    dropped += 1
-                    assert held == found.size, (a.name, kind, args)
-    assert skipped and dropped
+            args = queries[i]
+            expected = gsg.amalgams._Search(a).explore(*args)
+            assert search.explore(*args) == expected, (a.name, args)
+    assert seen["skipped"] and seen["dropped"]
+
+
+def test_class_walks_never_touch_the_records(monkeypatch):
+    # the records belong to probes: on a fresh amalgam a report, mu and
+    # pushout_mediator leave them empty, and after probes have filled them
+    # the same calls leave them as they were and expand the same quotient
+    # states as on the fresh amalgam.  mu's budget of 1000 is less than the
+    # weight of the component of a1 that the first probe records
+    expanded = _spy_on_expansions(monkeypatch)
+    a, t, psi1, psi2 = make_embedded_z4_fixture()
+    fp = a.free_product()
+
+    def class_walks():
+        expanded.clear()
+        out = (check_natural_embedding(a, bound=4), mu(a, 1, "a1", bound=4, budget=1000),
+               pushout_mediator(a, t, psi1, psi2, bound=4),
+               pushout_mediator(a, t, psi1, psi2, bound=3, budget=50))
+        return out, list(expanded)
+
+    fresh = class_walks()
+    assert fresh[1] and a._search._components == {}
+    for x, y, bound, budget in (((0, "a1"), (1, "b2"), 4, 1000),
+                                ((0, "a0"), (0, "a2"), 3, 200_000),
+                                ((0, "a2"), (1, "b3"), 4, 200_000)):
+        assert not words_equal_within(a, fp.embed(*x), fp.embed(*y), bound, budget).equal
+    recorded = {b: dict(table) for b, table in a._search._components.items()}
+    assert recorded.keys() == {3, 4}
+    assert class_walks() == fresh
+    assert a._search._components == recorded
 
 
 def test_one_search_per_amalgam(monkeypatch):
@@ -1260,6 +1294,31 @@ def test_mediator_checks_the_homomorphisms_once(monkeypatch):
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     assert pushout_mediator(a, t, psi1, psi2, bound=3).all_pass
     assert calls == ["psi1", "psi2"]
+
+
+def test_mediator_relations_and_products_hold_whenever_it_returns():
+    # the square check and the homomorphism checks of FreeProduct.folder
+    # imply both fields, so only diagram_commutes can fail.  Random 2- and
+    # 3-element targets over the gamma g, with random maps into them
+    rng = np.random.default_rng(19)
+    returned = 0
+    for a in (make_two_copies(), make_trivial_amalgam(), make_leftzero_amalgam()):
+        for _ in range(400):
+            k = int(rng.integers(2, 4))
+            v = GammaSemigroup("V", tuple(f"v{i}" for i in range(k)), ("g",),
+                               rng.integers(k, size=(k, 1, k)))
+            g1, g2 = (_hom(f"g{p + 1}", s, v, {e: v.elements[int(rng.integers(k))]
+                                                for e in s.elements})
+                      for p, s in enumerate(a.parts))
+            try:
+                r = pushout_mediator(a, v, g1, g2, bound=3)
+            except (CommutingSquareFails, NotAHomomorphism):
+                continue
+            returned += 1
+            assert (r.relations_respected, r.relations_witness) == (True, None), a.name
+            assert (r.products_respected, r.products_witness) == (True, None), a.name
+            assert r.all_pass == r.diagram_commutes
+    assert returned >= 50
 
 
 # --------------------------------------------------------- necessary condition
