@@ -3,14 +3,16 @@
 Exit codes: 0 every check passed, 1 a check failed (a certificate is
 printed; for amalgam-check, a proven collision), 2 the input could not be
 read, parsed, or validated, 3 a bounded search ended without a verdict.
-Output is deterministic byte for byte.
+An input error prints nothing on stdout. Output is deterministic byte for
+byte. Each subcommand is declared once, in `_build_parser`, where its
+subparser names its handler; the parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .amalgams import (
     DEFAULT_BOUND,
@@ -40,36 +42,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each handler takes the workspace and its options as keywords named by dest."""
     p = _Parser(
         prog="gsg", description="compute with finite gamma-semigroup workspaces")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_file(name: str, help: str) -> argparse.ArgumentParser:
+    def with_file(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help)
         q.add_argument("file", help="workspace file")
+        q.set_defaults(handler=handler)
         return q
 
-    with_file("validate", "totality, associativity, hom and amalgam checks")
+    with_file("validate", _cmd_validate,
+              "totality, associativity, hom and amalgam checks")
 
-    q = with_file("classify", "regularity classification of one semigroup")
+    q = with_file("classify", _cmd_classify, "regularity classification of one semigroup")
     q.add_argument("--semigroup", required=True)
 
-    q = with_file("hom-check", "compatibility and monomorphism flags of one hom")
+    q = with_file("hom-check", _cmd_hom_check,
+                  "compatibility and monomorphism flags of one hom")
     q.add_argument("--hom", required=True)
 
-    q = with_file("quotient", "quotient by the congruence the given pairs generate")
+    q = with_file("quotient", _cmd_quotient,
+                  "quotient by the congruence the given pairs generate")
     q.add_argument("--semigroup", required=True)
     q.add_argument("--pairs", required=True,
                    help="comma-separated seed pairs, e.g. '0~2,1~3'")
 
-    q = with_file("word-mul", "multiply two words in the free product of the file")
+    q = with_file("word-mul", _cmd_word_mul,
+                  "multiply two words in the free product of the file")
     q.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.SAME_GAMMA.value)
     q.add_argument("--gamma", required=True)
     q.add_argument("--left", required=True)
     q.add_argument("--right", required=True)
 
-    q = with_file("amalgam-check", "necessary condition and embedding probe")
+    q = with_file("amalgam-check", _cmd_amalgam_check,
+                  "necessary condition and embedding probe")
     q.add_argument("--amalgam", required=True)
     q.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                    help="longest word searched, in element letters "
@@ -78,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="visited word states allowed per exploration "
                         f"(default {DEFAULT_BUDGET})")
 
-    q = with_file("iso-check", "first isomorphism assertions for one hom")
+    q = with_file("iso-check", _cmd_iso_check, "first isomorphism assertions for one hom")
     q.add_argument("--hom", required=True)
     return p
 
@@ -132,8 +141,8 @@ def _cmd_validate(ws: Workspace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_classify(ws: Workspace, name: str) -> int:
-    s = ws.semigroup(name)
+def _cmd_classify(ws: Workspace, semigroup: str) -> int:
+    s = ws.semigroup(semigroup)
     report = classify(s)
     print(f"semigroup {s.name}: {s.n} element(s), {s.g} gamma(s)")
     for e in report.per_element:
@@ -158,8 +167,8 @@ def _cmd_classify(ws: Workspace, name: str) -> int:
     return 1
 
 
-def _cmd_hom_check(ws: Workspace, name: str) -> int:
-    f = ws.hom(name)
+def _cmd_hom_check(ws: Workspace, hom: str) -> int:
+    f = ws.hom(hom)
     print(f"hom {f.name}: {f.source.name} -> {f.target.name}")
     w = verify_homomorphism(f)
     if w is not None:
@@ -176,15 +185,15 @@ def _cmd_hom_check(ws: Workspace, name: str) -> int:
     return 0
 
 
-def _cmd_quotient(ws: Workspace, name: str, pairs_arg: str) -> int:
-    s = ws.semigroup(name)
-    pairs = []
-    for chunk in pairs_arg.split(","):
+def _cmd_quotient(ws: Workspace, semigroup: str, pairs: str) -> int:
+    s = ws.semigroup(semigroup)
+    seeds = []
+    for chunk in pairs.split(","):
         halves = chunk.split("~")
         if len(halves) != 2 or not halves[0].strip() or not halves[1].strip():
             raise GsgError(f"bad pair {chunk!r}; expected 'a~b'")
-        pairs.append((halves[0].strip(), halves[1].strip()))
-    rho = generate_congruence(s, pairs)
+        seeds.append((halves[0].strip(), halves[1].strip()))
+    rho = generate_congruence(s, seeds)
     q, proj = quotient(s, rho)
     for block in rho.classes():
         print(f"# class {proj.carrier_map[block[0]]}: {' '.join(block)}")
@@ -196,20 +205,18 @@ def _cmd_word_mul(ws: Workspace, mode: str, gamma: str, left: str, right: str) -
     if not ws.semigroups:
         raise GsgError("word-mul needs a workspace with at least one semigroup")
     fp = FreeProduct(ws.semigroups, Mode(mode))
-    a = fp.parse_word(left)
-    b = fp.parse_word(right)
-    print(fp.gamma_multiply(a, gamma, b))
+    print(fp.gamma_multiply(fp.parse_word(left), gamma, fp.parse_word(right)))
     return 0
 
 
-def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int) -> int:
+def _cmd_amalgam_check(ws: Workspace, amalgam: str, bound: int, budget: int) -> int:
     if bound < 1 or budget < 1:
         raise GsgError(f"--bound and --budget must be positive integers, "
                        f"got {bound} and {budget}")
-    a = ws.amalgam(name)
+    a = ws.amalgam(amalgam)
+    nc = necessary_condition(a)  # validates, so an input error prints no header
     print(f"amalgam {a.name}: core {a.core.name}, parts {a.parts[0].name} "
           f"{a.parts[1].name}, mode {a.mode.value}")
-    nc = necessary_condition(a)
     print(f"necessary-condition: {nc.status}"
           + (f" (not completely alpha-regular: {', '.join(nc.failing_parts)})"
              if nc.failing_parts else "")
@@ -250,8 +257,8 @@ def _cmd_amalgam_check(ws: Workspace, name: str, bound: int, budget: int) -> int
     return 0
 
 
-def _cmd_iso_check(ws: Workspace, name: str) -> int:
-    f = ws.hom(name)
+def _cmd_iso_check(ws: Workspace, hom: str) -> int:
+    f = ws.hom(hom)
     try:
         report = first_isomorphism_check(f)
     except NotAHomomorphism as e:
@@ -270,31 +277,23 @@ def _cmd_iso_check(ws: Workspace, name: str) -> int:
     return 0 if report.all_pass else 1
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_PARSER.parse_args(argv))
+    options.pop("command")
+    path, handler = options.pop("file"), options.pop("handler")
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"cannot read {args.file}: {e}", file=sys.stderr)
+        print(f"cannot read {path}: {e}", file=sys.stderr)
         return 2
     try:
-        ws = parse(text)
-        if args.command == "validate":
-            return _cmd_validate(ws)
-        if args.command == "classify":
-            return _cmd_classify(ws, args.semigroup)
-        if args.command == "hom-check":
-            return _cmd_hom_check(ws, args.hom)
-        if args.command == "quotient":
-            return _cmd_quotient(ws, args.semigroup, args.pairs)
-        if args.command == "word-mul":
-            return _cmd_word_mul(ws, args.mode, args.gamma, args.left, args.right)
-        if args.command == "amalgam-check":
-            return _cmd_amalgam_check(ws, args.amalgam, args.bound, args.budget)
-        return _cmd_iso_check(ws, args.hom)
+        return handler(parse(text), **options)
     except ParseError as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
+        print(f"{path}:{e}", file=sys.stderr)
         return 2
     except GsgError as e:
         print(str(e), file=sys.stderr)

@@ -1,10 +1,13 @@
 """Command line behavior: exact reports, exit codes, determinism."""
 
+import argparse
+import inspect
 import subprocess
 import sys
 
 import pytest
 
+import gsg.cli
 from conftest import DATA
 from gsg.cli import run
 
@@ -559,3 +562,97 @@ def test_output_is_byte_deterministic():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr == b""
+
+
+def test_amalgam_check_input_error_prints_no_header(tmp_path, capsys):
+    """A core or part that is not associative is an input error: exit 2, one
+    line on stderr, and nothing on stdout, not even the amalgam's header."""
+    def table(name, p):  # x0 g x0 = x1, every other product x0: not associative
+        ops = "".join(f"op {p}{x} g {p}{y} = {p}{int(x == y == 0)}\n"
+                      for x in range(2) for y in range(2))
+        return f"semigroup {name}\nelements {p}0 {p}1\ngammas g\n{ops}end\n"
+
+    def rename(name, part, p):
+        return (f"hom {name} : U -> {part}\nmap u0 -> {p}0\nmap u1 -> {p}1\n"
+                "gmap g -> g\nend\n")
+
+    path = tmp_path / "not_associative.gsg"
+    path.write_text(table("U", "u") + table("S1", "a") + table("S2", "b")
+                    + rename("f1", "S1", "a") + rename("f2", "S2", "b")
+                    + "amalgam A\ncore U\nparts S1 S2\nmaps f1 f2\nmode same-gamma\nend\n")
+    code, out, err = invoke(capsys, "amalgam-check", str(path), "--amalgam", "A")
+    assert (code, out) == (2, "")
+    assert err == "associativity fails at (u0, g, u0, g, u1)\n"
+
+
+# every subcommand once, each on a fixture where it passes
+EVERY_SUBCOMMAND = [
+    ["validate", TWO_COPIES],
+    ["classify", Z2, "--semigroup", "Z2"],
+    ["hom-check", HOM, "--hom", "dbl"],
+    ["quotient", Z4, "--semigroup", "Z4", "--pairs", "0~2"],
+    ["word-mul", TWO_COPIES, "--gamma", "g", "--left", "a1", "--right", "b1"],
+    ["amalgam-check", TWO_COPIES, "--amalgam", "two_copies", "--bound", "3"],
+    ["iso-check", HOM, "--hom", "dbl"],
+]
+
+FLAGS = {
+    "validate": [],
+    "classify": ["--semigroup"],
+    "hom-check": ["--hom"],
+    "quotient": ["--semigroup", "--pairs"],
+    "word-mul": ["--mode", "--gamma", "--left", "--right"],
+    "amalgam-check": ["--amalgam", "--bound", "--budget"],
+    "iso-check": ["--hom"],
+}
+
+
+def subparsers() -> dict:
+    (action,) = [a for a in gsg.cli._PARSER._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_has_a_case_and_its_flags_listed():
+    assert list(subparsers()) == list(FLAGS) == [argv[0] for argv in EVERY_SUBCOMMAND]
+
+
+def test_handler_parameters_are_the_subcommand_options():
+    """A renamed flag fails here, not only when its subcommand runs."""
+    for name, sub in subparsers().items():
+        dests = [a.dest for a in sub._actions if a.dest not in ("help", "file")]
+        params = list(inspect.signature(sub.get_default("handler")).parameters)
+        assert params[0] == "ws", name
+        assert sorted(params[1:]) == sorted(dests), name
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("run built a parser")
+
+    monkeypatch.setattr(gsg.cli, "_build_parser", rebuild)
+    for argv in EVERY_SUBCOMMAND:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
+
+
+def test_the_parser_keeps_no_state_between_runs(capsys):
+    first = [invoke(capsys, *argv) for argv in EVERY_SUBCOMMAND]
+    bad_arguments(capsys, "amalgam-check", TWO_COPIES)
+    for argv, before in reversed(list(zip(EVERY_SUBCOMMAND, first))):
+        assert invoke(capsys, *argv) == before, argv
+
+
+@pytest.mark.parametrize("name", [None, *FLAGS])
+def test_every_help_exits_zero_and_lists_its_flags(capsys, name):
+    argv = ["--help"] if name is None else [name, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    if name is None:
+        assert out.startswith("usage: gsg ")
+        assert all(sub in out for sub in FLAGS)
+    else:
+        assert out.startswith(f"usage: gsg {name} ")
+        assert all(flag in out for flag in ["--help", *FLAGS[name]])
