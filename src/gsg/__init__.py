@@ -67,6 +67,7 @@ from .errors import (
     MissingHomomorphism,
     ModeMismatch,
     NameClash,
+    NonPositiveLimit,
     NotAHomomorphism,
     NotAssociative,
     NotCompatible,

@@ -115,9 +115,10 @@ from .errors import (
     GsgError,
     MalformedSequence,
     NameClash,
+    NonPositiveLimit,
     NotMonomorphism,
 )
-from .words import FreeProduct, Mode, Word
+from .words import FreeProduct, Mode, Word, _family_defects
 
 __all__ = [
     "GammaAmalgam",
@@ -151,7 +152,10 @@ class GammaAmalgam:
     """Core, two parts, and one structure map into each part.
 
     Construction only fixes the shape; run :func:`validate_amalgam` for the
-    real invariants (disjoint names, monomorphisms, gamma discipline)."""
+    real invariants: the parts obey the family rule of `words` (disjoint
+    names, gamma discipline), and the maps are monomorphisms from the core.
+    The search entry points also need the parts to be associative, which
+    building the free product requires."""
 
     name: str
     core: GammaSemigroup
@@ -177,14 +181,21 @@ class GammaAmalgam:
 
 
 def validate_amalgam(a: GammaAmalgam) -> list[GsgError]:
-    """Every violated invariant, as a list of unraised errors; empty = valid."""
-    defects: list[GsgError] = []
-    seen: dict[str, str] = {}
-    for s in (a.core, *a.parts):
-        for e in s.elements:
-            if e in seen and seen[e] != s.name:
-                defects.append(NameClash(e, f"{seen[e]} and {s.name}"))
-            seen.setdefault(e, s.name)
+    """Every violated invariant, as a list of unraised errors; empty = valid.
+
+    First the breaches of the family rule of `words` by the two parts and
+    the two maps; then the core's own invariants: its element names are
+    disjoint from each part's unless it is that part, in same-gamma mode it
+    carries the shared gamma list, and each map is a monomorphism from the
+    core into its part."""
+    defects = _family_defects(a.parts, a.mode, a.maps)
+    defects += [NameClash(e, f"{a.core.name} and {s.name}")
+                for s in a.parts if s != a.core
+                for e in a.core.elements if s.has_element(e)]
+    if a.mode is Mode.SAME_GAMMA and a.core.gammas != a.parts[0].gammas:
+        defects.append(GammaMismatch(
+            f"same-gamma mode needs one shared gamma list; core {a.core.name} "
+            f"has {a.core.gammas}, {a.parts[0].name} has {a.parts[0].gammas}"))
     for i, (f, part) in enumerate(zip(a.maps, a.parts)):
         if f.source != a.core:
             defects.append(GammaMismatch(
@@ -203,29 +214,12 @@ def validate_amalgam(a: GammaAmalgam) -> list[GsgError]:
                 defects.append(NotMonomorphism(i, "carrier map is not injective"))
             if not gamma_inj:
                 defects.append(NotMonomorphism(i, "gamma map is not injective"))
-    if a.mode is Mode.SAME_GAMMA:
-        shared = a.core.gammas
-        for s in a.parts:
-            if s.gammas != shared:
-                defects.append(GammaMismatch(
-                    f"same-gamma mode needs one shared gamma list; "
-                    f"{s.name} has {s.gammas}, core has {shared}"))
-        for f in a.maps:
-            if f.source == a.core and any(f.gamma_map.get(h) != h for h in a.core.gammas):
-                defects.append(GammaMismatch(
-                    f"same-gamma mode needs identity gamma maps, {f.name!r} is not"))
-    else:
-        overlap = set(a.parts[0].gammas) & set(a.parts[1].gammas)
-        if overlap:
-            defects.append(GammaMismatch(
-                f"disjoint mode needs disjoint part gammas, shared: {sorted(overlap)}"))
     return defects
 
 
 def _require_valid(a: GammaAmalgam) -> None:
-    defects = validate_amalgam(a)
-    if defects:
-        raise defects[0]
+    for defect in validate_amalgam(a):
+        raise defect
 
 
 @dataclass(frozen=True)
@@ -694,7 +688,8 @@ def _search_within(a: GammaAmalgam, bound: int, budget: int) -> _Search:
     """The amalgam's search, for an entry point that runs it at bound and
     budget, once both are checked to be positive."""
     if bound < 1 or budget < 1:
-        raise ValueError("bound and budget must be positive")
+        raise NonPositiveLimit(
+            f"bound and budget must be positive integers, got {bound} and {budget}")
     return a._search
 
 
@@ -938,8 +933,7 @@ class NecessaryConditionVerdict:
 
 def necessary_condition(a: GammaAmalgam) -> NecessaryConditionVerdict:
     _require_valid(a)
-    for s in (a.core, *a.parts):
-        _require_associative(s)
+    _require_associative(a.core, *a.parts)
     reports = [classify(s) for s in a.parts]
     failing = tuple(s.name for s, r in zip(a.parts, reports)
                     if not r.is_completely_alpha_regular)

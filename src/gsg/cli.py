@@ -3,9 +3,11 @@
 Exit codes: 0 every check passed, 1 a check failed (a certificate is
 printed; for amalgam-check, a proven collision), 2 the input could not be
 read, parsed, or validated, 3 a bounded search ended without a verdict.
-An input error prints nothing on stdout. Output is deterministic byte for
-byte. Each subcommand is declared once, in `_build_parser`, where its
-subparser names its handler; the parser is built once per process.
+Each subcommand computes everything that can fail on its input before it
+prints its first line, so an input error prints nothing on stdout. Output is
+deterministic byte for byte. Each subcommand is declared once, in
+`_build_parser`, where its subparser names its handler; the parser is
+built once per process.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .amalgams import (
 )
 from .congruences import first_isomorphism_check, generate_congruence, quotient
 from .core import (
+    _require_associative,
     check_associativity,
     classify,
     injective,
@@ -169,6 +172,7 @@ def _cmd_classify(ws: Workspace, semigroup: str) -> int:
 
 def _cmd_hom_check(ws: Workspace, hom: str) -> int:
     f = ws.hom(hom)
+    _require_associative(f.source, f.target)
     print(f"hom {f.name}: {f.source.name} -> {f.target.name}")
     w = verify_homomorphism(f)
     if w is not None:
@@ -210,25 +214,22 @@ def _cmd_word_mul(ws: Workspace, mode: str, gamma: str, left: str, right: str) -
 
 
 def _cmd_amalgam_check(ws: Workspace, amalgam: str, bound: int, budget: int) -> int:
-    if bound < 1 or budget < 1:
-        raise GsgError(f"--bound and --budget must be positive integers, "
-                       f"got {bound} and {budget}")
     a = ws.amalgam(amalgam)
-    nc = necessary_condition(a)  # validates, so an input error prints no header
+    nc = necessary_condition(a)
+    rel = relation_generators(a)
+    report = check_natural_embedding(a, bound, budget)
     print(f"amalgam {a.name}: core {a.core.name}, parts {a.parts[0].name} "
           f"{a.parts[1].name}, mode {a.mode.value}")
     print(f"necessary-condition: {nc.status}"
           + (f" (not completely alpha-regular: {', '.join(nc.failing_parts)})"
              if nc.failing_parts else "")
           + (f" (core element {nc.witness} has no witness pair)" if nc.witness else ""))
-    rel = relation_generators(a)
     print(f"relations: {len(rel.element_pairs)} element pair(s)"
           + (f", {len(rel.gamma_pairs)} gamma pair(s)" if rel.gamma_pairs else ""))
     for e1, e2 in rel.element_pairs:
         print(f"  {e1} ~ {e2}")
     for h1, h2 in rel.gamma_pairs:
         print(f"  gamma {h1} ~ {h2}")
-    report = check_natural_embedding(a, bound, budget)
     for p, s in enumerate(a.parts):
         if report.no_collision_within_bound[p]:
             print(f"injectivity {s.name}: no collisions within bound {bound}")
@@ -259,6 +260,7 @@ def _cmd_amalgam_check(ws: Workspace, amalgam: str, bound: int, budget: int) -> 
 
 def _cmd_iso_check(ws: Workspace, hom: str) -> int:
     f = ws.hom(hom)
+    _require_associative(f.source, f.target)
     try:
         report = first_isomorphism_check(f)
     except NotAHomomorphism as e:

@@ -231,11 +231,13 @@ def check_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:
     return s._assoc_verdict
 
 
-def _require_associative(s: GammaSemigroup) -> None:
-    """NotAssociative with the first witness unless s is associative."""
-    w = check_associativity(s)
-    if w is not None:
-        raise NotAssociative(w)
+def _require_associative(*semigroups: GammaSemigroup) -> None:
+    """NotAssociative with the first witness of the first semigroup that is
+    not associative, if any."""
+    for s in semigroups:
+        w = check_associativity(s)
+        if w is not None:
+            raise NotAssociative(w)
 
 
 def _scan_associativity(s: GammaSemigroup) -> Optional[AssocWitness]:

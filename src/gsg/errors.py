@@ -97,6 +97,10 @@ class MissingHomomorphism(GsgError):
         super().__init__(f"no homomorphism supplied for family member {index + 1}")
 
 
+class NonPositiveLimit(GsgError, ValueError):
+    """A search bound or budget below 1."""
+
+
 class NotCompatible(GsgError):
     def __init__(self, x: str, y: str, gamma: str, z: str):
         self.x, self.y, self.gamma, self.z = x, y, gamma, z

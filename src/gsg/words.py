@@ -19,9 +19,18 @@ the family member it came from.  Two merge disciplines exist:
 
 Both disciplines share one normal form: `FreeProduct.reduce` merges every
 mergeable factor in a single left-to-right pass over the coded letters.
-Products of words associate, which is what makes that pass well defined.
-`normalize`, `is_reduced`, `gamma_multiply`, `canonical_key` and the
-bounded amalgam search in `amalgams` are all built on it.
+Products of words associate, which is what makes that pass well defined,
+so every member must be associative.  `normalize`, `is_reduced`,
+`gamma_multiply`, `canonical_key` and the bounded amalgam search in
+`amalgams` are all built on it.
+
+What a family must satisfy to have a free product, the family rule, is
+stated once, in `_family_defects`: every element name is declared by one
+member only, and in disjoint mode every gamma name too; in same-gamma mode
+all members carry one gamma list and every given map fixes it.
+`FreeProduct` raises its first breach, `FreeProduct.folder` checks its
+homomorphisms with it, and `amalgams.validate_amalgam` reports its breaches
+for the two parts of an amalgam.
 """
 
 from __future__ import annotations
@@ -30,10 +39,17 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import GammaHomomorphism, GammaSemigroup, _require_ends, _require_homomorphism
+from .core import (
+    GammaHomomorphism,
+    GammaSemigroup,
+    _require_associative,
+    _require_ends,
+    _require_homomorphism,
+)
 from .errors import (
     CrossFamilyGamma,
     GammaMismatch,
+    GsgError,
     MalformedSequence,
     MissingHomomorphism,
     ModeMismatch,
@@ -82,13 +98,47 @@ class Word:
         return " ".join(self.tokens())
 
 
+def _family_defects(members: Sequence[GammaSemigroup], mode: Mode,
+                    maps: Sequence[GammaHomomorphism] = ()) -> list[GsgError]:
+    """Every breach of the family rule, as unraised errors; empty when the
+    members have a free product in this mode.
+
+    Each element name, and in disjoint mode each gamma name, is declared by
+    one member only (NameClash).  In same-gamma mode every member carries
+    the first member's gamma list, and every map in maps fixes that list:
+    it maps each shared gamma to itself, in a target whose gammas are the
+    shared ones in any order (GammaMismatch).
+    """
+    defects: list[GsgError] = []
+    rules = [("elements", "family element names must be disjoint")]
+    if mode is Mode.DISJOINT:
+        rules.append(("gammas", "disjoint mode needs disjoint gamma names"))
+    for kind, rule in rules:
+        seen: set[str] = set()     # the names of the members before s
+        for s in members:
+            defects += [NameClash(name, rule) for name in getattr(s, kind) if name in seen]
+            seen.update(getattr(s, kind))
+    if mode is Mode.SAME_GAMMA:
+        shared = members[0].gammas
+        defects += [GammaMismatch(f"same-gamma mode needs identical gamma lists, "
+                                  f"{s.name} has {s.gammas} vs {shared}")
+                    for s in members[1:] if s.gammas != shared]
+        defects += [GammaMismatch(f"hom {f.name!r} must map the shared gamma list "
+                                  f"identically onto its target's gammas")
+                    for f in maps if set(f.target.gammas) != set(shared)
+                    or any(f.gamma_map.get(h) != h for h in shared)]
+    return defects
+
+
 class FreeProduct:
     """The free product context: the member family plus the merge mode.
 
-    Members must have mutually disjoint element names (that is what lets a
-    plain name act as a letter).  In same-gamma mode every member must carry
-    an identical gamma tuple; in disjoint mode the gamma names must be
-    mutually disjoint as well.
+    Members must satisfy the family rule, `_family_defects`, whose first
+    breach the constructor raises: mutually disjoint element names (that is
+    what lets a plain name act as a letter), in same-gamma mode one shared
+    gamma tuple, in disjoint mode mutually disjoint gamma names as well.
+    Members must also be associative (NotAssociative otherwise), since the
+    normal form is only well defined when products of words associate.
 
     Internally a word is a coded state: the tuple of its letter codes.
     Element codes number the members' elements in member order; gamma codes
@@ -103,35 +153,24 @@ class FreeProduct:
         members = tuple(members)
         if not members:
             raise ValueError("a free product needs at least one member")
+        for defect in _family_defects(members, mode):
+            raise defect
+        _require_associative(*members)
         self.members = members
         self.mode = mode
         eletters = [Letter(p, e) for p, s in enumerate(members) for e in s.elements]
-        self._ecode: dict[str, int] = {}
-        for c, l in enumerate(eletters):
-            if l.element in self._ecode:
-                raise NameClash(l.element, "family element names must be disjoint")
-            self._ecode[l.element] = c
+        self._ecode = {l.element: c for c, l in enumerate(eletters)}
         if mode is Mode.SAME_GAMMA:
-            shared = members[0].gammas
-            for s in members[1:]:
-                if s.gammas != shared:
-                    raise GammaMismatch(
-                        f"same-gamma mode needs identical gamma lists, "
-                        f"{s.name} has {s.gammas} vs {shared}")
-            self.shared_gammas = shared
-            gletters = [GammaLetter(h, None) for h in shared]
-            own = [range(len(shared))] * len(members)
+            self.shared_gammas = members[0].gammas
+            gletters = [GammaLetter(h, None) for h in self.shared_gammas]
+            own = [range(len(gletters))] * len(members)
         else:
             gletters, own = [], []
             for p, s in enumerate(members):
                 own.append(range(len(gletters), len(gletters) + s.g))
                 gletters.extend(GammaLetter(h, p) for h in s.gammas)
             self.shared_gammas = None
-        self._gcode: dict[str, int] = {}
-        for c, l in enumerate(gletters):
-            if l.gamma in self._gcode:
-                raise NameClash(l.gamma, "disjoint mode needs disjoint gamma names")
-            self._gcode[l.gamma] = c
+        self._gcode = {l.gamma: c for c, l in enumerate(gletters)}
         self._eletters = tuple(eletters)
         self._gletters = tuple(gletters)
         self.element_names = tuple(l.element for l in eletters)
@@ -258,8 +297,9 @@ class FreeProduct:
 
         Left-to-right: h(x1) g1 h(x2) g2 ... computed in the target's table.
         In same-gamma mode the target must live over the shared gamma list
-        and every hom's gamma map must be the identity; in disjoint mode
-        each gamma letter goes through its own member's gamma map.
+        (in any order) and every hom must fix it, as the family rule says;
+        in disjoint mode each gamma letter goes through its own member's
+        gamma map.
         """
         state = self.encode(w)
         return self.folder(target, homs)(state)
@@ -273,16 +313,10 @@ class FreeProduct:
         for i, member in enumerate(self.members):
             if i >= len(homs) or homs[i] is None:
                 raise MissingHomomorphism(i)
-            f = homs[i]
-            _require_ends(f, member, target)
-            _require_homomorphism(f)
-            if self.mode is Mode.SAME_GAMMA:
-                if set(target.gammas) != set(self.shared_gammas):
-                    raise GammaMismatch(
-                        f"target {target.name} does not live over the shared gamma list")
-                if any(f.gamma_map[h] != h for h in self.shared_gammas):
-                    raise GammaMismatch(
-                        f"hom {f.name!r} must fix every shared gamma")
+            _require_ends(homs[i], member, target)
+            _require_homomorphism(homs[i])
+        for defect in _family_defects(self.members, self.mode, homs):
+            raise defect
         images = [homs[l.pointer].apply(l.element) for l in self._eletters]
         gimages = [l.gamma if self.mode is Mode.SAME_GAMMA
                    else homs[l.pointer].apply_gamma(l.gamma) for l in self._gletters]

@@ -27,11 +27,13 @@ from conftest import (
 from gsg import (
     CommutingSquareFails,
     CrossPair,
+    FreeProduct,
     GammaAmalgam,
     GammaHomomorphism,
     GammaLetter,
     GammaMismatch,
     GammaSemigroup,
+    GsgError,
     Letter,
     MalformedSequence,
     Mode,
@@ -123,7 +125,77 @@ def test_disjoint_mode_rejects_shared_gammas():
     f2 = GammaHomomorphism("f2", u, s2, {"u": "r"}, {"gu": "g1"})
     a = GammaAmalgam("shared", u, (s1, s2), (f1, f2), Mode.DISJOINT)
     defects = validate_amalgam(a)
-    assert any(isinstance(d, GammaMismatch) for d in defects)
+    assert any(isinstance(d, NameClash) for d in defects)
+
+
+def _glued(s1, s2, mode=Mode.SAME_GAMMA, moved=False):
+    """s1 and s2, one element each, glued over a one-element core that has
+    their first member's gammas; moved swaps the first two gammas in f1."""
+    u = trivial("u", gammas=s1.gammas)
+    swap = dict(zip(u.gammas[:2], reversed(u.gammas[:2]))) if moved else {}
+    f1 = GammaHomomorphism("f1", u, s1, {"u": s1.elements[0]},
+                           {h: swap.get(h, h) for h in u.gammas})
+    f2 = GammaHomomorphism("f2", u, s2, {"u": s2.elements[0]}, dict(zip(u.gammas, s2.gammas)))
+    return GammaAmalgam("breach", u, (s1, s2), (f1, f2), mode)
+
+
+def _fold_core_through_f1(a):
+    fp = FreeProduct([a.core])
+    return fp.fold(fp.embed(0, "u"), a.parts[0], [a.maps[0]])
+
+
+FAMILY_BREACHES = {
+    "parts share an element name": (
+        _glued(trivial("x", name="S1"), trivial("x", name="S2")), GammaAmalgam.free_product),
+    "one part twice": (
+        _glued(*[trivial("p", name="S1")] * 2), GammaAmalgam.free_product),
+    "different gamma lists": (
+        _glued(trivial("p", name="S1"), trivial("r", gammas=("h",), name="S2")),
+        GammaAmalgam.free_product),
+    "a map moves a shared gamma": (
+        _glued(trivial("p", gammas=("g", "h"), name="S1"),
+               trivial("r", gammas=("g", "h"), name="S2"), moved=True),
+        _fold_core_through_f1),
+    "disjoint parts share a gamma name": (
+        _glued(trivial("p", gammas=("g1",), name="S1"),
+               trivial("r", gammas=("g1",), name="S2"), Mode.DISJOINT),
+        GammaAmalgam.free_product),
+}
+
+
+@pytest.mark.parametrize("breach", FAMILY_BREACHES)
+def test_family_rule_agrees_in_validation_and_free_product(breach):
+    """validate_amalgam and the free product refuse each breach of the
+    family rule alike: the free product (or a fold through the amalgam's
+    own map) raises the type of the first defect validation reports."""
+    a, use = FAMILY_BREACHES[breach]
+    defects = validate_amalgam(a)
+    assert defects
+    with pytest.raises(type(defects[0])):
+        use(a)
+
+
+def not_associative(name, p):
+    """p0 g p0 = p1 and every other product p0, so (p0 g p0) g p1 = p0 but
+    p0 g (p0 g p1) = p1."""
+    table = np.zeros((2, 1, 2), dtype=np.int64)
+    table[0, 0, 0] = 1
+    return GammaSemigroup(name, (f"{p}0", f"{p}1"), ("g",), table)
+
+
+def test_search_entry_points_require_associative_parts():
+    # the reduced-word normal form is only well defined for associative
+    # parts; on these a search would "prove" a0 = a1 and b0 = b1
+    u, s1, s2 = not_associative("U", "u"), not_associative("S1", "a"), not_associative("S2", "b")
+    f1, f2 = (GammaHomomorphism(f"f{i}", u, s, {"u0": f"{p}0", "u1": f"{p}1"}, {"g": "g"})
+              for i, s, p in ((1, s1, "a"), (2, s2, "b")))
+    a = GammaAmalgam("A", u, (s1, s2), (f1, f2))
+    assert validate_amalgam(a) == []
+    w1, w2 = (Word((Letter(i, e),), Mode.SAME_GAMMA) for i, e in ((0, "a0"), (0, "a1")))
+    for call in (lambda: FreeProduct(a.parts), lambda: check_natural_embedding(a),
+                 lambda: words_equal_within(a, w1, w2), lambda: mu(a, 1, "a0")):
+        with pytest.raises(NotAssociative, match=r"associativity fails at \(a0, g, a0, g, a1\)"):
+            call()
 
 
 def test_search_refuses_invalid_amalgam():
@@ -251,10 +323,12 @@ def test_bound_and_budget_must_be_positive():
     a = make_trivial_amalgam()
     fp = a.free_product()
     w = fp.embed(0, "u1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         words_equal_within(a, w, w, bound=0)
-    with pytest.raises(ValueError):
+    assert isinstance(exc.value, GsgError)
+    with pytest.raises(ValueError) as exc:
         words_equal_within(a, w, w, budget=0)
+    assert isinstance(exc.value, GsgError)
 
 
 @pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2)])
@@ -264,8 +338,9 @@ def test_bound_and_budget_must_be_positive():
     lambda a, t, p1, p2, bound, budget: pushout_mediator(a, t, p1, p2, bound, budget),
 ], ids=["mu", "check_natural_embedding", "pushout_mediator"])
 def test_reports_reject_nonpositive_limits(call, limits):
-    with pytest.raises(ValueError, match="bound and budget must be positive"):
+    with pytest.raises(ValueError, match="bound and budget must be positive") as exc:
         call(*make_embedded_z4_fixture(), *limits)
+    assert isinstance(exc.value, GsgError)
 
 
 def test_search_rejects_unreduced_input():

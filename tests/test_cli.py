@@ -564,9 +564,9 @@ def test_output_is_byte_deterministic():
     assert first.stderr == second.stderr == b""
 
 
-def test_amalgam_check_input_error_prints_no_header(tmp_path, capsys):
-    """A core or part that is not associative is an input error: exit 2, one
-    line on stderr, and nothing on stdout, not even the amalgam's header."""
+def non_associative_workspace(tmp_path) -> str:
+    """Three copies U, S1, S2 of one 2-element table that is not associative,
+    renamed into each other by f1 and f2, glued as the amalgam A."""
     def table(name, p):  # x0 g x0 = x1, every other product x0: not associative
         ops = "".join(f"op {p}{x} g {p}{y} = {p}{int(x == y == 0)}\n"
                       for x in range(2) for y in range(2))
@@ -580,9 +580,48 @@ def test_amalgam_check_input_error_prints_no_header(tmp_path, capsys):
     path.write_text(table("U", "u") + table("S1", "a") + table("S2", "b")
                     + rename("f1", "S1", "a") + rename("f2", "S2", "b")
                     + "amalgam A\ncore U\nparts S1 S2\nmaps f1 f2\nmode same-gamma\nend\n")
-    code, out, err = invoke(capsys, "amalgam-check", str(path), "--amalgam", "A")
+    return str(path)
+
+
+# each subcommand that reads a table of the workspace above, its flags, and
+# the first associativity witness it reports
+NOT_ASSOCIATIVE = {
+    "classify": (["--semigroup", "S1"], "a0, g, a0, g, a1"),
+    "hom-check": (["--hom", "f2"], "u0, g, u0, g, u1"),
+    "iso-check": (["--hom", "f1"], "u0, g, u0, g, u1"),
+    "quotient": (["--semigroup", "S2", "--pairs", "b0~b1"], "b0, g, b0, g, b1"),
+    "word-mul": (["--gamma", "g", "--left", "a0", "--right", "b0"], "u0, g, u0, g, u1"),
+    "amalgam-check": (["--amalgam", "A"], "u0, g, u0, g, u1"),
+}
+
+
+@pytest.mark.parametrize("command", NOT_ASSOCIATIVE)
+def test_amalgam_check_input_error_prints_no_header(tmp_path, capsys, command):
+    """A table that is not associative is an input error wherever the laws
+    are used: exit 2, one line on stderr, and nothing on stdout (for
+    amalgam-check, not even the amalgam's header)."""
+    flags, witness = NOT_ASSOCIATIVE[command]
+    code, out, err = invoke(capsys, command, non_associative_workspace(tmp_path), *flags)
     assert (code, out) == (2, "")
-    assert err == "associativity fails at (u0, g, u0, g, u1)\n"
+    assert err == f"associativity fails at ({witness})\n"
+
+
+def test_validate_reports_a_table_that_is_not_associative(tmp_path, capsys):
+    code, out, err = invoke(capsys, "validate", non_associative_workspace(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.startswith("semigroup U: associativity fails at (u0 g u0 g u1)")
+    assert out.endswith("amalgam A: valid (mode same-gamma)\nvalidate: FAIL\n")
+
+
+def test_one_part_given_twice_is_an_input_error(tmp_path, capsys):
+    """parts S1 S1 breaks the family rule, so the file does not parse."""
+    path = tmp_path / "s1_twice.gsg"
+    path.write_text(open(TWO_COPIES).read().replace("parts S1 S2", "parts S1 S1")
+                    .replace("maps f1 f2", "maps f1 f1"))
+    for argv in (["validate"], ["amalgam-check", "--amalgam", "two_copies"]):
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "declared more than once" in err
 
 
 # every subcommand once, each on a fixture where it passes

@@ -284,6 +284,17 @@ def test_fold_same_gamma_rejects_moved_gammas():
         fp.fold(fp.embed(0, "1"), target, [h1, h2])
 
 
+def test_fold_accepts_the_shared_gammas_in_another_order():
+    s1 = trivial("p", gammas=("g", "h"), name="S1")
+    s2 = trivial("r", gammas=("g", "h"), name="S2")
+    target = trivial("t", gammas=("h", "g"), name="T")
+    fp = FreeProduct([s1, s2])
+    homs = [GammaHomomorphism(f"psi{i}", s, target, {s.elements[0]: "t"},
+                              {"g": "g", "h": "h"}) for i, s in enumerate((s1, s2))]
+    w = fp.gamma_multiply(fp.embed(0, "p"), "h", fp.embed(1, "r"))
+    assert fp.fold(w, target, homs) == "t"
+
+
 def test_fold_disjoint_uses_gamma_maps():
     dj = disjoint_family()
     z2 = zmod(2)
