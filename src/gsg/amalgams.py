@@ -42,24 +42,25 @@ A class exploration walks the swap quotient of the state graph, in which
 the letters of one relation class (a letter and its partner, if any) are
 one letter.  A swap keeps the length, so a component is closed under
 swapping any letter for any member of its class: it is the full preimage
-of its quotient component.  A quotient state weighs the product of its letters' class
-sizes, gamma letters included, and the weights of a quotient component add
-up to the size of the component.  A breadth-first search of the states
-themselves stops on budget exactly when its component holds more than
-budget states, so the walk stops with the same reason once its running
-weight exceeds budget, and the budget still counts states of the
-unquotiented search.  A walk that stops on budget claims nothing, so its
-class holds only its start, and `mu` under it is the element's own word.
+of its quotient component.  The budget counts quotient states, in walks
+and probes alike: a walk stops on budget as soon as it holds more than
+budget of them.  A walk that stops on budget claims nothing, so its class
+holds only its start, and `mu` under it is the element's own word.
 
 A targeted search (`words_equal_within`, a report's probe) runs on the
 swap quotient as well, from the images of its start and of its target at
 once (`_Search.meet`).  The component holds the target exactly when its
-quotient component holds the target's image, so when the side from the
-start runs dry without meeting the other, there is no chain, and the stop
-reason is "budget" exactly when the start's component weighs more than
-budget.  When neither word is longer than the bound, every move is undone
-inside it, and the side from the target running dry says the same.  When
-the sides meet, the quotient path is lifted to named moves
+quotient component holds the target's image.  Without a chain, the stop
+reason depends on the start's quotient component alone: "exhausted" when
+it holds at most budget states, else "budget".  The side from the start
+stops the probe once it holds more than budget states after expanding a
+state, and when it runs dry without meeting the other side, there is no
+chain.  When neither word
+is longer than the bound, every move is undone inside it, so the side
+from the target running dry says the same, and the side from the start
+goes on alone to learn the size of its component.
+
+When the sides meet, the quotient path is lifted to named moves
 (`_Search._lift`) through one witness (x, g, y, z) per quotient merge
 (X, G, Y) -> Z.  A class has at most two letters, so one swap puts any
 letter where the witness needs it: a merge first swaps its three letters to
@@ -72,24 +73,23 @@ An amalgam is immutable, so it builds its search (moves, factorizations,
 swap quotient) once, on first use, and every entry point reads that one.
 
 A search remembers, per bound, the whole quotient components that its
-probes have walked: their quotient states and weights, both fixed by the
-amalgam and the bound, whatever the budget.  The records are written and
-read in `_Search.meet` alone.  A component is recorded only when a side of
-a probe runs dry: the target's side, the start's side, or the
-start's side when it goes on alone after the target's side ran dry.  It is
+probes have walked, each a set of quotient states fixed by the amalgam and
+the bound, whatever the budget.  The records are written and read in
+`_Search.meet` alone.  A component is recorded only when a side of a probe
+runs dry: the target's side, or the start's side, alone or not.  It is
 recorded only from a start with at most bound element letters: from a
 longer start, a merge leads to a word still not shorter than bound, which
 may not be unmerged back, so the states reachable from it are not a
 component.  The one reading rule: a probe whose start lies in a recorded
-component that does not hold its target, and that weighs more than its
-budget, stops on "budget" without a search, as its search would.  Every
-other probe searches, so a chain is always the search's own, and every
-answer is the one a new search would give.  Class walks (`walk`, and so
-every report and `mu`) neither read nor write the records, so a report
-costs the same whatever ran before it on the same amalgam.  The records
-hold at most `_RECORD_LIMIT` quotient states over all bounds: a larger
-component is not recorded, and one that would pass the limit drops every
-older record first.
+component that does not hold its target stops without a search, on
+"budget" when that component holds more than budget states, else on
+"exhausted", as its search would.  Every other probe searches, so a chain
+is always the search's own, and every answer is the one a new search would
+give.  Class walks (`walk`, and so every report and `mu`) neither read nor
+write the records, so a report costs the same whatever ran before it on
+the same amalgam.  The records hold at most `_RECORD_LIMIT` quotient
+states over all bounds: a larger component is not recorded, and one that
+would pass the limit drops every older record first.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import prod
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -302,8 +301,6 @@ class _SwapQuotient(NamedTuple):
     each named by its least code."""
     erep: list[int]                        # element code -> its class
     grep: list[int]                        # gamma code -> its class
-    esize: list[int]                       # element code -> size of its class
-    gsize: list[int]                       # gamma code -> size of its class
     qmerge: dict[tuple, tuple[int, ...]]   # (X, G, Y) -> classes of the products
     qfacts: dict[int, tuple[tuple, ...]]   # Z -> class factors of its members
     witness: dict[tuple, tuple[int, ...]]  # (X, G, Y, Z) -> first such (x, g, y, z)
@@ -311,20 +308,6 @@ class _SwapQuotient(NamedTuple):
     def image(self, state) -> tuple:
         """The quotient state of a coded state."""
         return tuple((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
-
-    def weight(self, qstate) -> int:
-        """How many coded states have this image."""
-        return (prod(map(self.esize.__getitem__, qstate[0::2]))
-                * prod(map(self.gsize.__getitem__, qstate[1::2])))
-
-
-class _Component(NamedTuple):
-    """The quotient states reachable from one start at one bound.  From a
-    start with at most bound element letters they are a whole component,
-    and when a probe records it, its table at that bound maps each of them
-    to it."""
-    states: Collection    # its quotient states
-    weight: int           # how many states of the search they stand for
 
 
 class _Search:
@@ -348,7 +331,7 @@ class _Search:
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
         # bound -> quotient state -> the recorded component that holds it
-        self._components: dict[int, dict[tuple, _Component]] = {}
+        self._components: dict[int, dict[tuple, frozenset]] = {}
 
     @cached_property
     def _quotient(self) -> _SwapQuotient:
@@ -366,9 +349,7 @@ class _Search:
                 qfacts.setdefault(erep[z], set()).add(key)
                 witness.setdefault((*key, erep[z]), (x, g, y, z))
         return _SwapQuotient(
-            erep, grep, [1 + (r is not None) for r in self.subs],
-            [1 + (r is not None) for r in self.gsubs],
-            {k: tuple(sorted(v)) for k, v in qmerge.items()},
+            erep, grep, {k: tuple(sorted(v)) for k, v in qmerge.items()},
             {k: tuple(sorted(v)) for k, v in qfacts.items()}, witness)
 
     def _step(self, kind: str, pos: int, codes) -> Step:
@@ -470,36 +451,30 @@ class _Search:
         backwards, so its moves must be undone inside bound, and all moves
         are when neither end is longer than bound: a merge then leaves a
         state shorter than bound, as its unmerge needs.  Otherwise the
-        start's side runs alone.  A side that runs dry holds its whole
+        start's side runs alone.  A side is full once it holds more than
+        budget states after expanding a state: the start's side then stops
+        the probe on "budget", and the target's side stops expanding but is
+        still checked for a meeting.  A side that runs dry holds its whole
         component, and this is the one place where components are recorded
-        (`_record`).  When the target's side runs dry, the start's side
-        goes on alone, weighing its component, until the weight exceeds
-        budget or the component is complete, which is recorded too.
+        (`_record`).  When the target's side runs dry, the start's side goes
+        on alone.
 
         This is also the one place where the records are read: when the
         start's image lies in a recorded component that does not hold the
-        target's image and weighs more than budget, there is no chain, and
-        the probe stops on "budget" without expanding a state.  Otherwise
-        the search runs."""
+        target's image, there is no chain, and the probe stops without
+        expanding a state, on "budget" when that component holds more than
+        budget states, else on "exhausted".  Otherwise the search runs."""
         near, far = halves
         (begin,), (end,) = near, far
         if begin == end:
             return begin, None
         here = self._components.get(bound, {}).get(begin)
-        if here is not None and end not in here.states and here.weight > budget:
-            return None, "budget"
+        if here is not None and end not in here:
+            return None, "budget" if len(here) > budget else "exhausted"
         inside = len(begin) < 2 * bound and len(end) < 2 * bound
         frontiers = [[begin], [end] if inside else []]
-        qmoves, weigh = self.qmoves(bound), self._quotient.weight
+        qmoves = self.qmoves(bound)
         while frontiers[0]:
-            if inside and not frontiers[1]:
-                self._record(end, _Component(far, sum(map(weigh, far))), bound)
-                found = self._grow(set(near), frontiers[0], sum(map(weigh, near)),
-                                   bound, budget)
-                if found is None:
-                    return None, "budget"
-                self._record(begin, found, bound)
-                return None, "exhausted"
             side = 1 if 0 < len(frontiers[1]) < len(frontiers[0]) else 0
             mine, other = halves[side], halves[1 - side]
             layer = []
@@ -507,17 +482,20 @@ class _Search:
                 for ns in qmoves(cur):
                     if ns in mine:
                         continue
-                    if ns in other:
-                        mine[ns] = cur
-                        return ns, None
-                    if len(near) + len(far) >= budget:
-                        return None, "budget"
                     mine[ns] = cur
+                    if ns in other:
+                        return ns, None
                     layer.append(ns)
+                if len(mine) > budget:
+                    break
+            if len(mine) > budget:
+                if not side:
+                    return None, "budget"
+                layer = []      # the target's side is full
+            elif not layer:
+                self._record((begin, end)[side], mine, bound)
             frontiers[side] = layer
-        found = _Component(near, sum(map(weigh, near)))
-        self._record(begin, found, bound)
-        return None, "budget" if found.weight > budget else "exhausted"
+        return None, "exhausted"
 
     def _lift(self, start, path: list, target) -> tuple[Step, ...]:
         """Named moves from start along a path of quotient states, from the
@@ -558,79 +536,75 @@ class _Search:
             put(i, c)
         return tuple(self._step(*move) for move in moves)
 
-    def _record(self, begin, found: _Component, bound: int) -> None:
-        """Record found, the component of the quotient state begin at bound,
-        which a side of a probe has run dry: each of its states is mapped
-        to it.  Only when begin has at most bound element letters (from a
-        longer start the states reachable are not a component, since a
-        merge that shortens it has no inverse inside bound), begin is not
-        recorded yet, and found holds at most _RECORD_LIMIT states.  The
-        records of every bound are dropped first when they would hold
-        more."""
+    def _record(self, begin, found: Collection, bound: int) -> None:
+        """Record the quotient states found, the component of the quotient
+        state begin at bound, which a side of a probe has run dry: each of
+        them is mapped to the frozenset of them all.  Only when begin has
+        at most bound element letters (from a longer start the states
+        reachable are not a component, since a merge that shortens it has
+        no inverse inside bound), begin is not recorded yet, and found holds
+        at most _RECORD_LIMIT states.  The records of every bound are
+        dropped first when they would hold more."""
         table = self._components.get(bound, {})
-        size = len(found.states)
-        if begin in table or len(begin) >= 2 * bound or size > _RECORD_LIMIT:
+        if begin in table or len(begin) >= 2 * bound or len(found) > _RECORD_LIMIT:
             return
-        if sum(map(len, self._components.values())) + size > _RECORD_LIMIT:
+        if sum(map(len, self._components.values())) + len(found) > _RECORD_LIMIT:
             self._components.clear()
-        table = self._components.setdefault(bound, {})
-        for qstate in found.states:
-            table[qstate] = found
+        found = frozenset(found)
+        self._components.setdefault(bound, {}).update(dict.fromkeys(found, found))
 
-    def _grow(self, seen: set, layer: list, weight: int, bound: int,
-              budget: int) -> Optional[_Component]:
-        """Go on with a breadth-first search of the swap quotient: seen
-        holds the quotient states it has found, of total weight weight, and
-        layer those whose successors it has not looked at yet.  None as
-        soon as the weight exceeds budget, else the component."""
-        if weight > budget:
-            return None
-        qmoves, q = self.qmoves(bound), self._quotient
+    def walk(self, begin, bound: int, budget: int) -> tuple[set, str]:
+        """Breadth-first search of the swap quotient from the quotient state
+        begin: (the quotient states it found, stop reason).  It stops on
+        "budget" as soon as it holds more than budget states; otherwise it
+        holds the component of begin, "exhausted".  A walk neither reads nor
+        writes the records, so a report's class explorations cost the same
+        whatever ran before."""
+        qmoves, seen, layer = self.qmoves(bound), {begin}, [begin]
         while layer:
             nxt = []
             for cur in layer:
                 for ns in qmoves(cur):
                     if ns not in seen:
-                        weight += q.weight(ns)
-                        if weight > budget:
-                            return None
                         seen.add(ns)
+                        if len(seen) > budget:
+                            return seen, "budget"
                         nxt.append(ns)
             layer = nxt
-        return _Component(seen, weight)
+        return seen, "exhausted"
 
-    def walk(self, begin, bound: int, budget: int) -> Optional[_Component]:
-        """The quotient component of the quotient state begin: its quotient
-        states, and its weight, the number of states in the component of a
-        state with image begin; None as soon as that weight exceeds budget.
-        A walk neither reads nor writes the records, so a report's class
-        explorations cost the same whatever ran before."""
-        return self._grow({begin}, [begin], self._quotient.weight(begin), bound, budget)
+    def _class_entries(self, code: int, bound: int,
+                       budget: int) -> dict[int, tuple[frozenset, str]]:
+        """The walk from the image of the one-letter state (code,): every
+        code whose one-letter image it found, mapped to (class, stop
+        reason).  An exhausted walk maps each to the class it found.  A walk
+        that stops on budget claims nothing, so it maps each to itself
+        alone: each lies in the component of code, whose own walk stops on
+        budget too."""
+        erep = self._quotient.erep
+        seen, limit = self.walk((erep[code],), bound, budget)
+        members = frozenset(c for c, r in enumerate(erep) if (r,) in seen)
+        return {c: (members if limit == "exhausted" else frozenset((c,)), limit)
+                for c in members}
 
     def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
         """The class of the one-letter state (code,), as element codes, and
         the stop reason of its exploration, which walks the swap quotient.
         An exploration that stops on budget claims nothing, so it holds only
         its start: (frozenset((code,)), "budget")."""
-        erep = self._quotient.erep
-        found = self.walk((erep[code],), bound, budget)
-        if found is None:
-            return frozenset((code,)), "budget"
-        return frozenset(c for c, r in enumerate(erep) if (r,) in found.states), "exhausted"
+        return self._class_entries(code, bound, budget)[code]
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).
 
-        Starts run in code order, part 1 first, and a code that a settled
-        class already holds gets no exploration of its own.  A code whose
-        exploration stops on budget maps to its own class, which holds only
-        that code."""
+        Starts run in code order, part 1 first, and a code that an earlier
+        walk found gets no walk of its own: it lies in that walk's class,
+        or, when that walk stopped on budget, it maps to its own class,
+        which holds only that code, as its own walk would give."""
         out: dict[int, tuple[frozenset, str]] = {}
         for code in range(len(self.fp.element_names)):
             if code not in out:
-                members, _ = entry = self.component(code, bound, budget)
-                for c in members:
-                    out[c] = entry
+                out.update(self._class_entries(code, bound, budget))
         return out
 
 
@@ -646,19 +620,22 @@ class _Decider:
       `_Search`, and is undecided unless the probe returns a chain.  So
       probes run only when some class stopped on budget, and no ordered
       pair is probed twice;
+    * the budget counts quotient states: a class walk stops on budget as
+      soon as it holds more than budget of them;
     * a probe searches the swap quotient from both ends (`_Search.meet`).
-      Without a chain it stops on "budget" when it finds a state that
-      neither end holds while the two hold budget quotient states or more
-      between them.  When an end runs dry without meeting the other (the
-      target's end runs only when neither word is longer than bound), the
-      target lies outside the start's component, and the probe stops on
-      "budget" if that component weighs more than budget (counts more
-      states than budget), else on "exhausted".
+      It returns a chain when the ends meet.  Otherwise its stop reason
+      depends on the start's component alone: "exhausted" when the
+      component holds at most budget quotient states and lacks the target,
+      else "budget".  The start's end stops the probe on "budget" once it
+      holds more than budget states after expanding a state.  The target's
+      end runs only when neither word is longer than bound; once it holds
+      more than budget states it stops growing but still meets the start's
+      end, and when it runs dry the start's end goes on alone.
 
     The components that probes record (see the module docstring) change
-    none of these rules: a probe reads them only to stop on "budget" when
-    its start's recorded component lacks its target and weighs more than
-    budget, as its search would, and a class walk never reads them.
+    none of these rules: a probe reads them only when its start's recorded
+    component lacks its target, and then answers by that component's size
+    as its search would; a class walk never reads them.
     """
 
     def __init__(self, search: _Search, bound: int, budget: int):

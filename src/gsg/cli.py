@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="longest word searched, in element letters "
                         f"(default {DEFAULT_BOUND})")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="visited word states allowed per exploration "
+                   help="quotient states a class walk or probe side may hold "
                         f"(default {DEFAULT_BUDGET})")
 
     q = with_file("iso-check", _cmd_iso_check, "first isomorphism assertions for one hom")
@@ -139,7 +139,11 @@ def _cmd_validate(ws: Workspace) -> int:
                   f"product of images is "
                   f"{f.target.mul(f.carrier_map[a], f.gamma_map[g], f.carrier_map[b])}")
     for a in ws.amalgams:
-        print(f"amalgam {a.name}: valid (mode {a.mode.value})")
+        failing = [s.name for s in a.parts if check_associativity(s) is not None]
+        if failing:
+            print(f"amalgam {a.name}: parts not associative: {', '.join(failing)}")
+        else:
+            print(f"amalgam {a.name}: valid (mode {a.mode.value})")
     print("validate: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -5,7 +5,6 @@ the test passes; the chain is the proof object and must stay checkable.
 """
 
 import collections
-import functools
 
 import numpy as np
 import pytest
@@ -553,24 +552,27 @@ def test_mu_leftzero():
 def test_mu_keeps_the_own_word_of_a_budget_stopped_class():
     # an exploration that stops on budget claims nothing, so mu is the
     # element's own word; an exhausted one gives the least member of the
-    # class, read off the deque BFS as reference
+    # class.  The deque BFS, capped at 10k states and read through the swap
+    # quotient, is the reference: an exhausted BFS gives the class and the
+    # size of its quotient component, and a capped one that found more than
+    # budget quotient states proves a budget stop
     a = make_core_not_regular_amalgam()
     assert mu(a, 2, "bx", bound=2, budget=2) == a.free_product().embed(1, "bx")
     for a in _all_amalgams():
         search = gsg.amalgams._Search(a)
         fp = search.fp
         for bound in (2, 3, 4):
-            for budget in (2, 50):
-                for p, s in enumerate(a.parts):
-                    for e in s.elements:
-                        own = fp.embed(p, e)
-                        code = fp.encode(own)[0]
+            for p, s in enumerate(a.parts):
+                for e in s.elements:
+                    own = fp.embed(p, e)
+                    code = fp.encode(own)[0]
+                    visited, limit = component_bfs(search, (code,), bound, 10_000)
+                    size = len({search._quotient.image(st) for st in visited})
+                    for budget in (2, 50):
                         got, where = mu(a, p + 1, e, bound, budget), (a.name, bound, budget, e)
-                        if search.component(code, bound, budget)[1] == "budget":
+                        if size > budget:
                             assert got == own, where
-                        else:
-                            visited, limit = component_bfs(search, (code,), bound, budget)
-                            assert limit == "exhausted", where
+                        elif limit == "exhausted":
                             assert got == fp.decode(
                                 min(st for st in visited if len(st) == 1)), where
 
@@ -783,39 +785,44 @@ def test_exhausted_explorations_from_one_class_agree(swapped):
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
 def test_quotient_component_matches_the_deque_exploration(bound, swapped):
     # a class exploration walks the swap quotient; the deque BFS without a
-    # target is its reference: the same stop reason, on exhaustion the same
-    # one-letter members, and the quotient weight counts the BFS's states.
-    # Where the BFS stops on budget, the class holds only its start.  Budgets
-    # go from the largest down, so the one-entry cache lets a start whose
-    # 200k run stopped on budget read that run again.  The walk and the
-    # class exploration each run on a fresh search, so that no component an
-    # earlier budget recorded spares them the traversal checked here
-    bfs = functools.lru_cache(maxsize=1)(component_bfs)
+    # target, capped at 200k states and read through the quotient image, is
+    # its reference.  When the BFS exhausts, its images are the quotient
+    # component: the walk stops on "exhausted" with exactly those states
+    # when they are at most budget, and the class is the BFS's one-letter
+    # states; otherwise the walk stops on "budget" holding budget + 1 of
+    # them, and the class holds only its start.  Where the BFS stops on its
+    # cap, its images are part of the component: more than budget of them
+    # prove a budget stop, and an exhausted walk holds them all.  Budgets
+    # are 1, 2, 50, 200k and the number of images and its neighbours.  The
+    # walk and the class exploration each run on a fresh search
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
         search = gsg.amalgams._Search(a)
-        for code in range(len(search.fp.element_names)):
-            full, full_limit = bfs(search, (code,), bound, 200_000)
-            budgets = {1, 2, 50, 200_000}
-            if full_limit == "exhausted":
-                budgets |= {len(full) - 1, len(full), len(full) + 1} - {0}
-            for budget in sorted(budgets, reverse=True):
-                # an exhausted BFS never reached its budget check
-                if full_limit == "exhausted" and budget >= len(full):
-                    visited, limit = full, full_limit
-                else:
-                    visited, limit = bfs(search, (code,), bound, budget)
+        image = search._quotient.image
+        codes = range(len(search.fp.element_names))
+        for code in codes:
+            visited, full_limit = component_bfs(search, (code,), bound, 200_000)
+            images = {image(st) for st in visited}
+            size = len(images)
+            for budget in sorted({1, 2, 50, 200_000, size - 1, size, size + 1} - {0},
+                                 reverse=True):
                 where = (a.name, code, budget)
-                found = gsg.amalgams._Search(a).walk(search._quotient.image((code,)),
-                                                     bound, budget)
+                found, limit = gsg.amalgams._Search(a).walk(image((code,)), bound, budget)
                 explored = gsg.amalgams._Search(a).component(code, bound, budget)
                 if limit == "exhausted":
+                    assert images <= found and len(found) <= budget, where
                     assert explored == (
-                        frozenset(st[0] for st in visited if len(st) == 1), limit), where
-                    assert found is not None and found[1] == len(visited), where
+                        frozenset(c for c in codes if image((c,)) in found), limit), where
                 else:
+                    assert limit == "budget" and len(found) == budget + 1, where
                     assert explored == (frozenset((code,)), "budget"), where
-                    assert found is None, where
+                if full_limit == "exhausted":
+                    assert limit == ("exhausted" if size <= budget else "budget"), where
+                    assert found <= images, where
+                    if limit == "exhausted":
+                        assert explored[0] == frozenset(st[0] for st in visited if len(st) == 1)
+                elif size > budget:
+                    assert limit == "budget", where
 
 
 def _seeded_states(fp, rng, count, letters=3):
@@ -854,80 +861,143 @@ def _unmerges_inside(chain, start, bound) -> bool:
     return True
 
 
-def _deque_reference(search, start, bound):
-    """targeted_bfs from start at every budget up to 200k and for every
-    target at once, read off one untargeted run: a function of (target,
-    budget) that gives whether targeted_bfs finds a chain, and its stop
-    reason.  The two BFS visit states in one order, so targeted_bfs at
-    budget b finds a chain exactly when the i-th state visited normalises to
-    target for some i < b; otherwise it stops as the untargeted run does."""
-    visited, limit = component_bfs(search, start, bound, 200_000)
-    first: dict = {}
-    for i, state in enumerate(visited):
-        first.setdefault(search.fp.reduce(state)[0], i)
+def _most_successors(search, bound) -> int:
+    """At least as many as the successors of any quotient state with at
+    most bound element letters, or two at bound 1: a merge at each gap and
+    an unmerge at each letter, each in as many ways as the quotient tables
+    allow.  A side of a probe grows by at most this past its budget."""
+    q = search._quotient
+    return bound * (max(map(len, q.qmerge.values()), default=0)
+                    + max(map(len, q.qfacts.values()), default=0))
 
-    def ref(target, budget):
-        if first.get(target, budget) < budget:
-            return True, None
-        return False, ("exhausted" if limit == "exhausted" and len(visited) <= budget
-                       else "budget")
-    return ref
+
+def _probe_cases(swapped):
+    """The probes that the probe oracle tests ask about: for every fixture,
+    with its parts swapped when swapped, and every bound from 1 to 5,
+    (amalgam, its search, bound, pairs, seeded states).  Pairs are every
+    ordered pair of distinct one-letter states and the seeded states of up
+    to two letters, paired in order."""
+    rng = np.random.default_rng(16)
+    for a in _all_amalgams():
+        a = swap_parts(a) if swapped else a
+        search = gsg.amalgams._Search(a)
+        n = len(search.fp.element_names)
+        for bound in (1, 2, 3, 4, 5):
+            states = _seeded_states(search.fp, rng, 12, letters=2)
+            pairs = [((x,), (y,)) for x in range(n) for y in range(n) if x != y]
+            pairs += zip(states[0::2], states[1::2])
+            yield a, search, bound, pairs, states
+
+
+# (fixture, first part, bound, start) -> _start_reference's answer
+_START_REFERENCES: dict = {}
+
+
+def _start_reference(a, search, bound, start, pairs):
+    """component_bfs from start, capped at 200k states, read through the
+    swap quotient: (its stop reason, how many quotient states its states
+    stand for, the targets of pairs whose quotient states are among them).
+    On "exhausted" these are the start's quotient component and the
+    targets it holds; on "budget" they are part of it.  One run per
+    fixture, part order, bound and start, shared by the tests that read
+    it."""
+    key = (a.name, a.parts[0].name, bound, start)
+    if key not in _START_REFERENCES:
+        visited, limit = component_bfs(search, start, bound, 200_000)
+        images = set(map(search._quotient.image, visited))
+        held = {t for _, t in pairs if search._quotient.image(t) in images}
+        _START_REFERENCES[key] = (limit, len(images), held)
+    return _START_REFERENCES[key]
 
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
     # a probe searches the swap quotient from both ends and lifts the path
-    # it finds; the targeted deque BFS on the states themselves is its
-    # reference.  Whenever the BFS finds a chain the probe finds one too,
-    # which replays to the target and unmerges only inside the bound; the
-    # probe says "exhausted" only when the BFS does; its two halves hold at
-    # most budget quotient states, or the two it starts from.  Pairs are
-    # every ordered pair of one-letter states and seeded pairs of states of
-    # up to two letters, on every fixture and on it with the parts swapped.
-    # The BFS runs only for starts with a pair the probe leaves without a
-    # chain.  Each probe runs on a fresh search, so that no component an
+    # it finds; the deque BFS on the states themselves, read through the
+    # quotient (_start_reference), is its reference.  Whenever the start's
+    # component holds the target and at most budget quotient states, the
+    # probe finds a chain, which replays to the target and unmerges only
+    # inside the bound; at budgets up to 50 so does the targeted deque BFS
+    # of budget states, and it finds the target only in the start's
+    # component.  The probe says "exhausted" only when the BFS finds
+    # neither the target nor more than budget quotient states; each of its
+    # halves stops growing once it holds more than budget quotient states
+    # after an expansion (_most_successors).  Pairs come from
+    # _probe_cases, every fixture with its parts in either order.  The BFS
+    # runs only for starts with a pair the probe leaves without a chain.
+    # Each probe runs on a search without records, so that no component an
     # earlier probe recorded spares it the traversal its halves measure
     held = _spy_on_halves(monkeypatch)
-    rng = np.random.default_rng(16)
-    for a in _all_amalgams():
-        a = swap_parts(a) if swapped else a
-        search = gsg.amalgams._Search(a)
+    for a, search, bound, pairs, states in _probe_cases(swapped):
         fp = search.fp
-        n = len(fp.element_names)
-        for bound in (1, 2, 3, 4, 5):
-            states = _seeded_states(fp, rng, 12, letters=2)
-            pairs = [((x,), (y,)) for x in range(n) for y in range(n) if x != y]
-            pairs += zip(states[0::2], states[1::2])
-            refs: dict = {}
-            for start, target in pairs:
-                for budget in (1, 2, 50, 2000, 200_000):
-                    where = (a.name, bound, budget, start, target)
-                    held.clear()
-                    chain, limit = gsg.amalgams._Search(a).explore(start, bound, budget, target)
-                    near, far = held[0]
-                    assert len(near.keys() | far.keys()) <= max(budget, 2), where
-                    if chain is not None:
-                        assert limit is None, where
-                        assert fp.encode(replay_chain(a, fp.decode(start), chain)) == target
-                        assert _unmerges_inside(chain, start, bound), where
-                        continue
-                    if start not in refs:
-                        refs[start] = _deque_reference(search, start, bound)
-                    found, ref_limit = refs[start](target, budget)
-                    if budget <= 50:
-                        ref_chain, direct_limit = targeted_bfs(search, start, bound, budget, target)
-                        assert (ref_chain is not None, direct_limit) == (found, ref_limit), where
-                    assert not found, where
-                    assert limit == "budget" or ref_limit == "exhausted", where
-            # the walk's weight counts the states of the untargeted BFS,
-            # from multi-letter starts too
-            for start in states:
-                visited, limit = component_bfs(search, start, bound, 2000)
-                walked = search.walk(search._quotient.image(start), bound, 2000)
+        probe = gsg.amalgams._Search(a)
+        widest = _most_successors(search, bound)
+        for start, target in pairs:
+            for budget in (1, 2, 50, 2000, 200_000):
+                where = (a.name, bound, budget, start, target)
+                held.clear()
+                probe._components.clear()
+                chain, limit = probe.explore(start, bound, budget, target)
+                near, far = held[0]
+                assert max(len(near), len(far)) <= budget + widest, where
+                if chain is not None:
+                    assert limit is None, where
+                    assert fp.encode(replay_chain(a, fp.decode(start), chain)) == target
+                    assert _unmerges_inside(chain, start, bound), where
+                    continue
+                ref_limit, size, holds = _start_reference(a, search, bound, start, pairs)
+                if budget <= 50:
+                    ref_chain, direct_limit = targeted_bfs(search, start, bound, budget, target)
+                    assert ref_chain is None, where
+                    assert direct_limit == "budget" or (
+                        ref_limit == "exhausted" and target not in holds), where
+                if ref_limit == "exhausted":
+                    assert target not in holds or size > budget, where
                 if limit == "exhausted":
-                    assert walked is not None and walked[1] == len(visited), (a.name, start)
-                else:
-                    assert walked is None, (a.name, start)
+                    assert target not in holds and size <= budget, where
+        # the walk holds the images of the untargeted BFS's states, from
+        # multi-letter starts too
+        image = search._quotient.image
+        for start in states:
+            visited, limit = component_bfs(search, start, bound, 2000)
+            images = set(map(image, visited))
+            walked = search.walk(image(start), bound, 2000)
+            if limit == "exhausted":
+                assert walked == (images, "exhausted"), (a.name, start)
+            elif walked[1] == "exhausted":
+                assert images <= walked[0], (a.name, start)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_probe_stop_reason_depends_on_the_start_component_alone(swapped, monkeypatch):
+    # without a chain, a probe stops on "exhausted" exactly when the start's
+    # component lacks the target and holds at most budget quotient states,
+    # and on "budget" otherwise; with a component of at most budget states
+    # that holds the target it always finds a chain.  The deque BFS from
+    # the start is the reference (_start_reference, shared with the test
+    # above); where it stops on its cap it proves only part of the
+    # component, so only a component it found the target in, or more than
+    # budget quotient states of, is held to "budget".  Pairs come from
+    # _probe_cases.  The probes of one fixture and part order run on one
+    # search whose records may hold 200k quotient states, so each component
+    # is walked whole once and later probes from it read its record, whose
+    # answers are those of a fresh search
+    # (test_search_answers_do_not_depend_on_earlier_queries)
+    monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 200_000)
+    for a, search, bound, pairs, _ in _probe_cases(swapped):
+        for start, target in pairs:
+            for budget in (1, 2, 50, 2000, 200_000):
+                where = (a.name, bound, budget, start, target)
+                chain, limit = search.explore(start, bound, budget, target)
+                if chain is not None:
+                    continue
+                ref_limit, size, holds = _start_reference(a, search, bound, start, pairs)
+                lacks = target not in holds and size <= budget
+                if ref_limit == "exhausted":
+                    assert target not in holds or size > budget, where
+                    assert limit == ("exhausted" if lacks else "budget"), where
+                elif not lacks:
+                    assert limit == "budget", where
 
 
 def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
@@ -946,22 +1016,24 @@ def test_walk_from_the_target_meets_a_thin_end_early(monkeypatch):
 
 def test_probe_holds_at_most_budget_quotient_states(monkeypatch):
     # the quotient component of a1 at bound 4 has more than 50 states and
-    # does not hold the image of b2, so the probe stops once its two halves
-    # hold 50 states, or the two it starts from.  Each probe runs on an
-    # amalgam no earlier call has used, so no component an earlier probe
-    # recorded spares it its traversal
+    # does not hold the image of b2, so the probe stops once its start's
+    # half holds more than budget states after an expansion, which adds at
+    # most _most_successors; the target's half stops growing there too.
+    # Each probe runs on an amalgam no earlier call has used, so no
+    # component an earlier probe recorded spares it its traversal
     held = _spy_on_halves(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     search = gsg.amalgams._Search(a)
-    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6).states) > 50
+    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6)[0]) > 50
     for budget in (1, 2, 50):
         held.clear()
         v = words_equal_within(make_embedded_z4_fixture()[0], w1, w2, bound=4, budget=budget)
         assert (v.equal, v.limit) == (False, "budget")
         (near, far), = held
-        assert len(near) + len(far) == max(budget, 2)
+        widest = _most_successors(search, 4)
+        assert budget < len(near) <= budget + widest and len(far) <= budget + widest
 
 
 def _spy_on_expansions(monkeypatch) -> list:
@@ -978,22 +1050,27 @@ def _spy_on_expansions(monkeypatch) -> list:
 
 
 def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
-    # the first probe from a1 to b2 runs its start's side dry, so it records
-    # the component of a1, which weighs more than the budget, and stops on
-    # budget.  The same probe again reads that record and expands nothing
+    # the first probe from a1 to b2 at budget 1000 runs its start's side
+    # dry, so it records the component of a1, which at bound 4 holds more
+    # than 50 and at most 1000 quotient states and lacks b2, and stops on
+    # "exhausted".  Later probes from a1 to b2 read that record and expand
+    # nothing: at budget 1000 the probe stops on "exhausted" again, at
+    # budget 50 on "budget", as a fresh search does
     expanded = _spy_on_expansions(monkeypatch)
     a = make_embedded_z4_fixture()[0]
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     first = words_equal_within(a, w1, w2, bound=4, budget=1000)
-    assert (first.equal, first.limit) == (False, "budget")
-    table = a._search._components[4]
-    recorded = table[a._search._quotient.image(fp.encode(w1))]
-    assert recorded.weight > 1000
-    assert {k for k, found in table.items() if found is recorded} <= set(expanded)
+    assert (first.equal, first.limit) == (False, "exhausted")
+    recorded = a._search._components[4][a._search._quotient.image(fp.encode(w1))]
+    assert 50 < len(recorded) <= 1000 and recorded <= set(expanded)
     expanded.clear()
     assert words_equal_within(a, w1, w2, bound=4, budget=1000) == first
+    stopped = words_equal_within(a, w1, w2, bound=4, budget=50)
+    assert (stopped.equal, stopped.limit) == (False, "budget")
     assert expanded == []
+    fresh = make_embedded_z4_fixture()[0]
+    assert words_equal_within(fresh, w1, w2, bound=4, budget=50) == stopped
 
 
 def test_repeated_report_walks_its_classes_again(monkeypatch):
@@ -1024,7 +1101,7 @@ def test_separated_probe_expands_no_state(monkeypatch):
                         lambda self, state, bound: expanded.append(state)
                         or neighbors(self, state, bound))
     v = words_equal_within(a, w1, w2, bound=4, budget=1000)
-    assert (v.equal, v.limit) == (False, "budget")
+    assert (v.equal, v.limit) == (False, "exhausted")
     # a pair in one component gets its chain without expanding a state too
     w2 = fp.embed(1, "b1")
     v = words_equal_within(a, w1, w2, bound=4, budget=1000)
@@ -1042,9 +1119,10 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
     # on one search per fixture and part order, at every bound, from
     # one-letter states and seeded states of up to three letters, which are
     # longer than the bound at bounds 1 and 2.  Besides the usual budgets, each
-    # bound runs at the weight of every class up to 2000: there a probe from
-    # that class to another may stop on budget only because its halves reach
-    # the cap.  Walks and class explorations record nothing
+    # bound runs at the size of every class's quotient component up to
+    # 2000: there a probe from that class to another may stop on budget only
+    # because its start's half passes it.  Walks and class explorations
+    # record nothing
     rng = np.random.default_rng(17)
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
@@ -1057,8 +1135,8 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
         queries = []
         for bound in (1, 2, 3, 4, 5):
             walks = [gsg.amalgams._Search(a).walk(image((c,)), bound, 2000) for c in range(n)]
-            weights = {found.weight for found in walks if found is not None}
-            for budget in weights | {1, 2, 50, 2000, 200_000}:
+            sizes = {len(found) for found, limit in walks if limit == "exhausted"}
+            for budget in sizes | {1, 2, 50, 2000, 200_000}:
                 queries.append(("classes", (bound, budget)))
                 queries += [("component", (c, bound, budget)) for c in range(n)]
                 queries += [("walk", (image(s), bound, budget)) for s in starts]
@@ -1076,9 +1154,10 @@ def test_records_hold_at_most_the_record_limit(monkeypatch):
     # only probes fill the records.  Under a limit of 12 quotient states, a
     # component larger than that is not recorded, a new one that would pass
     # it drops the older records first, and any other new one maps each of
-    # its states to it; whatever the records hold, every answer is that of a
-    # fresh search.  Probes run from one-letter and seeded states at bounds
-    # 2 to 4, in a shuffled order on one search per fixture
+    # its states to one frozenset of them all; whatever the records hold,
+    # every answer is that of a fresh search.  Probes run from one-letter
+    # and seeded states at bounds 2 to 4, in a shuffled order on one search
+    # per fixture
     monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 12)
     seen = collections.Counter()
     record = gsg.amalgams._Search._record
@@ -1088,14 +1167,15 @@ def test_records_hold_at_most_the_record_limit(monkeypatch):
         record(self, begin, found, bound)
         after = self._components
         assert sum(map(len, after.values())) <= 12
-        if len(found.states) > 12:
+        if len(found) > 12:
             seen["skipped"] += 1
             assert after == before
         elif any(table.keys() - after.get(b, {}).keys() for b, table in before.items()):
             seen["dropped"] += 1
-            assert after == {bound: dict.fromkeys(found.states, found)}
+            assert after == {bound: dict.fromkeys(found, frozenset(found))}
         elif begin not in before.get(bound, {}) and len(begin) < 2 * bound:
-            assert all(after[bound][qstate] is found for qstate in found.states)
+            assert after[bound][begin] == frozenset(found)
+            assert all(after[bound][qstate] is after[bound][begin] for qstate in found)
 
     monkeypatch.setattr(gsg.amalgams._Search, "_record", spy)
     rng = np.random.default_rng(18)
@@ -1118,15 +1198,15 @@ def test_class_walks_never_touch_the_records(monkeypatch):
     # the records belong to probes: on a fresh amalgam a report, mu and
     # pushout_mediator leave them empty, and after probes have filled them
     # the same calls leave them as they were and expand the same quotient
-    # states as on the fresh amalgam.  mu's budget of 1000 is less than the
-    # weight of the component of a1 that the first probe records
+    # states as on the fresh amalgam.  mu's budget of 50 is less than the
+    # 85 quotient states of the component of a1 that the first probe records
     expanded = _spy_on_expansions(monkeypatch)
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     fp = a.free_product()
 
     def class_walks():
         expanded.clear()
-        out = (check_natural_embedding(a, bound=4), mu(a, 1, "a1", bound=4, budget=1000),
+        out = (check_natural_embedding(a, bound=4), mu(a, 1, "a1", bound=4, budget=50),
                pushout_mediator(a, t, psi1, psi2, bound=4),
                pushout_mediator(a, t, psi1, psi2, bound=3, budget=50))
         return out, list(expanded)
@@ -1176,37 +1256,61 @@ def test_one_search_per_amalgam(monkeypatch):
 
 def test_embedding_report_explores_each_class_once(monkeypatch):
     starts, explores = [], []
-    component, explore = gsg.amalgams._Search.component, gsg.amalgams._Search.explore
+    walk, explore = gsg.amalgams._Search.walk, gsg.amalgams._Search.explore
 
-    def spy_component(self, code, bound, budget):
-        starts.append(code)
-        return component(self, code, bound, budget)
+    def spy_walk(self, begin, bound, budget):
+        starts.append(begin)
+        return walk(self, begin, bound, budget)
 
     def spy_explore(self, start, bound, budget, target):
         explores.append((start, target))
         return explore(self, start, bound, budget, target)
 
-    monkeypatch.setattr(gsg.amalgams._Search, "component", spy_component)
+    monkeypatch.setattr(gsg.amalgams._Search, "walk", spy_walk)
     monkeypatch.setattr(gsg.amalgams._Search, "explore", spy_explore)
     a = make_two_copies()
     r = check_natural_embedding(a, bound=4)
     assert r.verdict == "consistent-within-bound"
-    # at most one exploration per start, n1 + n2 = 4; in fact one per class,
-    # {a0, b0} and {a1, b1}, each from its part-1 member
+    # at most one walk per start, n1 + n2 = 4; in fact one per class,
+    # {a0, b0} and {a1, b1}, each from the image of its part-1 member
     fp = a.free_product()
-    assert [fp.decode((c,)) for c in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
+    assert [fp.decode(s) for s in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
     # every class exhausted: no probe ran
     assert explores == []
-    # class explorations never run it: at the default limits some classes
-    # of core_not_regular stop on budget, and only targeted probes follow
+    # class explorations never run it: at the default bound and a budget
+    # of 1000 some classes of core_not_regular stop on budget, and only
+    # targeted probes follow
     a = make_core_not_regular_amalgam()
-    classes = gsg.amalgams._Search(a).classes(gsg.amalgams.DEFAULT_BOUND,
-                                              gsg.amalgams.DEFAULT_BUDGET)
+    classes = gsg.amalgams._Search(a).classes(gsg.amalgams.DEFAULT_BOUND, 1000)
     assert "budget" in {limit for _, limit in classes.values()}
     starts.clear()
-    check_natural_embedding(a)
+    check_natural_embedding(a, budget=1000)
     assert starts and explores
     assert all(target is not None for _, target in explores)
+
+
+def test_classes_give_no_walk_to_a_start_of_a_budget_stopped_walk(monkeypatch):
+    # a walk that stops on budget claims nothing, but every code whose
+    # one-letter image it found lies in its component, so that code's own
+    # walk would stop on budget too: classes maps it to its own class and
+    # "budget" without a walk.  At the default limits the walk from z1 on
+    # null_collision stops on budget after finding z2, a and b, so none of
+    # them is walked again, and each entry is the one component gives
+    starts = []
+    walk = gsg.amalgams._Search.walk
+    monkeypatch.setattr(gsg.amalgams._Search, "walk", lambda self, begin, bound, budget:
+                        starts.append(begin) or walk(self, begin, bound, budget))
+    search = gsg.amalgams._Search(null_collision_amalgam())
+    limits = (gsg.amalgams.DEFAULT_BOUND, gsg.amalgams.DEFAULT_BUDGET)
+    classes = search.classes(*limits)
+    code = {e: c for c, e in enumerate(search.fp.element_names)}
+    stopped = [code[e] for e in ("z1", "z2", "a", "b")]
+    assert [classes[c] for c in stopped] == [(frozenset((c,)), "budget") for c in stopped]
+    image = search._quotient.image
+    # z2 and z1 are one quotient letter, the image of both
+    assert {image((c,)) for c in stopped} & set(starts) == {image((code["z1"],))}
+    assert len(set(starts)) == len(starts)
+    assert all(search.component(c, *limits) == classes[c] for c in stopped[2:])
 
 
 def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
@@ -1222,9 +1326,10 @@ def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     assert check_natural_embedding(make_two_copies(), bound=4).verdict == \
         "consistent-within-bound"
     assert calls == []
-    # u1's class outgrows a budget of 50 states; one probe proves u1 = u2
+    # u1's class outgrows a budget of 5 quotient states (it holds 6 at the
+    # default bound 6); one probe proves u1 = u2
     a = make_trivial_amalgam()
-    r = check_natural_embedding(a, budget=50)
+    r = check_natural_embedding(a, budget=5)
     assert r.verdict == "consistent-within-bound"
     assert r.cross_pairs == (CrossPair("u1", "u2", "u"),)
     fp = a.free_product()
