@@ -11,7 +11,7 @@ ignored:
                                                              end
 
 Tokens are runs of non-whitespace characters; `#`, `=`, and the two-character
-arrow `->` never belong to a token (`_TOKEN_RE` is the grammar).  References
+arrow `->` never belong to a token (`_tokens` is the grammar).  References
 resolve against blocks declared earlier in the same file.  `serialize` emits
 the canonical form: declaration order, op lines sorted by index, single
 spaces, newline line endings; its output is a byte-exact fixpoint of
@@ -33,9 +33,7 @@ it reports.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 from .amalgams import GammaAmalgam, validate_amalgam
@@ -51,8 +49,6 @@ from .errors import (
 from .words import Mode
 
 __all__ = ["Workspace", "parse", "serialize"]
-
-_TOKEN_RE = re.compile(r"(?:->)|=|(?:(?!->)[^\s#=])+")
 
 
 @dataclass(frozen=True)
@@ -92,22 +88,21 @@ def _by_name(items, name: str, kind: str):
 
 def _tokens(raw: str) -> list[str]:
     """The tokens of one line, comment stripped: every line but a clean
-    'op' line (see the module docstring) comes here.
-
-    A whitespace split already gives the tokens unless some '=' or '->' is
-    glued to a name; an occurrence of either never spans whitespace, so
-    equal counts in the line and among the split pieces rule that out."""
-    line = raw.split("#", 1)[0]
-    toks = line.split()
-    if line.count("=") != toks.count("=") or line.count("->") != toks.count("->"):
-        return _TOKEN_RE.findall(line)
-    return toks
+    'op' line (see the module docstring) comes here.  Each arrow '->', read
+    from the left, and then each '=' becomes a token of its own; the rest
+    splits on whitespace."""
+    line = raw.split("#", 1)[0].replace("->", " -> ").replace("=", " = ")
+    return line.split()
 
 
 def _column(raw: str, k: int) -> int:
-    """1-based column of token k of one line, by re-scanning that line."""
-    line = raw.split("#", 1)[0]
-    return next(islice(_TOKEN_RE.finditer(line), k, None)).start() + 1
+    """1-based column of token k of one line, by re-scanning that line:
+    each token is the first occurrence of its text after the one before,
+    since only whitespace lies between them."""
+    toks, at = _tokens(raw), 0
+    for tok in toks[:k]:
+        at = raw.find(tok, at) + len(tok)
+    return raw.find(toks[k], at) + 1
 
 
 def _error(lines, i: int, k: int, message: str) -> ParseError:

@@ -6,8 +6,21 @@ suites compare library output against these on small inputs, and several
 frozen expected values in the tests were computed by running these once.
 """
 
+import re
 from collections import deque
 from itertools import product
+
+
+# the token grammar of the workspace format: a token is the arrow '->',
+# '=', or a run of characters other than whitespace, '#' and '=' that holds
+# no '->'; a '#' starts a comment
+TOKEN_RE = re.compile(r"(?:->)|=|(?:(?!->)[^\s#=])+")
+
+
+def grammar_tokens(line):
+    """(token, 1-based column) of every token of one line, by TOKEN_RE."""
+    return [(m.group(), m.start() + 1)
+            for m in TOKEN_RE.finditer(line.split("#", 1)[0])]
 
 
 def table_dict(s):

@@ -5,6 +5,7 @@ the test passes; the chain is the proof object and must stay checkable.
 """
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -794,6 +795,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
     # cap, its images are part of the component: more than budget of them
     # prove a budget stop, and an exhausted walk holds them all.  Budgets
     # are 1, 2, 50, 200k and the number of images and its neighbours.  The
+    # BFS is _start_reference's, shared with the probe oracle tests; the
     # walk and the class exploration each run on a fresh search
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
@@ -801,8 +803,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
         image = search._quotient.image
         codes = range(len(search.fp.element_names))
         for code in codes:
-            visited, full_limit = component_bfs(search, (code,), bound, 200_000)
-            images = {image(st) for st in visited}
+            full_limit, images, letters = _start_reference(a, search, bound, (code,))
             size = len(images)
             for budget in sorted({1, 2, 50, 200_000, size - 1, size, size + 1} - {0},
                                  reverse=True):
@@ -820,7 +821,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                     assert limit == ("exhausted" if size <= budget else "budget"), where
                     assert found <= images, where
                     if limit == "exhausted":
-                        assert explored[0] == frozenset(st[0] for st in visited if len(st) == 1)
+                        assert explored[0] == letters, where
                 elif size > budget:
                     assert limit == "budget", where
 
@@ -891,22 +892,24 @@ def _probe_cases(swapped):
 
 # (fixture, first part, bound, start) -> _start_reference's answer
 _START_REFERENCES: dict = {}
+# one tuple per quotient state, shared by every answer that holds it: the
+# answers of starts in one component overlap, and sharing halves their memory
+_IMAGES: dict = {}
 
 
-def _start_reference(a, search, bound, start, pairs):
-    """component_bfs from start, capped at 200k states, read through the
-    swap quotient: (its stop reason, how many quotient states its states
-    stand for, the targets of pairs whose quotient states are among them).
-    On "exhausted" these are the start's quotient component and the
-    targets it holds; on "budget" they are part of it.  One run per
-    fixture, part order, bound and start, shared by the tests that read
-    it."""
+def _start_reference(a, search, bound, start):
+    """component_bfs from start, capped at 200k states: (its stop reason,
+    the quotient states its states stand for, the element codes of its
+    one-letter states).  On "exhausted" these are the start's quotient
+    component and its class; on "budget" they are part of them.  One run
+    per fixture, part order, bound and start, shared by the class-walk and
+    probe oracle tests."""
     key = (a.name, a.parts[0].name, bound, start)
     if key not in _START_REFERENCES:
         visited, limit = component_bfs(search, start, bound, 200_000)
-        images = set(map(search._quotient.image, visited))
-        held = {t for _, t in pairs if search._quotient.image(t) in images}
-        _START_REFERENCES[key] = (limit, len(images), held)
+        images = (_IMAGES.setdefault(q, q) for q in map(search._quotient.image, visited))
+        _START_REFERENCES[key] = (limit, frozenset(images),
+                                  frozenset(st[0] for st in visited if len(st) == 1))
     return _START_REFERENCES[key]
 
 
@@ -929,7 +932,7 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
     # earlier probe recorded spares it the traversal its halves measure
     held = _spy_on_halves(monkeypatch)
     for a, search, bound, pairs, states in _probe_cases(swapped):
-        fp = search.fp
+        fp, image = search.fp, search._quotient.image
         probe = gsg.amalgams._Search(a)
         widest = _most_successors(search, bound)
         for start, target in pairs:
@@ -945,19 +948,19 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
                     assert fp.encode(replay_chain(a, fp.decode(start), chain)) == target
                     assert _unmerges_inside(chain, start, bound), where
                     continue
-                ref_limit, size, holds = _start_reference(a, search, bound, start, pairs)
+                ref_limit, images, _ = _start_reference(a, search, bound, start)
+                holds, size = image(target) in images, len(images)
                 if budget <= 50:
                     ref_chain, direct_limit = targeted_bfs(search, start, bound, budget, target)
                     assert ref_chain is None, where
                     assert direct_limit == "budget" or (
-                        ref_limit == "exhausted" and target not in holds), where
+                        ref_limit == "exhausted" and not holds), where
                 if ref_limit == "exhausted":
-                    assert target not in holds or size > budget, where
+                    assert not holds or size > budget, where
                 if limit == "exhausted":
-                    assert target not in holds and size <= budget, where
+                    assert not holds and size <= budget, where
         # the walk holds the images of the untargeted BFS's states, from
         # multi-letter starts too
-        image = search._quotient.image
         for start in states:
             visited, limit = component_bfs(search, start, bound, 2000)
             images = set(map(image, visited))
@@ -974,7 +977,7 @@ def test_probe_stop_reason_depends_on_the_start_component_alone(swapped, monkeyp
     # component lacks the target and holds at most budget quotient states,
     # and on "budget" otherwise; with a component of at most budget states
     # that holds the target it always finds a chain.  The deque BFS from
-    # the start is the reference (_start_reference, shared with the test
+    # the start is the reference (_start_reference, shared with the tests
     # above); where it stops on its cap it proves only part of the
     # component, so only a component it found the target in, or more than
     # budget quotient states of, is held to "budget".  Pairs come from
@@ -985,16 +988,18 @@ def test_probe_stop_reason_depends_on_the_start_component_alone(swapped, monkeyp
     # (test_search_answers_do_not_depend_on_earlier_queries)
     monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 200_000)
     for a, search, bound, pairs, _ in _probe_cases(swapped):
+        image = search._quotient.image
         for start, target in pairs:
             for budget in (1, 2, 50, 2000, 200_000):
                 where = (a.name, bound, budget, start, target)
                 chain, limit = search.explore(start, bound, budget, target)
                 if chain is not None:
                     continue
-                ref_limit, size, holds = _start_reference(a, search, bound, start, pairs)
-                lacks = target not in holds and size <= budget
+                ref_limit, images, _ = _start_reference(a, search, bound, start)
+                holds, size = image(target) in images, len(images)
+                lacks = not holds and size <= budget
                 if ref_limit == "exhausted":
-                    assert target not in holds or size > budget, where
+                    assert not holds or size > budget, where
                     assert limit == ("exhausted" if lacks else "budget"), where
                 elif not lacks:
                     assert limit == "budget", where
@@ -1071,6 +1076,27 @@ def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     assert expanded == []
     fresh = make_embedded_z4_fixture()[0]
     assert words_equal_within(fresh, w1, w2, bound=4, budget=50) == stopped
+
+
+def test_repeated_probe_from_a_component_over_the_record_limit_expands_nothing(monkeypatch):
+    # at bound 5 the component of z1 holds 66,207 quotient states, more than
+    # _RECORD_LIMIT, and lacks p1.  The first probe from z1 to p1 walks it
+    # whole and records it as the only record, so later probes from z1 to
+    # p1 expand nothing, and answer at budgets 200k and 50k as a fresh
+    # search does
+    expanded = _spy_on_expansions(monkeypatch)
+    a = null_collision_amalgam()
+    fp = a.free_product()
+    w1, w2 = fp.embed(0, "z1"), fp.embed(0, "p1")
+    first = words_equal_within(a, w1, w2, bound=5, budget=200_000)
+    assert (first.equal, first.limit) == (False, "exhausted")
+    recorded = a._search._components[5][a._search._quotient.image(fp.encode(w1))]
+    assert len(recorded) > gsg.amalgams._RECORD_LIMIT
+    expanded.clear()
+    again = [words_equal_within(a, w1, w2, bound=5, budget=b) for b in (200_000, 50_000)]
+    assert expanded == []
+    assert again == [words_equal_within(null_collision_amalgam(), w1, w2, bound=5, budget=b)
+                     for b in (200_000, 50_000)]
 
 
 def test_repeated_report_walks_its_classes_again(monkeypatch):
@@ -1152,12 +1178,14 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
 
 def test_records_hold_at_most_the_record_limit(monkeypatch):
     # only probes fill the records.  Under a limit of 12 quotient states, a
-    # component larger than that is not recorded, a new one that would pass
-    # it drops the older records first, and any other new one maps each of
-    # its states to one frozenset of them all; whatever the records hold,
-    # every answer is that of a fresh search.  Probes run from one-letter
-    # and seeded states at bounds 2 to 4, in a shuffled order on one search
-    # per fixture
+    # component whose start is recorded already or longer than the bound
+    # changes nothing; a new one that would pass the limit drops the older
+    # records first, so one larger than the limit replaces every record by
+    # itself; any other new one maps each of its states to one frozenset of
+    # them all.  So the records hold at most 12 states unless they are one
+    # component, and whatever they hold, every answer is that of a fresh
+    # search.  Probes run from one-letter and seeded states at bounds 2 to
+    # 4, in a shuffled order on one search per fixture
     monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 12)
     seen = collections.Counter()
     record = gsg.amalgams._Search._record
@@ -1166,14 +1194,15 @@ def test_records_hold_at_most_the_record_limit(monkeypatch):
         before = {b: dict(table) for b, table in self._components.items()}
         record(self, begin, found, bound)
         after = self._components
-        assert sum(map(len, after.values())) <= 12
-        if len(found) > 12:
-            seen["skipped"] += 1
+        held = {id(c) for table in after.values() for c in table.values()}
+        assert sum(map(len, after.values())) <= 12 or len(held) == 1
+        if begin in before.get(bound, {}) or len(begin) >= 2 * bound:
             assert after == before
-        elif any(table.keys() - after.get(b, {}).keys() for b, table in before.items()):
-            seen["dropped"] += 1
+        elif len(found) > 12 or any(table.keys() - after.get(b, {}).keys()
+                                    for b, table in before.items()):
+            seen["over the limit" if len(found) > 12 else "dropped"] += 1
             assert after == {bound: dict.fromkeys(found, frozenset(found))}
-        elif begin not in before.get(bound, {}) and len(begin) < 2 * bound:
+        else:
             assert after[bound][begin] == frozenset(found)
             assert all(after[bound][qstate] is after[bound][begin] for qstate in found)
 
@@ -1191,7 +1220,7 @@ def test_records_hold_at_most_the_record_limit(monkeypatch):
             args = queries[i]
             expected = gsg.amalgams._Search(a).explore(*args)
             assert search.explore(*args) == expected, (a.name, args)
-    assert seen["skipped"] and seen["dropped"]
+    assert seen["over the limit"] and seen["dropped"]
 
 
 def test_class_walks_never_touch_the_records(monkeypatch):
@@ -1478,8 +1507,11 @@ def test_mediator_checks_the_homomorphisms_once(monkeypatch):
 
 def test_mediator_relations_and_products_hold_whenever_it_returns():
     # the square check and the homomorphism checks of FreeProduct.folder
-    # imply both fields, so only diagram_commutes can fail.  Random 2- and
-    # 3-element targets over the gamma g, with random maps into them
+    # imply both equations, so the mediator reports them as constants and
+    # only diagram_commutes can fail.  Whenever it returns, the relation
+    # pairs fold to one element, and a one-letter product folds as the
+    # product in v's table of its folded letters.  Random 2- and 3-element
+    # targets over the gamma g, with random maps into them
     rng = np.random.default_rng(19)
     returned = 0
     for a in (make_two_copies(), make_trivial_amalgam(), make_leftzero_amalgam()):
@@ -1495,6 +1527,14 @@ def test_mediator_relations_and_products_hold_whenever_it_returns():
             except (CommutingSquareFails, NotAHomomorphism):
                 continue
             returned += 1
+            fp, homs = a.free_product(), [g1, g2]
+            for e1, e2 in relation_generators(a).element_pairs:
+                assert fp.fold(fp.embed(0, e1), v, homs) == fp.fold(fp.embed(1, e2), v, homs)
+            letters = [(p, e) for p, s in enumerate(a.parts) for e in s.elements]
+            for (p, x), (q, y) in itertools.product(letters, repeat=2):
+                product = fp.gamma_multiply(fp.embed(p, x), "g", fp.embed(q, y))
+                assert fp.fold(product, v, homs) == v.mul(
+                    homs[p].carrier_map[x], "g", homs[q].carrier_map[y]), (a.name, x, y)
             assert (r.relations_respected, r.relations_witness) == (True, None), a.name
             assert (r.products_respected, r.products_witness) == (True, None), a.name
             assert r.all_pass == r.diagram_commutes

@@ -23,7 +23,8 @@ from gsg import (
 )
 from gsg import textio
 from gsg.families import zmod
-from gsg.textio import _TOKEN_RE, _tokens
+from gsg.textio import _column, _tokens
+from oracles import grammar_tokens
 
 Z2_TEXT = """semigroup Z2
 elements 0 1
@@ -317,9 +318,22 @@ def test_error_columns_count_glued_tokens():
     assert "mapped twice" in e.message
 
 
-@given(st.text(alphabet="ab01 \t#=->>", max_size=40))
+# whitespace that does not end a line: str.split and the token grammar's
+# \s both split on it
+INLINE_SPACE = "".join(c for c in map(chr, range(0x110000))
+                       if c.isspace() and len(f"a{c}a".splitlines()) == 1)
+GRAMMAR_ALPHABET = "ab01 \t#=->>" + INLINE_SPACE
+
+
+@given(st.text(alphabet=GRAMMAR_ALPHABET, max_size=40))
 def test_line_tokens_follow_the_token_grammar(line):
-    assert _tokens(line) == _TOKEN_RE.findall(line.split("#", 1)[0])
+    assert _tokens(line) == [tok for tok, _ in grammar_tokens(line)]
+
+
+@given(st.text(alphabet=GRAMMAR_ALPHABET, max_size=40))
+def test_token_columns_follow_the_token_grammar(line):
+    assert [_column(line, k) for k in range(len(_tokens(line)))] == \
+        [col for _, col in grammar_tokens(line)]
 
 
 def workload_size_table():
@@ -370,10 +384,6 @@ def test_clean_op_lines_skip_the_tokenizer():
     assert seen == [ln for ln in text.splitlines() if not ln.startswith("op ")]
 
 
-# whitespace that does not end a line: str.split and the token grammar's
-# \s both split on it
-INLINE_SPACE = "".join(c for c in map(chr, range(0x110000))
-                       if c.isspace() and len(f"a{c}a".splitlines()) == 1)
 OP_HEADER = "semigroup S\nelements a b c\ngammas g\n"
 
 
@@ -407,7 +417,7 @@ def test_lines_that_skip_the_tokenizer_split_into_their_tokens(line):
     # on a line that a trailing '#' sends through the tokenizer
     seen, outcome = spied_tokens(OP_HEADER + line + "\nend\n")
     if line not in seen:
-        toks = _TOKEN_RE.findall(line.split("#", 1)[0])
+        toks = [tok for tok, _ in grammar_tokens(line)]
         assert line.split() == toks
         tokenized = " ".join(toks) + " #"
         again, tokenized_outcome = spied_tokens(OP_HEADER + tokenized + "\nend\n")
