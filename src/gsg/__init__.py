@@ -1,6 +1,8 @@
 """Finite gamma-semigroups: tables, homomorphisms, congruences, free
 products, and bounded amalgam embedding checks."""
 
+from types import ModuleType as _ModuleType
+
 from .amalgams import (
     DEFAULT_BOUND,
     DEFAULT_BUDGET,
@@ -82,4 +84,6 @@ from .words import FreeProduct, GammaLetter, Letter, Mode, Word
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name imported above, but not the submodules those imports bind
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -69,8 +69,9 @@ until the word is the target.  Swaps keep the length, so the lifted chain
 stays inside the bound.  No targeted search expands a state of the search
 itself; `_Search.neighbors` serves replay.
 
-An amalgam is immutable, so it builds its search (moves, factorizations,
-swap quotient) once, on first use, and every entry point reads that one.
+An amalgam is immutable, so it builds its search once, on first use, and
+every entry point reads that one.  One constructor, `_Search`'s, makes its
+moves, its factorizations and the tables of its swap quotient.
 
 A search remembers, per bound, the whole quotient components that its
 probes have walked, each a set of quotient states fixed by the amalgam and
@@ -300,25 +301,12 @@ def _trail(parents: dict, node) -> list:
     return out
 
 
-class _SwapQuotient(NamedTuple):
-    """The search's moves on states whose letters are relation classes,
-    each named by its least code."""
-    erep: list[int]                        # element code -> its class
-    grep: list[int]                        # gamma code -> its class
-    qmerge: dict[tuple, tuple[int, ...]]   # (X, G, Y) -> classes of the products
-    qfacts: dict[int, tuple[tuple, ...]]   # Z -> class factors of its members
-    witness: dict[tuple, tuple[int, ...]]  # (X, G, Y, Z) -> first such (x, g, y, z)
-
-    def image(self, state) -> tuple:
-        """The quotient state of a coded state."""
-        return tuple((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
-
-
 class _Search:
     """The moves of the bounded search over coded states of the amalgam's
     free product, and the searches of its swap quotient: class walks and
-    targeted probes.  A move is (kind, pos, codes); named Steps are built
-    only for the chains that are returned."""
+    targeted probes.  The quotient's tables are fields of the search, built
+    with it: erep, grep, qmerge, qfacts and witness.  A move is (kind, pos,
+    codes); named Steps are built only for the chains that are returned."""
 
     def __init__(self, a: GammaAmalgam):
         rel = relation_generators(a)
@@ -334,27 +322,31 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
-        # bound -> quotient state -> the recorded component that holds it
-        self._components: dict[int, dict[tuple, frozenset]] = {}
-
-    @cached_property
-    def _quotient(self) -> _SwapQuotient:
-        """The swap quotient's tables, built on first use in one pass over
-        the factorizations."""
-        erep, grep = ([c if r is None else min(c, r) for c, r in enumerate(subs)]
-                      for subs in (self.subs, self.gsubs))
+        # the swap quotient: each relation class is named by its least code,
+        # erep and grep map element and gamma codes to their classes
+        self.erep, self.grep = erep, grep = [
+            [c if r is None else min(c, r) for c, r in enumerate(subs)]
+            for subs in (self.subs, self.gsubs)]
         qmerge: dict[tuple, set[int]] = {}
         qfacts: dict[int, set[tuple]] = {}
-        witness: dict[tuple, tuple[int, ...]] = {}
+        # (X, G, Y, Z) -> the first (x, g, y, z) in facts order with those classes
+        self.witness: dict[tuple, tuple[int, ...]] = {}
         for z, pieces in self.facts.items():
             for x, g, y in pieces:
                 key = (erep[x], grep[g], erep[y])
                 qmerge.setdefault(key, set()).add(erep[z])
                 qfacts.setdefault(erep[z], set()).add(key)
-                witness.setdefault((*key, erep[z]), (x, g, y, z))
-        return _SwapQuotient(
-            erep, grep, {k: tuple(sorted(v)) for k, v in qmerge.items()},
-            {k: tuple(sorted(v)) for k, v in qfacts.items()}, witness)
+                self.witness.setdefault((*key, erep[z]), (x, g, y, z))
+        # (X, G, Y) -> the classes of its products; Z -> the class factors of
+        # its members
+        self.qmerge = {k: tuple(sorted(v)) for k, v in qmerge.items()}
+        self.qfacts = {k: tuple(sorted(v)) for k, v in qfacts.items()}
+        # bound -> quotient state -> the recorded component that holds it
+        self._components: dict[int, dict[tuple, frozenset]] = {}
+
+    def image(self, state) -> tuple:
+        """The quotient state of a coded state."""
+        return tuple((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
 
     def _step(self, kind: str, pos: int, codes) -> Step:
         """The named Step of a coded move."""
@@ -415,8 +407,7 @@ class _Search:
         quotient state to its successors, merges, then unmerges while the
         state has fewer than bound element letters.  This is the one move
         loop of the swap quotient."""
-        q = self._quotient
-        qmerge, qfacts = q.qmerge, q.qfacts
+        qmerge, qfacts = self.qmerge, self.qfacts
 
         def successors(qstate) -> list[tuple]:
             m = (len(qstate) + 1) // 2
@@ -433,8 +424,7 @@ class _Search:
         None), else (None, stop reason), "exhausted" or "budget" by the
         rule `_Decider` states.  `meet` finds a path in the swap quotient
         and `_lift` turns it into named moves."""
-        q = self._quotient
-        halves = ({q.image(start): None}, {q.image(target): None})
+        halves = ({self.image(start): None}, {self.image(target): None})
         meeting, limit = self.meet(halves, bound, budget)
         if meeting is None:
             return None, limit
@@ -501,13 +491,13 @@ class _Search:
         image of start to the image of target, and then on to target.  Each
         move of the path replaces one letter Z of the shorter state by three
         letters X G Y of the longer, and its witness (x, g, y, z)
-        (`_SwapQuotient.witness`) is a concrete merge with those classes.  A
+        (`_Search.witness`) is a concrete merge with those classes.  A
         class has at most two letters, so one swap puts any letter the
         witness needs in its place: a merge swaps its three letters to the
         witness, an unmerge its one letter, and at the end the letters are
         swapped to those of target.  Swaps keep the length, so the chain
         stays inside the bound of the path."""
-        witness = self._quotient.witness
+        witness = self.witness
         state, moves = list(start), []
 
         def put(i: int, c: int) -> None:
@@ -577,18 +567,11 @@ class _Search:
         that stops on budget claims nothing, so it maps each to itself
         alone: each lies in the component of code, whose own walk stops on
         budget too."""
-        erep = self._quotient.erep
+        erep = self.erep
         seen, limit = self.walk((erep[code],), bound, budget)
         members = frozenset(c for c, r in enumerate(erep) if (r,) in seen)
         return {c: (members if limit == "exhausted" else frozenset((c,)), limit)
                 for c in members}
-
-    def component(self, code: int, bound: int, budget: int) -> tuple[frozenset, str]:
-        """The class of the one-letter state (code,), as element codes, and
-        the stop reason of its exploration, which walks the swap quotient.
-        An exploration that stops on budget claims nothing, so it holds only
-        its start: (frozenset((code,)), "budget")."""
-        return self._class_entries(code, bound, budget)[code]
 
     def classes(self, bound: int, budget: int) -> dict[int, tuple[frozenset, str]]:
         """Every element code of the product mapped to (class, stop reason).
@@ -609,7 +592,7 @@ class _Decider:
     budget.  This is the one statement of the budget rules:
 
     * a class is settled only by an exhausted exploration; one that stops
-      on budget claims nothing and holds only its start (`_Search.component`);
+      on budget claims nothing and holds only its start (`_Search.classes`);
     * a settled class proves its members equal, and apart from the rest;
     * a pair with neither code settled gets one targeted probe,
       `_Search.explore` as in `words_equal_within`, on the amalgam's one
@@ -707,7 +690,8 @@ def mu(a: GammaAmalgam, part: int, element: str,
         raise ValueError("part must be 1 or 2")
     search = _search_within(a, bound, budget)
     fp = search.fp
-    members, _ = search.component(fp.encode(fp.embed(part - 1, element))[0], bound, budget)
+    code = fp.encode(fp.embed(part - 1, element))[0]
+    members, _ = search._class_entries(code, bound, budget)[code]
     return fp.decode((min(members),))
 
 

@@ -5,6 +5,7 @@ the test passes; the chain is the proof object and must stay checkable.
 """
 
 import collections
+import functools
 import itertools
 
 import numpy as np
@@ -568,7 +569,7 @@ def test_mu_keeps_the_own_word_of_a_budget_stopped_class():
                     own = fp.embed(p, e)
                     code = fp.encode(own)[0]
                     visited, limit = component_bfs(search, (code,), bound, 10_000)
-                    size = len({search._quotient.image(st) for st in visited})
+                    size = len({search.image(st) for st in visited})
                     for budget in (2, 50):
                         got, where = mu(a, p + 1, e, bound, budget), (a.name, bound, budget, e)
                         if size > budget:
@@ -800,7 +801,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
         search = gsg.amalgams._Search(a)
-        image = search._quotient.image
+        image = search.image
         codes = range(len(search.fp.element_names))
         for code in codes:
             full_limit, images, letters = _start_reference(a, search, bound, (code,))
@@ -809,7 +810,7 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                                  reverse=True):
                 where = (a.name, code, budget)
                 found, limit = gsg.amalgams._Search(a).walk(image((code,)), bound, budget)
-                explored = gsg.amalgams._Search(a).component(code, bound, budget)
+                explored = gsg.amalgams._Search(a)._class_entries(code, bound, budget)[code]
                 if limit == "exhausted":
                     assert images <= found and len(found) <= budget, where
                     assert explored == (
@@ -824,6 +825,30 @@ def test_quotient_component_matches_the_deque_exploration(bound, swapped):
                         assert explored[0] == letters, where
                 elif size > budget:
                     assert limit == "budget", where
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_witness_is_the_first_factorization_with_its_classes(swapped):
+    # a lifted chain replaces each quotient merge (X, G, Y) -> Z by its
+    # witness (x, g, y, z): a product inside one part, whose letters have
+    # the classes X, G, Y and Z, and the first such factorization in facts
+    # order, which fixes the lifted chains.  Every product that qmerge lists
+    # for (X, G, Y) has a witness, and there are no others
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(swap_parts(a) if swapped else a)
+        ordered = [(x, g, y, z) for z, pieces in search.facts.items() for x, g, y in pieces]
+
+        def classes(x, g, y, z):
+            return search.image((x, g, y)) + (search.erep[z],)
+
+        for key, (x, g, y, z) in search.witness.items():
+            where = (a.name, key)
+            assert search.fp.merge(x, g, y) == z, where
+            assert classes(x, g, y, z) == key, where
+            assert next(f for f in ordered if classes(*f) == key) == (x, g, y, z), where
+        assert search.witness.keys() == {
+            (*triple, product) for triple, products in search.qmerge.items()
+            for product in products}, a.name
 
 
 def _seeded_states(fp, rng, count, letters=3):
@@ -867,9 +892,8 @@ def _most_successors(search, bound) -> int:
     most bound element letters, or two at bound 1: a merge at each gap and
     an unmerge at each letter, each in as many ways as the quotient tables
     allow.  A side of a probe grows by at most this past its budget."""
-    q = search._quotient
-    return bound * (max(map(len, q.qmerge.values()), default=0)
-                    + max(map(len, q.qfacts.values()), default=0))
+    return bound * (max(map(len, search.qmerge.values()), default=0)
+                    + max(map(len, search.qfacts.values()), default=0))
 
 
 def _probe_cases(swapped):
@@ -907,7 +931,7 @@ def _start_reference(a, search, bound, start):
     key = (a.name, a.parts[0].name, bound, start)
     if key not in _START_REFERENCES:
         visited, limit = component_bfs(search, start, bound, 200_000)
-        images = (_IMAGES.setdefault(q, q) for q in map(search._quotient.image, visited))
+        images = (_IMAGES.setdefault(q, q) for q in map(search.image, visited))
         _START_REFERENCES[key] = (limit, frozenset(images),
                                   frozenset(st[0] for st in visited if len(st) == 1))
     return _START_REFERENCES[key]
@@ -932,7 +956,7 @@ def test_quotient_precheck_matches_the_deque_bfs_alone(swapped, monkeypatch):
     # earlier probe recorded spares it the traversal its halves measure
     held = _spy_on_halves(monkeypatch)
     for a, search, bound, pairs, states in _probe_cases(swapped):
-        fp, image = search.fp, search._quotient.image
+        fp, image = search.fp, search.image
         probe = gsg.amalgams._Search(a)
         widest = _most_successors(search, bound)
         for start, target in pairs:
@@ -988,7 +1012,7 @@ def test_probe_stop_reason_depends_on_the_start_component_alone(swapped, monkeyp
     # (test_search_answers_do_not_depend_on_earlier_queries)
     monkeypatch.setattr(gsg.amalgams, "_RECORD_LIMIT", 200_000)
     for a, search, bound, pairs, _ in _probe_cases(swapped):
-        image = search._quotient.image
+        image = search.image
         for start, target in pairs:
             for budget in (1, 2, 50, 2000, 200_000):
                 where = (a.name, bound, budget, start, target)
@@ -1031,7 +1055,7 @@ def test_probe_holds_at_most_budget_quotient_states(monkeypatch):
     fp = a.free_product()
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     search = gsg.amalgams._Search(a)
-    assert len(search.walk(search._quotient.image(fp.encode(w1)), 4, 10**6)[0]) > 50
+    assert len(search.walk(search.image(fp.encode(w1)), 4, 10**6)[0]) > 50
     for budget in (1, 2, 50):
         held.clear()
         v = words_equal_within(make_embedded_z4_fixture()[0], w1, w2, bound=4, budget=budget)
@@ -1067,7 +1091,7 @@ def test_repeated_budget_stopped_probe_expands_no_quotient_state(monkeypatch):
     w1, w2 = fp.embed(0, "a1"), fp.embed(1, "b2")
     first = words_equal_within(a, w1, w2, bound=4, budget=1000)
     assert (first.equal, first.limit) == (False, "exhausted")
-    recorded = a._search._components[4][a._search._quotient.image(fp.encode(w1))]
+    recorded = a._search._components[4][a._search.image(fp.encode(w1))]
     assert 50 < len(recorded) <= 1000 and recorded <= set(expanded)
     expanded.clear()
     assert words_equal_within(a, w1, w2, bound=4, budget=1000) == first
@@ -1090,7 +1114,7 @@ def test_repeated_probe_from_a_component_over_the_record_limit_expands_nothing(m
     w1, w2 = fp.embed(0, "z1"), fp.embed(0, "p1")
     first = words_equal_within(a, w1, w2, bound=5, budget=200_000)
     assert (first.equal, first.limit) == (False, "exhausted")
-    recorded = a._search._components[5][a._search._quotient.image(fp.encode(w1))]
+    recorded = a._search._components[5][a._search.image(fp.encode(w1))]
     assert len(recorded) > gsg.amalgams._RECORD_LIMIT
     expanded.clear()
     again = [words_equal_within(a, w1, w2, bound=5, budget=b) for b in (200_000, 50_000)]
@@ -1148,30 +1172,35 @@ def test_search_answers_do_not_depend_on_earlier_queries(swapped):
     # bound runs at the size of every class's quotient component up to
     # 2000: there a probe from that class to another may stop on budget only
     # because its start's half passes it.  Walks and class explorations
-    # record nothing
+    # record nothing, which this test asserts on the tested search; as they
+    # read no record either, their reference answers come from one more
+    # search per fixture and part order, whose walks are memoized.  Each
+    # probe's reference is a fresh search
     rng = np.random.default_rng(17)
     for a in _all_amalgams():
         a = swap_parts(a) if swapped else a
-        search = gsg.amalgams._Search(a)
-        image = search._quotient.image
+        search, reference = gsg.amalgams._Search(a), gsg.amalgams._Search(a)
+        reference.walk = functools.cache(reference.walk)
+        image = search.image
         n = len(search.fp.element_names)
         starts = [(c,) for c in range(n)] + _seeded_states(search.fp, rng, 8)
         pairs = [(x, y) for x in starts for y in starts if x != y]
         pairs = [pairs[i] for i in rng.choice(len(pairs), min(len(pairs), 60), replace=False)]
         queries = []
         for bound in (1, 2, 3, 4, 5):
-            walks = [gsg.amalgams._Search(a).walk(image((c,)), bound, 2000) for c in range(n)]
+            walks = [reference.walk(image((c,)), bound, 2000) for c in range(n)]
             sizes = {len(found) for found, limit in walks if limit == "exhausted"}
             for budget in sizes | {1, 2, 50, 2000, 200_000}:
                 queries.append(("classes", (bound, budget)))
-                queries += [("component", (c, bound, budget)) for c in range(n)]
+                queries += [("_class_entries", (c, bound, budget)) for c in range(n)]
                 queries += [("walk", (image(s), bound, budget)) for s in starts]
                 queries += [("explore", (s, bound, budget, t)) for s, t in pairs]
         for i in rng.permutation(len(queries)):
             kind, args = queries[i]
             recorded = sum(map(len, search._components.values()))
             got = getattr(search, kind)(*args)
-            assert got == getattr(gsg.amalgams._Search(a), kind)(*args), (a.name, kind, args)
+            expected = gsg.amalgams._Search(a) if kind == "explore" else reference
+            assert got == getattr(expected, kind)(*args), (a.name, kind, args)
             if kind != "explore":
                 assert sum(map(len, search._components.values())) == recorded, (a.name, args)
 
@@ -1335,11 +1364,11 @@ def test_classes_give_no_walk_to_a_start_of_a_budget_stopped_walk(monkeypatch):
     code = {e: c for c, e in enumerate(search.fp.element_names)}
     stopped = [code[e] for e in ("z1", "z2", "a", "b")]
     assert [classes[c] for c in stopped] == [(frozenset((c,)), "budget") for c in stopped]
-    image = search._quotient.image
+    image = search.image
     # z2 and z1 are one quotient letter, the image of both
     assert {image((c,)) for c in stopped} & set(starts) == {image((code["z1"],))}
     assert len(set(starts)) == len(starts)
-    assert all(search.component(c, *limits) == classes[c] for c in stopped[2:])
+    assert all(search._class_entries(c, *limits)[c] == classes[c] for c in stopped[2:])
 
 
 def test_embedding_report_probes_only_pairs_left_open(monkeypatch):

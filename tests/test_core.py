@@ -1,6 +1,7 @@
 """Tables, associativity, homomorphisms."""
 
 import collections
+import types
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from gsg import (
     validate_table,
     verify_homomorphism,
 )
+import gsg
 from gsg import congruences, core
 from gsg.families import left_zero, zmod
 from oracles import brute_assoc_witness, brute_hom_witness, table_dict
@@ -331,3 +333,14 @@ def test_preserves_left_identity():
     f2 = GammaHomomorphism("c", z2, k2(), {"0": "b", "1": "b"}, {"g": "g"})
     # K2 has no left identity at all, so the image of 0 cannot be one
     assert not preserves_left_identity(f2)
+
+
+def test_star_import_binds_every_public_name_and_no_module():
+    # gsg.__all__ names what the package exports; the submodules that its
+    # own imports bind are not among them
+    namespace: dict = {}
+    exec("from gsg import *", namespace)
+    del namespace["__builtins__"]
+    assert [n for n, v in namespace.items() if isinstance(v, types.ModuleType)] == []
+    assert namespace.keys() == set(gsg.__all__)
+    assert all(namespace[name] is getattr(gsg, name) for name in gsg.__all__)
