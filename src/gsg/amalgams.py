@@ -313,8 +313,22 @@ class _Search:
         self.fp = fp = a.free_product()
         self.subs = _partners(fp.element_names, rel.element_pairs)
         self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
-        # factorizations x g y of each element inside its own part, in table order
+        # the swap quotient: each relation class is named by its least code,
+        # erep and grep map element and gamma codes to their classes
+        self.erep, self.grep = erep, grep = [
+            [c if r is None else min(c, r) for c, r in enumerate(subs)]
+            for subs in (self.subs, self.gsubs)]
+        # factorizations x g y of each element inside its own part, in table
+        # order, and (X, G, Y, Z) -> the first (x, g, y, z) in table order
+        # with those classes.  That is also the first in facts order (by z,
+        # then table order): a merge stays in one part, part 1's codes come
+        # first, and a class holds at most one letter per part, so every
+        # part-1 factorization of Z's part-1 letter comes before every
+        # part-2 one in both orders.
         self.facts: dict[int, list[tuple[int, int, int]]] = {}
+        self.witness: dict[tuple, tuple[int, ...]] = {}
+        qmerge: dict[tuple, set[int]] = {}
+        qfacts: dict[int, set[tuple]] = {}
         codes = range(len(fp.element_names))
         for x in codes:
             for g in range(len(fp.gamma_names)):
@@ -322,21 +336,10 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
-        # the swap quotient: each relation class is named by its least code,
-        # erep and grep map element and gamma codes to their classes
-        self.erep, self.grep = erep, grep = [
-            [c if r is None else min(c, r) for c, r in enumerate(subs)]
-            for subs in (self.subs, self.gsubs)]
-        qmerge: dict[tuple, set[int]] = {}
-        qfacts: dict[int, set[tuple]] = {}
-        # (X, G, Y, Z) -> the first (x, g, y, z) in facts order with those classes
-        self.witness: dict[tuple, tuple[int, ...]] = {}
-        for z, pieces in self.facts.items():
-            for x, g, y in pieces:
-                key = (erep[x], grep[g], erep[y])
-                qmerge.setdefault(key, set()).add(erep[z])
-                qfacts.setdefault(erep[z], set()).add(key)
-                self.witness.setdefault((*key, erep[z]), (x, g, y, z))
+                        key = (erep[x], grep[g], erep[y])
+                        qmerge.setdefault(key, set()).add(erep[z])
+                        qfacts.setdefault(erep[z], set()).add(key)
+                        self.witness.setdefault((*key, erep[z]), (x, g, y, z))
         # (X, G, Y) -> the classes of its products; Z -> the class factors of
         # its members
         self.qmerge = {k: tuple(sorted(v)) for k, v in qmerge.items()}
@@ -589,7 +592,12 @@ class _Search:
 
 class _Decider:
     """Decides pairs of one-letter words for one report, at one bound and
-    budget.  This is the one statement of the budget rules:
+    budget.  The decision on an ordered pair of codes is one record, (equal,
+    chain): equal is True when the pair is proven equal, False when a
+    settled class separates it, None when it is undecided; chain is the
+    probe's chain when a probe proved the pair, else None.  So a proven
+    pair without a chain is proven by its class.  This is the one statement
+    of the budget rules:
 
     * a class is settled only by an exhausted exploration; one that stops
       on budget claims nothing and holds only its start (`_Search.classes`);
@@ -597,8 +605,8 @@ class _Decider:
     * a pair with neither code settled gets one targeted probe,
       `_Search.explore` as in `words_equal_within`, on the amalgam's one
       `_Search`, and is undecided unless the probe returns a chain.  So
-      probes run only when some class stopped on budget, and no ordered
-      pair is probed twice;
+      these probes run only when some class stopped on budget, and no
+      ordered pair is probed twice;
     * the budget counts quotient states: a class walk stops on budget as
       soon as it holds more than budget of them;
     * a probe searches the swap quotient from both ends (`_Search.meet`).
@@ -619,24 +627,20 @@ class _Decider:
     def __init__(self, search: _Search, bound: int, budget: int):
         self.search, self.bound, self.budget = search, bound, budget
         self.classes = search.classes(bound, budget)
-        self._chains: dict[tuple[int, int], Optional[tuple[Step, ...]]] = {}
+        self._probed: dict[tuple[int, int], tuple] = {}
 
-    def chain(self, x: int, y: int) -> Optional[tuple[Step, ...]]:
-        """The chain of a targeted probe from the one-letter state x to y,
-        or None when it proves nothing."""
-        if (x, y) not in self._chains:
-            self._chains[x, y] = self.search.explore((x,), self.bound, self.budget, (y,))[0]
-        return self._chains[x, y]
-
-    def equal(self, x: int, y: int) -> Optional[bool]:
-        """True when x, y are proven equal, False when a settled class
-        separates them, None when they are undecided."""
+    def pair(self, x: int, y: int) -> tuple[Optional[bool], Optional[tuple[Step, ...]]]:
+        """The record of the one-letter words x, y: a class lookup when
+        either class is settled, else the record of their one probe."""
         (cls_x, limit_x), (_, limit_y) = self.classes[x], self.classes[y]
         if limit_x == "exhausted":
-            return y in cls_x
+            return y in cls_x, None
         if limit_y == "exhausted":
-            return False
-        return True if self.chain(x, y) is not None else None
+            return False, None
+        if (x, y) not in self._probed:
+            chain = self.search.explore((x,), self.bound, self.budget, (y,))[0]
+            self._probed[x, y] = (None if chain is None else True), chain
+        return self._probed[x, y]
 
 
 def _search_within(a: GammaAmalgam, bound: int, budget: int) -> _Search:
@@ -741,49 +745,41 @@ def check_natural_embedding(a: GammaAmalgam,
     A collision (two distinct elements of one part proven equal) is a
     definite violation.  Cross pairs record every proven identification
     between the parts; an unexplained pair is NOT a violation, only
-    unresolved at this bound.  One `_Decider` decides every pair.  A cross
-    pair (e1, e2) is resolved by the first core element u (in core order)
-    whose image f1(u) lies in the class of e1, which holds only e1 when its
-    exploration stopped on budget; failing that, by the first u for which
-    f1(u) = e1 is proven, else by none.
+    unresolved at this bound.  One `_Decider` gives one record per ordered
+    pair, and the report is read off the records: a collision proven by its
+    class gets its chain from one probe.  A cross pair (e1, e2) is resolved
+    by the first core element u (in core order) whose image f1(u) lies in
+    the class of e1, which holds only e1 when its exploration stopped on
+    budget; failing that, by the first u for which f1(u) = e1 is proven,
+    else by none.
     """
     search = _search_within(a, bound, budget)
     decide = _Decider(search, bound, budget)
     code = {e: c for c, e in enumerate(search.fp.element_names)}
-
-    collisions: list[Collision] = []
-    clear, undecided = [], False
-    for p, s in enumerate(a.parts):
-        pairs = {(e, f): decide.equal(code[e], code[f])
-                 for e, f in combinations(s.elements, 2)}
-        collisions += [Collision(p + 1, e, f, decide.chain(code[e], code[f]))
-                       for (e, f), equal in pairs.items() if equal]
-        clear.append(all(equal is False for equal in pairs.values()))
-        undecided |= None in pairs.values()
-
-    cross: list[CrossPair] = []
+    within = [{(e, f): decide.pair(code[e], code[f]) for e, f in combinations(s.elements, 2)}
+              for s in a.parts]
+    across = {(e1, e2): decide.pair(code[e1], code[e2])
+              for e1 in a.parts[0].elements for e2 in a.parts[1].elements}
     core, f1 = a.core.elements, a.maps[0].carrier_map
-    for e1 in a.parts[0].elements:
-        x = code[e1]
-        cls = decide.classes[x][0]
-        for e2 in a.parts[1].elements:
-            equal = decide.equal(x, code[e2])
-            undecided |= equal is None
-            if not equal:
-                continue
-            resolved = next((u for u in core if code[f1[u]] in cls), None)
-            if resolved is None:
-                resolved = next((u for u in core if decide.equal(code[f1[u]], x)), None)
-            cross.append(CrossPair(e1, e2, resolved))
 
-    if collisions:
-        verdict = "violation-found"
-    elif undecided:
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent-within-bound"
-    return EmbeddingReport(a.name, tuple(collisions), tuple(clear),
-                           tuple(cross), verdict, bound, budget)
+    def resolved_by(x: int) -> Optional[str]:
+        cls = decide.classes[x][0]
+        u = next((u for u in core if code[f1[u]] in cls), None)
+        if u is None:
+            u = next((u for u in core if decide.pair(code[f1[u]], x)[0]), None)
+        return u
+
+    collisions = tuple(
+        Collision(p + 1, e, f, chain if chain is not None
+                  else search.explore((code[e],), bound, budget, (code[f],))[0])
+        for p, pairs in enumerate(within) for (e, f), (equal, chain) in pairs.items() if equal)
+    clear = tuple(all(equal is False for equal, _ in pairs.values()) for pairs in within)
+    cross = tuple(CrossPair(e1, e2, resolved_by(code[e1]))
+                  for (e1, e2), (equal, _) in across.items() if equal)
+    undecided = any(equal is None for pairs in (*within, across) for equal, _ in pairs.values())
+    verdict = ("violation-found" if collisions else
+               "inconclusive" if undecided else "consistent-within-bound")
+    return EmbeddingReport(a.name, collisions, clear, cross, verdict, bound, budget)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Command line front door.
 
-Exit codes: 0 every check passed, 1 a check failed (a certificate is
-printed; for amalgam-check, a proven collision), 2 the input could not be
-read, parsed, or validated, 3 a bounded search ended without a verdict.
-Each subcommand computes everything that can fail on its input before it
-prints its first line, so an input error prints nothing on stdout. Output is
-deterministic byte for byte. Each subcommand is declared once, in
-`_build_parser`, where its subparser names its handler; the parser is
-built once per process.
+Exit codes: every subcommand that checks something ends with one status
+line, `<command>: <status>` (`_finish`), and the status table `_EXIT` is the
+one statement of the exit code of each status. quotient and word-mul print
+their result and exit 0, and `run` exits 2 when the input could not be
+read, parsed, or validated. Each subcommand computes everything that can
+fail on its input before it prints its first line, so an input error prints
+nothing on stdout. Output is deterministic byte for byte. Each subcommand is
+declared once, in `_build_parser`, where its subparser names its handler;
+the parser is built once per process.
 """
 
 from __future__ import annotations
@@ -95,6 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the exit code of each status: PASS every check passed, FAIL a check failed
+# (a certificate is printed; for amalgam-check, a proven collision),
+# INCONCLUSIVE a bounded search ended without a verdict
+_EXIT = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 3}
+
+
+def _finish(command: str, status: str) -> int:
+    """Print the status line of command and return its exit code."""
+    print(f"{command}: {status}")
+    return _EXIT[status]
+
+
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
@@ -144,8 +157,7 @@ def _cmd_validate(ws: Workspace) -> int:
             print(f"amalgam {a.name}: parts not associative: {', '.join(failing)}")
         else:
             print(f"amalgam {a.name}: valid (mode {a.mode.value})")
-    print("validate: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
+    return _finish("validate", "PASS" if ok else "FAIL")
 
 
 def _cmd_classify(ws: Workspace, semigroup: str) -> int:
@@ -163,15 +175,13 @@ def _cmd_classify(ws: Workspace, semigroup: str) -> int:
           f"gamma-inverse={_yesno(report.is_gamma_inverse)} "
           f"completely-alpha-regular={_yesno(report.is_completely_alpha_regular)}")
     if report.is_completely_alpha_regular:
-        print("classify: PASS")
-        return 0
+        return _finish("classify", "PASS")
     for e in report.per_element:
         if e.completely_regular is None:
             what = "alpha-regular" if e.alpha_regular is None else "commuting"
             print(f"certificate: element {e.element} has no {what} witness")
             break
-    print("classify: FAIL")
-    return 1
+    return _finish("classify", "FAIL")
 
 
 def _cmd_hom_check(ws: Workspace, hom: str) -> int:
@@ -182,15 +192,13 @@ def _cmd_hom_check(ws: Workspace, hom: str) -> int:
     if w is not None:
         a, g, b = w
         print(f"compatibility: fails at ({a} {g} {b})")
-        print("hom-check: FAIL")
-        return 1
+        return _finish("hom-check", "FAIL")
     carrier_inj, gamma_inj = injective(f)
     print("compatibility: ok")
     print(f"injective-carrier: {_yesno(carrier_inj)}")
     print(f"injective-gamma: {_yesno(gamma_inj)}")
     print(f"monomorphism: {_yesno(carrier_inj and gamma_inj)}")
-    print("hom-check: PASS")
-    return 0
+    return _finish("hom-check", "PASS")
 
 
 def _cmd_quotient(ws: Workspace, semigroup: str, pairs: str) -> int:
@@ -252,14 +260,10 @@ def _cmd_amalgam_check(ws: Workspace, amalgam: str, bound: int, budget: int) -> 
     else:
         print("intersection: no cross pairs proven equal")
     print(f"verdict: {report.verdict}")
-    if report.verdict == "violation-found":
-        print("amalgam-check: FAIL")
-        return 1
-    if report.verdict == "inconclusive" or report.unresolved:
-        print("amalgam-check: INCONCLUSIVE")
-        return 3
-    print("amalgam-check: PASS")
-    return 0
+    status = ("FAIL" if report.verdict == "violation-found" else
+              "INCONCLUSIVE" if report.verdict == "inconclusive" or report.unresolved else
+              "PASS")
+    return _finish("amalgam-check", status)
 
 
 def _cmd_iso_check(ws: Workspace, hom: str) -> int:
@@ -270,8 +274,7 @@ def _cmd_iso_check(ws: Workspace, hom: str) -> int:
     except NotAHomomorphism as e:
         a, g, b = e.witness
         print(f"hom {f.name}: not a homomorphism, witness ({a} {g} {b})")
-        print("iso-check: FAIL")
-        return 1
+        return _finish("iso-check", "FAIL")
     print(f"hom {f.name}: {f.source.name} -> {f.target.name}")
     print(f"well-defined: {_yesno(report.well_defined)}")
     print(f"homomorphism-onto-image: {_yesno(report.is_homomorphism)}")
@@ -279,8 +282,7 @@ def _cmd_iso_check(ws: Workspace, hom: str) -> int:
     print(f"factors-original-map: {_yesno(report.commutes)}")
     print(f"kernel-classes: {report.quotient_semigroup.n} "
           f"image-size: {len(report.image_elements)}")
-    print("iso-check: " + ("PASS" if report.all_pass else "FAIL"))
-    return 0 if report.all_pass else 1
+    return _finish("iso-check", "PASS" if report.all_pass else "FAIL")
 
 
 _PARSER = _build_parser()

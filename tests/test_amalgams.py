@@ -1397,21 +1397,29 @@ def test_embedding_report_probes_only_pairs_left_open(monkeypatch):
     assert r.cross_pairs == (CrossPair("a0", "b0", "u0"), CrossPair("a1", "b1", "u1"))
     assert r.verdict == "inconclusive" and r.no_collision_within_bound == (False, False)
     # no ordered pair is probed twice in one report, and only pairs with
-    # neither code in a settled class are probed; a collision's chain is
-    # probed too, but no fixture has a collision at these limits
-    for a in _all_amalgams():
+    # neither code in a settled class are probed, besides the chain of a
+    # collision.  No fixture of _all_amalgams has a collision at budgets 50
+    # and 2,000.  At budget 50 the collisions of core_collision are proven
+    # by probes, whose chains they reuse; at 200,000 the collisions of it
+    # and null_collision are proven by their classes, so each adds exactly
+    # one probe and no other probe runs
+    cases = [(a, budget) for a in _all_amalgams() for budget in (50, 2000)]
+    cases += [(core_collision_amalgam(), 50), (null_collision_amalgam(), 200_000),
+              (core_collision_amalgam(), 200_000)]
+    for a, budget in cases:
         fp = a.free_product()
-        for budget in (50, 2000):
-            calls.clear()
-            r = check_natural_embedding(a, 3, budget)
-            assert len(set(calls)) == len(calls), (a.name, budget)
-            classes = gsg.amalgams._Search(a).classes(3, budget)
-            chains = {(fp.encode(fp.embed(c.part - 1, c.a)), fp.encode(fp.embed(c.part - 1, c.b)))
-                      for c in r.collisions}
-            for start, target in calls:
-                assert (start, target) in chains or (
-                    classes[start[0]][1] == classes[target[0]][1] == "budget"), (
-                    a.name, budget, start, target)
+        calls.clear()
+        r = check_natural_embedding(a, 3, budget)
+        assert len(set(calls)) == len(calls), (a.name, budget)
+        classes = gsg.amalgams._Search(a).classes(3, budget)
+        chains = {(fp.encode(fp.embed(c.part - 1, c.a)), fp.encode(fp.embed(c.part - 1, c.b)))
+                  for c in r.collisions}
+        for start, target in calls:
+            assert (start, target) in chains or (
+                classes[start[0]][1] == classes[target[0]][1] == "budget"), (
+                a.name, budget, start, target)
+        if budget == 200_000:
+            assert r.collisions and set(calls) == chains and len(calls) == len(r.collisions)
 
 
 def test_embedding_report_pins_the_probed_resolution_rule():

@@ -9,6 +9,7 @@ import pytest
 
 import gsg.cli
 from conftest import DATA
+from gsg import check_natural_embedding, parse
 from gsg.cli import run
 
 TWO_COPIES = str(DATA / "amalgam_two_copies.gsg")
@@ -116,12 +117,29 @@ iso-check: PASS
 """
 
 
+# what hom-check and iso-check print for a hom that is not a homomorphism
+NOT_A_HOMOMORPHISM = {
+    "hom-check": "hom f: Z2 -> Z2\ncompatibility: fails at (0 g 0)\nhom-check: FAIL\n",
+    "iso-check": "hom f: not a homomorphism, witness (0 g 0)\niso-check: FAIL\n",
+}
+
+
+@pytest.mark.parametrize("command", NOT_A_HOMOMORPHISM)
+def test_hom_that_is_not_a_homomorphism_fails(tmp_path, capsys, command):
+    """Z2 -> Z2 with 0, 1 -> 1 is well formed, but 0 g 0 = 0 maps to 1
+    while 1 g 1 = 0."""
+    p = tmp_path / "nothom.gsg"
+    p.write_text((DATA / "z2.gsg").read_text()
+                 + "\nhom f : Z2 -> Z2\nmap 0 -> 1\nmap 1 -> 1\ngmap g -> g\nend\n")
+    code, out, err = invoke(capsys, command, str(p), "--hom", "f")
+    assert (code, out, err) == (1, NOT_A_HOMOMORPHISM[command], "")
+
+
 def test_quotient_emits_parseable_block(capsys):
     code, out, _ = invoke(capsys, "quotient", Z4, "--semigroup", "Z4",
                           "--pairs", "0~2")
     assert code == 0
     assert out.startswith("# class 0: 0 2\n# class 1: 1 3\n")
-    from gsg import parse
     body = "\n".join(ln for ln in out.splitlines() if not ln.startswith("#"))
     q = parse(body).semigroup("Z4_q")
     assert q.elements == ("0", "1")
@@ -217,6 +235,51 @@ intersection: 1 cross pair(s) proven equal
   u1 = u2: resolved by core element u
 verdict: consistent-within-bound
 amalgam-check: PASS
+"""
+
+
+def test_amalgam_check_unresolved_cross_pair_is_inconclusive(tmp_path, capsys):
+    # two copies of the Brandt semigroup B2 = {e11, e12, e21, e22, 0}
+    # (eij ekl = eil when j = k, else 0) over the core without e21: every
+    # pair is decided and no collision is found, but a21 = b21 is proven
+    # with no core element to account for it, so the check is inconclusive
+    core, b2 = ["11", "12", "22", "0"], ["11", "12", "21", "22", "0"]
+
+    def mul(x, y):
+        return x[0] + y[1] if "0" not in (x, y) and x[1] == y[0] else "0"
+
+    def table(name, p, elements):
+        ops = "".join(f"op {p}{x} g {p}{y} = {p}{mul(x, y)}\n" for x in elements for y in elements)
+        return f"semigroup {name}\nelements {' '.join(p + e for e in elements)}\ngammas g\n{ops}end\n"
+
+    def embed(name, part, p):
+        maps = "".join(f"map u{e} -> {p}{e}\n" for e in core)
+        return f"hom {name} : U -> {part}\n{maps}gmap g -> g\nend\n"
+
+    path = tmp_path / "brandt.gsg"
+    path.write_text(table("U", "u", core) + table("S1", "a", b2) + table("S2", "b", b2)
+                    + embed("f1", "S1", "a") + embed("f2", "S2", "b")
+                    + "amalgam brandt\ncore U\nparts S1 S2\nmaps f1 f2\nmode same-gamma\nend\n")
+    code, out, err = invoke(capsys, "amalgam-check", str(path), "--amalgam", "brandt", "--bound", "3")
+    assert (code, err) == (3, "")
+    assert out == """\
+amalgam brandt: core U, parts S1 S2, mode same-gamma
+necessary-condition: not-applicable (not completely alpha-regular: S1, S2)
+relations: 4 element pair(s)
+  a11 ~ b11
+  a12 ~ b12
+  a22 ~ b22
+  a0 ~ b0
+injectivity S1: no collisions within bound 3
+injectivity S2: no collisions within bound 3
+intersection: 5 cross pair(s) proven equal
+  a11 = b11: resolved by core element u11
+  a12 = b12: resolved by core element u12
+  a21 = b21: unresolved within bound 3
+  a22 = b22: resolved by core element u22
+  a0 = b0: resolved by core element u0
+verdict: consistent-within-bound
+amalgam-check: INCONCLUSIVE
 """
 
 
@@ -379,6 +442,32 @@ def test_amalgam_check_golden_output(capsys, path):
     code, out, err = invoke(capsys, "amalgam-check", str(DATA / path),
                             "--amalgam", name)
     assert (code, out, err) == (expected_code, expected_out, "")
+
+
+def test_amalgam_check_exit_status_agrees_with_the_report(capsys):
+    # every data amalgam at bounds 1-6 and three budgets: exit 1 on a
+    # collision, else 3 on an undecided pair or an unresolved cross pair,
+    # else 0; "budget ran out" for a part with undecided pairs but no collision
+    codes = set()
+    for path in sorted(GOLDEN_AMALGAM_CHECK):
+        a = parse((DATA / path).read_text()).amalgam(GOLDEN_AMALGAM_CHECK[path][0])
+        for bound in range(1, 7):
+            for budget in (10, 1_000, 200_000):
+                r = check_natural_embedding(a, bound, budget)
+                code, out, err = invoke(capsys, "amalgam-check", str(DATA / path), "--amalgam",
+                                        a.name, "--bound", str(bound), "--budget", str(budget))
+                case = (path, bound, budget)
+                assert err == "", case
+                assert (code == 1) == bool(r.collisions), case
+                assert (code == 3) == (not r.collisions and (
+                    r.verdict == "inconclusive" or bool(r.unresolved))), case
+                assert code in (0, 1, 3), case
+                for p, s in enumerate(a.parts):
+                    ran_out = f"injectivity {s.name}: budget {budget} ran out before bound {bound}\n"
+                    assert (ran_out in out) == (not r.no_collision_within_bound[p] and all(
+                        c.part != p + 1 for c in r.collisions)), (case, p)
+                codes.add(code)
+    assert codes == {0, 1, 3}
 
 
 def test_amalgam_check_trivial_at_small_bound(capsys):
