@@ -107,6 +107,7 @@ from .core import (
     GammaHomomorphism,
     GammaSemigroup,
     _require_associative,
+    _check_token,
     _require_ends,
     classify,
     injective,
@@ -155,9 +156,10 @@ _RECORD_LIMIT = 1 << 14
 class GammaAmalgam:
     """Core, two parts, and one structure map into each part.
 
-    Construction only fixes the shape; run :func:`validate_amalgam` for the
-    real invariants: the parts obey the family rule of `words` (disjoint
-    names, gamma discipline), and the maps are monomorphisms from the core.
+    Construction only fixes the shape and checks that the name is a token
+    of the text format; run :func:`validate_amalgam` for the real
+    invariants: the parts obey the family rule of `words` (disjoint names,
+    gamma discipline), and the maps are monomorphisms from the core.
     The search entry points also need the parts to be associative, which
     building the free product requires."""
 
@@ -168,6 +170,7 @@ class GammaAmalgam:
     mode: Mode = Mode.SAME_GAMMA
 
     def __post_init__(self):
+        _check_token(self.name, "amalgam name")
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "maps", tuple(self.maps))
         if len(self.parts) != 2 or len(self.maps) != 2:
@@ -175,6 +178,16 @@ class GammaAmalgam:
 
     def free_product(self) -> FreeProduct:
         return FreeProduct(self.parts, self.mode)
+
+    @cached_property
+    def _valid(self) -> bool:
+        """True once :func:`validate_amalgam` finds no defect, so an amalgam
+        is validated once.  An invalid amalgam raises the first defect of a
+        fresh run here and caches nothing, so it raises on every call, each
+        time a new exception."""
+        for defect in validate_amalgam(self):
+            raise defect
+        return True
 
     @cached_property
     def _search(self) -> _Search:
@@ -221,11 +234,6 @@ def validate_amalgam(a: GammaAmalgam) -> list[GsgError]:
     return defects
 
 
-def _require_valid(a: GammaAmalgam) -> None:
-    for defect in validate_amalgam(a):
-        raise defect
-
-
 @dataclass(frozen=True)
 class RelationSet:
     """Identified letter pairs (element of S1, element of S2), plus the
@@ -239,7 +247,7 @@ def relation_generators(a: GammaAmalgam) -> RelationSet:
     core is glued.  When the core products cover the core (u g0 u' reaches
     every element, as in every regular core) these are exactly the images
     of the core products."""
-    _require_valid(a)
+    a._valid
     u = a.core
     f1, f2 = a.maps
     s1, s2 = a.parts
@@ -870,7 +878,7 @@ class NecessaryConditionVerdict:
 
 
 def necessary_condition(a: GammaAmalgam) -> NecessaryConditionVerdict:
-    _require_valid(a)
+    a._valid
     _require_associative(a.core, *a.parts)
     reports = [classify(s) for s in a.parts]
     failing = tuple(s.name for s, r in zip(a.parts, reports)

@@ -29,6 +29,11 @@ the block's table, so a conflicting entry is caught on its own line; at
 `end` the block checks names and totality (`core.semigroup_from_cells`).
 Columns are not tracked: an error re-scans its one line to find the column
 it reports.
+
+`hom` and `amalgam` blocks are read by `_block`, the one statement of a
+block's `end` rules, with one branch per line shape.  `semigroup` blocks
+keep their own loop for the clean `op` line above, which is what keeps a
+parse fast: the `op` lines are nearly all the lines of a workspace.
 """
 
 from __future__ import annotations
@@ -114,12 +119,18 @@ def _unresolved(lines, i: int, toks, k: int) -> UnresolvedReference:
     return UnresolvedReference(toks[k], i + 1, _column(lines[i], k))
 
 
-def _body(lines, start: int):
-    """(index, tokens) of every nonblank line after line start."""
+def _block(lines, start: int, what: str):
+    """(index, tokens) of every nonblank line after line start, up to and
+    including the block's 'end' line: the one statement of the end rules
+    of a 'hom' or 'amalgam' block.  Nothing may follow 'end', and a block
+    whose text runs out first is missing it."""
     for i in range(start + 1, len(lines)):
         toks = _tokens(lines[i])
         if toks:
+            if toks[0] == "end" and len(toks) != 1:
+                raise _error(lines, i, 1, "nothing may follow 'end'")
             yield i, toks
+    raise ParseError(len(lines), 1, f"{what} is missing 'end'")
 
 
 def parse(text: str) -> Workspace:
@@ -256,99 +267,81 @@ def _parse_hom(lines, start: int, header, semigroups):
     src, dst = semigroups[header[3]], semigroups[header[5]]
     carrier: dict[str, str] = {}
     gmap: dict[str, str] = {}
-    for i, toks in _body(lines, start):
+    # per line kind: what it maps, the source's names in the order 'end'
+    # checks them, the source's and the target's membership tests, and the
+    # map read so far
+    kinds = {"map": ("element", src.elements, src.has_element, dst.has_element, carrier),
+             "gmap": ("gamma", src.gammas, src.gammas.__contains__,
+                      dst.gammas.__contains__, gmap)}
+    for i, toks in _block(lines, start, f"hom {name!r}"):
         key = toks[0]
         if key == "end":
-            if len(toks) != 1:
-                raise _error(lines, i, 1, "nothing may follow 'end'")
-            for e in src.elements:
-                if e not in carrier:
-                    raise _error(lines, i, 0, f"no 'map' line for element {e!r}")
-            for h in src.gammas:
-                if h not in gmap:
-                    raise _error(lines, i, 0, f"no 'gmap' line for gamma {h!r}")
+            for kind, (what, names, _, _, done) in kinds.items():
+                for a in names:
+                    if a not in done:
+                        raise _error(lines, i, 0, f"no '{kind}' line for {what} {a!r}")
             return GammaHomomorphism(name, src, dst, carrier, gmap), i + 1
-        elif key in ("map", "gmap"):
-            if len(toks) != 4 or toks[2] != "->":
-                raise _error(lines, i, 0, f"expected '{key} <a> -> <b>'")
-            a, b = toks[1], toks[3]
-            if key == "map":
-                if not src.has_element(a):
-                    raise _unresolved(lines, i, toks, 1)
-                if not dst.has_element(b):
-                    raise _unresolved(lines, i, toks, 3)
-                if a in carrier:
-                    raise _error(lines, i, 1, f"element {a!r} mapped twice")
-                carrier[a] = b
-            else:
-                if a not in src.gammas:
-                    raise _unresolved(lines, i, toks, 1)
-                if b not in dst.gammas:
-                    raise _unresolved(lines, i, toks, 3)
-                if a in gmap:
-                    raise _error(lines, i, 1, f"gamma {a!r} mapped twice")
-                gmap[a] = b
-        else:
+        if key not in kinds:
             raise _error(lines, i, 0, f"expected 'map', 'gmap', or 'end', got {key!r}")
-    raise ParseError(len(lines), 1, f"hom {name!r} is missing 'end'")
+        if len(toks) != 4 or toks[2] != "->":
+            raise _error(lines, i, 0, f"expected '{key} <a> -> <b>'")
+        what, _, in_source, in_target, done = kinds[key]
+        a, b = toks[1], toks[3]
+        if not in_source(a):
+            raise _unresolved(lines, i, toks, 1)
+        if not in_target(b):
+            raise _unresolved(lines, i, toks, 3)
+        if a in done:
+            raise _error(lines, i, 1, f"{what} {a!r} mapped twice")
+        done[a] = b
+
+
+# the lines of an amalgam block, in the order 'end' lists the missing
+# ones, each with the names it gives after its keyword
+_FIELDS = {"core": ("<name>",), "parts": ("<s1>", "<s2>"),
+           "maps": ("<f1>", "<f2>"), "mode": ("<name>",)}
 
 
 def _parse_amalgam(lines, start: int, header, semigroups, homs):
     name = _expect_name(lines, start, header, "amalgam")
-    core: Optional[GammaSemigroup] = None
-    parts: Optional[tuple[GammaSemigroup, GammaSemigroup]] = None
-    maps: Optional[tuple[GammaHomomorphism, GammaHomomorphism]] = None
-    mode: Optional[Mode] = None
-    for i, toks in _body(lines, start):
+    got: dict[str, object] = {}
+    for i, toks in _block(lines, start, f"amalgam {name!r}"):
         key = toks[0]
         if key == "end":
-            if len(toks) != 1:
-                raise _error(lines, i, 1, "nothing may follow 'end'")
-            missing = [k for k, v in (("core", core), ("parts", parts),
-                                      ("maps", maps), ("mode", mode)) if v is None]
+            missing = [k for k in _FIELDS if k not in got]
             if missing:
                 raise _error(lines, i, 0,
                              f"amalgam block is missing: {', '.join(missing)}")
-            amalgam = GammaAmalgam(name, core, parts, maps, mode)
-            defects = validate_amalgam(amalgam)
-            if defects:
-                raise _error(lines, start, 0, "; ".join(str(d) for d in defects))
-            return amalgam, i + 1
-        elif key == "core":
-            if core is not None:
-                raise _error(lines, i, 0, "'core' given twice")
-            if _expect_name(lines, i, toks, "core") not in semigroups:
-                raise _unresolved(lines, i, toks, 1)
-            core = semigroups[toks[1]]
-        elif key == "parts" or key == "maps":
-            if (parts if key == "parts" else maps) is not None:
-                raise _error(lines, i, 0, f"'{key}' given twice")
-            if len(toks) != 3:
-                what = "<s1> <s2>" if key == "parts" else "<f1> <f2>"
-                raise _error(lines, i, 0, f"expected '{key} {what}'")
-            known = semigroups if key == "parts" else homs
-            for k in (1, 2):
-                if toks[k] not in known:
-                    raise _unresolved(lines, i, toks, k)
-            found = (known[toks[1]], known[toks[2]])
-            if key == "parts":
-                parts = found
-            else:
-                maps = found
-        elif key == "mode":
-            if mode is not None:
-                raise _error(lines, i, 0, "'mode' given twice")
-            word = _expect_name(lines, i, toks, "mode")
+            amalgam = GammaAmalgam(name, **got)
             try:
-                mode = Mode(word)
-            except ValueError:
-                raise _error(lines, i, 1,
-                             "mode must be 'same-gamma' or 'disjoint'") from None
-        else:
+                amalgam._valid
+            except GsgError:
+                raise _error(lines, start, 0, "; ".join(
+                    str(d) for d in validate_amalgam(amalgam))) from None
+            return amalgam, i + 1
+        if key not in _FIELDS:
             raise _error(lines, i, 0,
                          f"expected 'core', 'parts', 'maps', 'mode', or 'end', "
                          f"got {key!r}")
-    raise ParseError(len(lines), 1, f"amalgam {name!r} is missing 'end'")
+        if key in got:
+            raise _error(lines, i, 0, f"'{key}' given twice")
+        shape = _FIELDS[key]
+        if len(toks) != len(shape) + 1:
+            raise _error(lines, i, 0, f"expected '{key} {' '.join(shape)}'")
+        if key == "mode":
+            try:
+                got[key] = Mode(toks[1])
+            except ValueError:
+                raise _error(lines, i, 1,
+                             "mode must be 'same-gamma' or 'disjoint'") from None
+            continue
+        known = homs if key == "maps" else semigroups
+        for k in range(1, len(toks)):
+            if toks[k] not in known:
+                raise _unresolved(lines, i, toks, k)
+        found = tuple(known[t] for t in toks[1:])
+        # 'core' names one semigroup; 'parts' and 'maps' name pairs
+        got[key] = found if len(found) == 2 else found[0]
 
 
 def serialize(w: Workspace) -> str:

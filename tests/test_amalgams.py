@@ -1305,11 +1305,16 @@ def test_one_search_per_amalgam(monkeypatch):
     w = bad.free_product().embed(0, "a")
     calls = (lambda: words_equal_within(bad, w, w), lambda: replay_chain(bad, w, ()),
              lambda: mu(bad, 1, "a"), lambda: check_natural_embedding(bad),
-             lambda: pushout_mediator(bad, t, psi1, psi2))
+             lambda: pushout_mediator(bad, t, psi1, psi2),
+             lambda: relation_generators(bad), lambda: necessary_condition(bad))
+    raised = []
     for _ in range(2):
         for call in calls:
-            with pytest.raises(NotMonomorphism):
+            with pytest.raises(NotMonomorphism) as exc:
                 call()
+            raised.append(exc.value)
+    # each call raises a new exception, whose traceback holds only its frames
+    assert len({id(e) for e in raised}) == len(raised)
 
 
 def test_embedding_report_explores_each_class_once(monkeypatch):

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import gsg.amalgams
 import gsg.cli
+import gsg.textio
 from conftest import DATA
 from gsg import check_natural_embedding, parse
 from gsg.cli import run
@@ -192,6 +194,23 @@ intersection: 2 cross pair(s) proven equal
 verdict: consistent-within-bound
 amalgam-check: PASS
 """
+
+
+def test_amalgam_check_validates_its_amalgam_once(monkeypatch, capsys):
+    # parse validates the amalgam at its 'end'; the necessary condition,
+    # the relations and the search read that verdict
+    runs = []
+    validate = gsg.amalgams.validate_amalgam
+
+    def spy(a):
+        runs.append(a.name)
+        return validate(a)
+
+    monkeypatch.setattr(gsg.amalgams, "validate_amalgam", spy)
+    monkeypatch.setattr(gsg.textio, "validate_amalgam", spy)
+    code, _, _ = invoke(capsys, "amalgam-check", TWO_COPIES,
+                        "--amalgam", "two_copies", "--bound", "3")
+    assert code == 0 and runs == ["two_copies"]
 
 
 def test_amalgam_check_budget_stop_is_inconclusive(capsys):

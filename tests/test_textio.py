@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import DATA, k2, make_two_copies
 from gsg import (
+    GammaAmalgam,
     GammaSemigroup,
     GsgError,
     InvalidIdentifier,
@@ -97,9 +98,11 @@ def test_round_trip_preserves_structure():
 
 def test_serialize_round_trips_a_programmatic_workspace():
     a = make_two_copies()
-    ws = Workspace.of(semigroups=[a.core, *a.parts], homs=list(a.maps),
-                      amalgams=[a])
-    assert parse(serialize(ws)).amalgam("two_copies") == a
+    # an amalgam name is any token: punctuation but '#', '=' and '->' is kept
+    for b in (a, GammaAmalgam("x-y>:z", a.core, a.parts, a.maps, a.mode)):
+        ws = Workspace.of(semigroups=[b.core, *b.parts], homs=list(b.maps),
+                          amalgams=[b])
+        assert parse(serialize(ws)).amalgams == (b,)
 
 
 def test_workspace_lookup_errors():
@@ -286,6 +289,89 @@ end
     e = err(text)
     assert (e.line, e.col) == (24, 1)
     assert "gamma" in e.message.lower()
+
+
+# the errors of 'hom' and 'amalgam' block lines, each pinned by class, line,
+# column and message: 'map' and 'gmap' lines share their checks, and so do
+# the 'core', 'parts', 'maps' and 'mode' lines
+HOM_HEAD = Z2_TEXT + "hom f : Z2 -> Z2\n"                      # header: line 9
+HOM_LINES = "map 0 -> 0\nmap 1 -> 1\ngmap g -> g\n"
+TWO_COPIES = (DATA / "amalgam_two_copies.gsg").read_text()
+AMALGAM_HEAD = TWO_COPIES[:TWO_COPIES.index("amalgam")] + "amalgam a\n"  # line 40
+AMALGAM_LINES = {"core": "core U\n", "parts": "parts S1 S2\n",
+                 "maps": "maps f1 f2\n", "mode": "mode same-gamma\n"}
+
+
+def amalgam_block(**lines):
+    """The two_copies amalgam as block 'a', with some of its lines replaced."""
+    return (AMALGAM_HEAD + "".join(lines.get(k, v) for k, v in AMALGAM_LINES.items())
+            + "end\n")
+
+
+@pytest.mark.parametrize("text, cls, line, col, message", [
+    (HOM_HEAD + "map 2 -> 0\n", UnresolvedReference, 10, 5, "unresolved reference '2'"),
+    (HOM_HEAD + "map 0 -> 2\n", UnresolvedReference, 10, 10, "unresolved reference '2'"),
+    (HOM_HEAD + "map 0 -> 0\nmap 0 -> 1\n", ParseError, 11, 5, "element '0' mapped twice"),
+    (HOM_HEAD + "map 1 -> 1\ngmap g -> g\nend\n", ParseError, 12, 1,
+     "no 'map' line for element '0'"),
+    (HOM_HEAD + "map 0 -> 0\ngmap g -> g\nend\n", ParseError, 12, 1,
+     "no 'map' line for element '1'"),
+    (HOM_HEAD + "end\n", ParseError, 10, 1, "no 'map' line for element '0'"),
+    (HOM_HEAD + "map 0 0\n", ParseError, 10, 1, "expected 'map <a> -> <b>'"),
+    (HOM_HEAD + "gmap h -> g\n", UnresolvedReference, 10, 6, "unresolved reference 'h'"),
+    (HOM_HEAD + "gmap g -> h\n", UnresolvedReference, 10, 11, "unresolved reference 'h'"),
+    (HOM_HEAD + "gmap g -> g\ngmap g -> g\n", ParseError, 11, 6, "gamma 'g' mapped twice"),
+    (HOM_HEAD + "map 0 -> 0\nmap 1 -> 1\nend\n", ParseError, 12, 1,
+     "no 'gmap' line for gamma 'g'"),
+    (HOM_HEAD + "gmap g = g\n", ParseError, 10, 1, "expected 'gmap <a> -> <b>'"),
+    (HOM_HEAD + "op 0 -> 0\n", ParseError, 10, 1,
+     "expected 'map', 'gmap', or 'end', got 'op'"),
+    (HOM_HEAD + HOM_LINES + "end f\n", ParseError, 13, 5, "nothing may follow 'end'"),
+    (HOM_HEAD + HOM_LINES + "\n# no end\n", ParseError, 14, 1, "hom 'f' is missing 'end'"),
+    (amalgam_block(core="core U\ncore U\n"), ParseError, 42, 1, "'core' given twice"),
+    (amalgam_block(core="core U S1\n"), ParseError, 41, 1, "expected 'core <name>'"),
+    (amalgam_block(core="core V\n"), UnresolvedReference, 41, 6, "unresolved reference 'V'"),
+    (amalgam_block(parts="parts S1 S2\nparts S1 S2\n"), ParseError, 43, 1,
+     "'parts' given twice"),
+    (amalgam_block(parts="parts S1\n"), ParseError, 42, 1, "expected 'parts <s1> <s2>'"),
+    (amalgam_block(parts="parts S1 S3\n"), UnresolvedReference, 42, 10,
+     "unresolved reference 'S3'"),
+    (amalgam_block(maps="maps f1 f2\nmaps f1 f2\n"), ParseError, 44, 1,
+     "'maps' given twice"),
+    (amalgam_block(maps="maps f1 f2 f3\n"), ParseError, 43, 1, "expected 'maps <f1> <f2>'"),
+    (amalgam_block(maps="maps g1 f2\n"), UnresolvedReference, 43, 6,
+     "unresolved reference 'g1'"),
+    (amalgam_block(mode="mode same-gamma\nmode disjoint\n"), ParseError, 45, 1,
+     "'mode' given twice"),
+    (amalgam_block(mode="mode\n"), ParseError, 44, 1, "expected 'mode <name>'"),
+    (amalgam_block(mode="mode glued\n"), ParseError, 44, 6,
+     "mode must be 'same-gamma' or 'disjoint'"),
+    (amalgam_block(mode="mode same-gamma\nhom f1\n"), ParseError, 45, 1,
+     "expected 'core', 'parts', 'maps', 'mode', or 'end', got 'hom'"),
+    (amalgam_block()[:-len("end\n")] + "end a\n", ParseError, 45, 5,
+     "nothing may follow 'end'"),
+    (amalgam_block()[:-len("end\n")], ParseError, 44, 1, "amalgam 'a' is missing 'end'"),
+], ids=["map-unknown-source", "map-unknown-target", "map-twice", "map-missing-first",
+        "map-missing-last", "map-missing-before-gmap", "map-malformed",
+        "gmap-unknown-source", "gmap-unknown-target", "gmap-twice", "gmap-missing",
+        "gmap-malformed", "hom-unknown-line", "hom-token-after-end", "hom-no-end",
+        "core-twice", "core-shape", "core-unresolved", "parts-twice", "parts-shape",
+        "parts-unresolved", "maps-twice", "maps-shape", "maps-unresolved",
+        "mode-twice", "mode-shape", "mode-unknown", "amalgam-unknown-line",
+        "amalgam-token-after-end", "amalgam-no-end"])
+def test_block_line_errors(text, cls, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    e = exc.value
+    assert (type(e), e.line, e.col, e.message) == (cls, line, col, message)
+
+
+@pytest.mark.parametrize("name", ["x#y", "two words", "", "a=b"])
+def test_amalgam_name_must_survive_the_text_format(name):
+    a = make_two_copies()
+    with pytest.raises(InvalidIdentifier) as exc:
+        GammaAmalgam(name, a.core, a.parts, a.maps, a.mode)
+    assert (exc.value.token, exc.value.kind) == (name, "amalgam name")
 
 
 def test_parse_error_string_carries_position():
