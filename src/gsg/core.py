@@ -40,7 +40,6 @@ __all__ = [
     "ElementRegularity",
     "RegularityReport",
     "validate_table",
-    "semigroup_from_cells",
     "check_associativity",
     "is_subsemigroup",
     "verify_homomorphism",
@@ -79,8 +78,9 @@ class GammaSemigroup:
 
     ``table[i, j, k]`` holds the element index of ``elements[i] gammas[j]
     elements[k]``.  Instances are immutable; the array is locked after
-    construction.  Associativity is NOT enforced here, use
-    :func:`check_associativity`, which scans each instance at most once.
+    construction.  A -1 entry marks a missing one: the first such cell in
+    index order raises MissingEntry.  Associativity is NOT enforced here,
+    use :func:`check_associativity`, which scans each instance at most once.
     """
 
     name: str
@@ -104,6 +104,11 @@ class GammaSemigroup:
         if table.shape != (n, g, n):
             raise ValueError(f"table shape {table.shape} does not match ({n}, {g}, {n})")
         if table.min() < 0 or table.max() >= n:
+            # -1 marks a cell that no entry filled
+            missing = np.argwhere(table == -1)
+            if missing.size:
+                i, j, k = (int(x) for x in missing[0])
+                raise MissingEntry(elements[i], gammas[j], elements[k])
             raise ValueError("table entries must be element indices")
         table.setflags(write=False)
         object.__setattr__(self, "elements", elements)
@@ -187,22 +192,6 @@ def validate_table(name: str,
         if table[i, j, k] != -1 and table[i, j, k] != v:
             raise DuplicateEntry(a, gamma, b, elements[table[i, j, k]], z)
         table[i, j, k] = v
-    return semigroup_from_cells(name, elements, gammas, table)
-
-
-def semigroup_from_cells(name: str, elements: tuple[str, ...], gammas: tuple[str, ...],
-                         cells) -> GammaSemigroup:
-    """The semigroup of a filled index table: ``cells`` holds the result
-    index of every ``(a, gamma, b)`` in row-major order, -1 where no entry
-    was given.  Raises NameClash for a repeated name first, then MissingEntry
-    for the first empty cell in index order."""
-    _check_unique(name, elements, gammas)
-    n, g = len(elements), len(gammas)
-    table = np.asarray(cells, dtype=np.int64).reshape(n, g, n)
-    missing = np.argwhere(table == -1)
-    if missing.size:
-        i, j, k = (int(x) for x in missing[0])
-        raise MissingEntry(elements[i], gammas[j], elements[k])
     return GammaSemigroup(name, elements, gammas, table)
 
 

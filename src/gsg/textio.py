@@ -17,6 +17,13 @@ the canonical form: declaration order, op lines sorted by index, single
 spaces, newline line endings; its output is a byte-exact fixpoint of
 parse-then-serialize.
 
+One table, `_KINDS`, keyed by the keyword of a block's header line, names
+each block kind's class, reader and writer.  A `Workspace` is its blocks in
+declaration order: `parse` reads each block through the table and appends
+it, `serialize` writes every block it holds through the table, and the
+views `semigroups`, `homs` and `amalgams` and the lookups by name select
+blocks by the table's class.
+
 Parsing is one pass over the lines.  A clean `op` line is one whose
 whitespace split is `op x g y = z` with all four names declared in its
 block; it resolves straight from that split.  Its pieces are its tokens:
@@ -26,7 +33,9 @@ a declared name is a token other than `=` and `->` (the `elements` and
 goes through `_tokens`.  An `op` line resolves its four names through the
 name-to-index dicts of its block and writes the result index straight into
 the block's table, so a conflicting entry is caught on its own line; at
-`end` the block checks names and totality (`core.semigroup_from_cells`).
+`end` the `GammaSemigroup` constructor checks names and totality (a cell
+left -1 is a `MissingEntry`), and a constructor error of any block becomes
+a ParseError at its `end` line.
 Columns are not tracked: an error re-scans its one line to find the column
 it reports.
 
@@ -39,10 +48,12 @@ parse fast: the `op` lines are nearly all the lines of a workspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .amalgams import GammaAmalgam, validate_amalgam
-from .core import GammaHomomorphism, GammaSemigroup, semigroup_from_cells
+from .core import GammaHomomorphism, GammaSemigroup
 from .errors import (
     DuplicateEntry,
     GsgError,
@@ -56,39 +67,52 @@ from .words import Mode
 __all__ = ["Workspace", "parse", "serialize"]
 
 
+Block = Union[GammaSemigroup, GammaHomomorphism, GammaAmalgam]
+
+
 @dataclass(frozen=True)
 class Workspace:
-    """Everything one file declared, in declaration order."""
-    semigroups: tuple[GammaSemigroup, ...]
-    homs: tuple[GammaHomomorphism, ...]
-    amalgams: tuple[GammaAmalgam, ...]
-    order: tuple[tuple[str, str], ...]
+    """Everything one file declared: its blocks, in declaration order.
+    The views by kind and the lookups by name read them through `_KINDS`."""
+    blocks: tuple[Block, ...]
 
     @classmethod
     def of(cls, semigroups: Sequence[GammaSemigroup] = (),
            homs: Sequence[GammaHomomorphism] = (),
            amalgams: Sequence[GammaAmalgam] = ()) -> "Workspace":
-        order = tuple([("semigroup", s.name) for s in semigroups]
-                      + [("hom", f.name) for f in homs]
-                      + [("amalgam", a.name) for a in amalgams])
-        return cls(tuple(semigroups), tuple(homs), tuple(amalgams), order)
+        return cls((*semigroups, *homs, *amalgams))
+
+    @property
+    def semigroups(self) -> tuple[GammaSemigroup, ...]:
+        return self._of_kind("semigroup")
+
+    @property
+    def homs(self) -> tuple[GammaHomomorphism, ...]:
+        return self._of_kind("hom")
+
+    @property
+    def amalgams(self) -> tuple[GammaAmalgam, ...]:
+        return self._of_kind("amalgam")
 
     def semigroup(self, name: str) -> GammaSemigroup:
-        return _by_name(self.semigroups, name, "semigroup")
+        return self._named("semigroup", name)
 
     def hom(self, name: str) -> GammaHomomorphism:
-        return _by_name(self.homs, name, "hom")
+        return self._named("hom", name)
 
     def amalgam(self, name: str) -> GammaAmalgam:
-        return _by_name(self.amalgams, name, "amalgam")
+        return self._named("amalgam", name)
 
+    def _of_kind(self, kind: str) -> tuple:
+        cls = _KINDS[kind].cls
+        return tuple(b for b in self.blocks if isinstance(b, cls))
 
-def _by_name(items, name: str, kind: str):
-    """The first item called name; UnknownIdentifier of that kind if none is."""
-    for x in items:
-        if x.name == name:
-            return x
-    raise UnknownIdentifier(name, kind)
+    def _named(self, kind: str, name: str):
+        """The first block of that kind called name; UnknownIdentifier if none is."""
+        for b in self._of_kind(kind):
+            if b.name == name:
+                return b
+        raise UnknownIdentifier(name, kind)
 
 
 def _tokens(raw: str) -> list[str]:
@@ -138,10 +162,9 @@ def parse(text: str) -> Workspace:
     UnresolvedReference) with a 1-based line and column on any problem,
     including table totality and amalgam validity."""
     lines = text.splitlines()
-    semigroups: dict[str, GammaSemigroup] = {}
-    homs: dict[str, GammaHomomorphism] = {}
-    amalgams: dict[str, GammaAmalgam] = {}
-    order: list[tuple[str, str]] = []
+    # the blocks read so far, by kind and then by name
+    declared: dict[str, dict[str, Block]] = {kind: {} for kind in _KINDS}
+    blocks: list[Block] = []
 
     i = 0
     while i < len(lines):
@@ -150,24 +173,24 @@ def parse(text: str) -> Workspace:
             i += 1
             continue
         head, start = toks[0], i
-        if head == "semigroup":
-            obj, i = _parse_semigroup(lines, i, toks)
-            known = semigroups
-        elif head == "hom":
-            obj, i = _parse_hom(lines, i, toks, semigroups)
-            known = homs
-        elif head == "amalgam":
-            obj, i = _parse_amalgam(lines, i, toks, semigroups, homs)
-            known = amalgams
-        else:
+        if head not in _KINDS:
             raise _error(lines, i, 0,
                          f"expected 'semigroup', 'hom', or 'amalgam', got {head!r}")
-        if obj.name in known:
+        obj, i = _KINDS[head].read(lines, start, toks, declared)
+        if obj.name in declared[head]:
             raise _error(lines, start, 0, f"{head} {obj.name!r} declared twice")
-        known[obj.name] = obj
-        order.append((head, obj.name))
-    return Workspace(tuple(semigroups.values()), tuple(homs.values()),
-                     tuple(amalgams.values()), tuple(order))
+        declared[head][obj.name] = obj
+        blocks.append(obj)
+    return Workspace(tuple(blocks))
+
+
+def _construct(lines, i: int, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with a GsgError it raises turned into a
+    ParseError at line i, the block's 'end' line."""
+    try:
+        return cls(*args, **kwargs)
+    except GsgError as e:
+        raise _error(lines, i, 0, str(e)) from None
 
 
 def _expect_name(lines, i: int, toks, what: str) -> str:
@@ -176,7 +199,7 @@ def _expect_name(lines, i: int, toks, what: str) -> str:
     return toks[1]
 
 
-def _parse_semigroup(lines, start: int, header):
+def _parse_semigroup(lines, start: int, header, declared):
     name = _expect_name(lines, start, header, "semigroup")
     elements: Optional[tuple[str, ...]] = None
     gammas: Optional[tuple[str, ...]] = None
@@ -222,10 +245,8 @@ def _parse_semigroup(lines, start: int, header):
                     raise _error(lines, i, 0, "semigroup block has no 'elements' line")
                 if gammas is None:
                     raise _error(lines, i, 0, "semigroup block has no 'gammas' line")
-                try:
-                    return semigroup_from_cells(name, elements, gammas, table), i + 1
-                except GsgError as e:
-                    raise _error(lines, i, 0, str(e)) from None
+                cube = np.array(table, dtype=np.int64).reshape(n, g, n)
+                return _construct(lines, i, GammaSemigroup, name, elements, gammas, cube), i + 1
             elif key == "elements" or key == "gammas":
                 if (elements if key == "elements" else gammas) is not None:
                     raise _error(lines, i, 0, f"'{key}' given twice")
@@ -257,10 +278,10 @@ def _parse_semigroup(lines, start: int, header):
     raise ParseError(len(lines), 1, f"semigroup {name!r} is missing 'end'")
 
 
-def _parse_hom(lines, start: int, header, semigroups):
+def _parse_hom(lines, start: int, header, declared):
     if len(header) != 6 or header[2] != ":" or header[4] != "->":
         raise _error(lines, start, 0, "expected 'hom <name> : <src> -> <dst>'")
-    name = header[1]
+    name, semigroups = header[1], declared["semigroup"]
     for k in (3, 5):
         if header[k] not in semigroups:
             raise _unresolved(lines, start, header, k)
@@ -280,7 +301,7 @@ def _parse_hom(lines, start: int, header, semigroups):
                 for a in names:
                     if a not in done:
                         raise _error(lines, i, 0, f"no '{kind}' line for {what} {a!r}")
-            return GammaHomomorphism(name, src, dst, carrier, gmap), i + 1
+            return _construct(lines, i, GammaHomomorphism, name, src, dst, carrier, gmap), i + 1
         if key not in kinds:
             raise _error(lines, i, 0, f"expected 'map', 'gmap', or 'end', got {key!r}")
         if len(toks) != 4 or toks[2] != "->":
@@ -302,7 +323,7 @@ _FIELDS = {"core": ("<name>",), "parts": ("<s1>", "<s2>"),
            "maps": ("<f1>", "<f2>"), "mode": ("<name>",)}
 
 
-def _parse_amalgam(lines, start: int, header, semigroups, homs):
+def _parse_amalgam(lines, start: int, header, declared):
     name = _expect_name(lines, start, header, "amalgam")
     got: dict[str, object] = {}
     for i, toks in _block(lines, start, f"amalgam {name!r}"):
@@ -312,7 +333,7 @@ def _parse_amalgam(lines, start: int, header, semigroups, homs):
             if missing:
                 raise _error(lines, i, 0,
                              f"amalgam block is missing: {', '.join(missing)}")
-            amalgam = GammaAmalgam(name, **got)
+            amalgam = _construct(lines, i, GammaAmalgam, name, **got)
             try:
                 amalgam._valid
             except GsgError:
@@ -335,7 +356,7 @@ def _parse_amalgam(lines, start: int, header, semigroups, homs):
                 raise _error(lines, i, 1,
                              "mode must be 'same-gamma' or 'disjoint'") from None
             continue
-        known = homs if key == "maps" else semigroups
+        known = declared["hom" if key == "maps" else "semigroup"]
         for k in range(1, len(toks)):
             if toks[k] not in known:
                 raise _unresolved(lines, i, toks, k)
@@ -345,16 +366,10 @@ def _parse_amalgam(lines, start: int, header, semigroups, homs):
 
 
 def serialize(w: Workspace) -> str:
-    """Canonical text for a workspace; see the module docstring."""
-    blocks = []
-    for kind, name in w.order:
-        if kind == "semigroup":
-            blocks.append(_ser_semigroup(w.semigroup(name)))
-        elif kind == "hom":
-            blocks.append(_ser_hom(w.hom(name)))
-        else:
-            blocks.append(_ser_amalgam(w.amalgam(name)))
-    return "\n".join(blocks)
+    """Canonical text for a workspace, every block in order; see the
+    module docstring."""
+    writers = {kind.cls: kind.write for kind in _KINDS.values()}
+    return "\n".join([writers[type(b)](b) for b in w.blocks])
 
 
 def _ser_semigroup(s: GammaSemigroup) -> str:
@@ -388,3 +403,18 @@ def _ser_amalgam(a: GammaAmalgam) -> str:
            f"mode {a.mode.value}",
            "end"]
     return "\n".join(out) + "\n"
+
+
+class _Kind(NamedTuple):
+    """One block kind: its class, the reader of its block from the header
+    line on (returning the block and the index of the line after its
+    'end'), and the writer of its canonical text."""
+    cls: type
+    read: Callable
+    write: Callable[..., str]
+
+
+# every block kind, keyed by the keyword of its header line
+_KINDS = {"semigroup": _Kind(GammaSemigroup, _parse_semigroup, _ser_semigroup),
+          "hom": _Kind(GammaHomomorphism, _parse_hom, _ser_hom),
+          "amalgam": _Kind(GammaAmalgam, _parse_amalgam, _ser_amalgam)}

@@ -92,6 +92,20 @@ def test_table_shape_and_range_checked():
         GammaSemigroup("S", ("a",), ("g",), np.full((1, 1, 1), 3, dtype=np.int64))
 
 
+def test_minus_one_cell_is_a_missing_entry():
+    # -1 marks an empty cell: the first in index order is named
+    table = zmod(2).table.copy()
+    table[1, 0, 1] = table[1, 0, 0] = -1
+    with pytest.raises(MissingEntry) as exc:
+        GammaSemigroup("S", ("0", "1"), ("g",), table)
+    assert (exc.value.a, exc.value.gamma, exc.value.b) == ("1", "g", "0")
+    # any other negative entry is not an element index
+    table = zmod(2).table.copy()
+    table[1, 0, 0] = -2
+    with pytest.raises(ValueError):
+        GammaSemigroup("S", ("0", "1"), ("g",), table)
+
+
 def test_validate_table_accepts_complete_z2():
     entries = [("0", "g", "0", "0"), ("0", "g", "1", "1"),
                ("1", "g", "0", "1"), ("1", "g", "1", "0")]

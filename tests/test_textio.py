@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import DATA, k2, make_two_copies
 from gsg import (
     GammaAmalgam,
+    GammaHomomorphism,
     GammaSemigroup,
     GsgError,
     InvalidIdentifier,
@@ -38,6 +39,18 @@ end
 """
 
 FIXTURE_FILES = sorted(p.name for p in DATA.glob("*.gsg"))
+
+ID_Z2_TEXT = "hom f : Z2 -> Z2\nmap 0 -> 0\nmap 1 -> 1\ngmap g -> g\nend\n"
+
+
+def interleaved_blocks():
+    """Z2, the identity hom f of Z2, then Z4: a hom between two semigroups."""
+    z2 = zmod(2)
+    return z2, GammaHomomorphism("f", z2, z2, {"0": "0", "1": "1"}, {"g": "g"}), zmod(4)
+
+
+def interleaved_text():
+    return Z2_TEXT + "\n" + ID_Z2_TEXT + "\n" + (DATA / "z4.gsg").read_text()
 
 
 def test_fixture_directory_is_populated():
@@ -81,8 +94,10 @@ def test_serialize_orders_op_lines_row_major():
 
 
 def test_serialize_parse_is_a_fixpoint_on_all_fixture_files():
-    for name in FIXTURE_FILES:
-        text = (DATA / name).read_text()
+    # every fixture lists its semigroups, then its homs, then its amalgam;
+    # the last text interleaves a hom between two semigroups
+    texts = [(name, (DATA / name).read_text()) for name in FIXTURE_FILES]
+    for name, text in texts + [("interleaved", interleaved_text())]:
         assert serialize(parse(text)) == text, name
 
 
@@ -93,7 +108,7 @@ def test_round_trip_preserves_structure():
         assert again.semigroups == ws.semigroups, name
         assert again.homs == ws.homs, name
         assert again.amalgams == ws.amalgams, name
-        assert again.order == ws.order, name
+        assert again.blocks == ws.blocks, name
 
 
 def test_serialize_round_trips_a_programmatic_workspace():
@@ -103,6 +118,37 @@ def test_serialize_round_trips_a_programmatic_workspace():
         ws = Workspace.of(semigroups=[b.core, *b.parts], homs=list(b.maps),
                           amalgams=[b])
         assert parse(serialize(ws)).amalgams == (b,)
+
+
+def test_workspace_is_its_blocks_in_declaration_order():
+    blocks = interleaved_blocks()
+    ws = Workspace(blocks)
+    text = serialize(ws)
+    assert text == interleaved_text()
+    again = parse(text)
+    assert again == ws
+    assert again.blocks == blocks
+
+
+def test_workspace_views_are_the_blocks_of_each_kind_in_order():
+    z2, f, z4 = interleaved_blocks()
+    a = make_two_copies()
+    ws = Workspace((z2, f, *a.parts, z4, a, a.core, *a.maps))
+    assert ws.semigroups == (z2, *a.parts, z4, a.core)
+    assert ws.homs == (f, *a.maps)
+    assert ws.amalgams == (a,)
+    # a lookup returns the first block of its kind with that name
+    assert ws.semigroup("Z4") is z4 and ws.hom("f") is f and ws.amalgam(a.name) is a
+    assert Workspace.of(semigroups=[z2, z4], homs=[f], amalgams=[a]).blocks == (z2, z4, f, a)
+
+
+def test_serialize_writes_every_block_and_parse_rejects_a_repeated_name():
+    z2, other = zmod(2), zmod(3, name="Z2")
+    text = serialize(Workspace.of(semigroups=[z2, other]))
+    assert text == serialize(Workspace((z2,))) + "\n" + serialize(Workspace((other,)))
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == "10:1: semigroup 'Z2' declared twice"
 
 
 def test_workspace_lookup_errors():
@@ -191,6 +237,16 @@ def test_bad_identifier_surfaces_at_end():
     e = err(text)
     assert (e.line, e.col) == (5, 1)
     assert e.message == str(InvalidIdentifier("->", "semigroup name"))
+    # a hom or amalgam block name fails at its block's 'end' the same way
+    z2 = (DATA / "z2.gsg").read_text()
+    for bad in ("->", "="):
+        e = err(z2 + ID_Z2_TEXT.replace("hom f", f"hom {bad}"))
+        assert (e.line, e.col) == (13, 1)
+        assert e.message == str(InvalidIdentifier(bad, "hom name"))
+    text = (DATA / "amalgam_two_copies.gsg").read_text()
+    e = err(text.replace("amalgam two_copies\n", "amalgam ->\n"))
+    assert (e.line, e.col) == (45, 1)
+    assert e.message == str(InvalidIdentifier("->", "amalgam name"))
 
 
 @pytest.mark.parametrize("text, line, col, token, kind", [
