@@ -42,10 +42,22 @@ A class exploration walks the swap quotient of the state graph, in which
 the letters of one relation class (a letter and its partner, if any) are
 one letter.  A swap keeps the length, so a component is closed under
 swapping any letter for any member of its class: it is the full preimage
-of its quotient component.  The budget counts quotient states, in walks
-and probes alike: a walk stops on budget as soon as it holds more than
-budget of them.  A walk that stops on budget claims nothing, so its class
-holds only its start, and `mu` under it is the element's own word.
+of its quotient component.
+
+A quotient state is a string with one character per letter, the `chr` of
+the least code of the letter's class (`_Search.image`).  A string caches
+its hash, so a state is hashed once however often it is looked up, and a
+slice or a concatenation of states copies characters in C.  Strings
+compare by code point, so they sort exactly as the tuples of class codes
+would: the quotient tables, the order of successors, and so the meeting
+points and the lifted chains, are those of the codes.  Nothing that
+reaches the output iterates a set of states, whose order would follow the
+string hashes, which are salted per process.
+
+The budget counts quotient states, in walks and probes alike: a walk stops
+on budget as soon as it holds more than budget of them.  A walk that stops
+on budget claims nothing, so its class holds only its start, and `mu`
+under it is the element's own word.
 
 A targeted search (`words_equal_within`, a report's probe) runs on the
 swap quotient as well, from the images of its start and of its target at
@@ -313,18 +325,27 @@ class _Search:
     """The moves of the bounded search over coded states of the amalgam's
     free product, and the searches of its swap quotient: class walks and
     targeted probes.  The quotient's tables are fields of the search, built
-    with it: erep, grep, qmerge, qfacts and witness.  A move is (kind, pos,
-    codes); named Steps are built only for the chains that are returned."""
+    with it: erep, grep, qmerge, qfacts and witness.  A quotient state is a
+    str, one character per letter: the `chr` of the least code of the
+    letter's class.  erep and grep map codes to those characters, qmerge a
+    3-character factor to the sorted 1-character classes of its products,
+    qfacts a 1-character class to the sorted 3-character factors of its
+    members, and witness is keyed by the 4-character factor and product.
+    Code points order characters as the codes order integers, so the
+    sorted tables, and with them every successor list, are in the order of
+    the tuples of class codes.  A move is (kind, pos, codes); named Steps
+    are built only for the chains that are returned."""
 
     def __init__(self, a: GammaAmalgam):
         rel = relation_generators(a)
         self.fp = fp = a.free_product()
         self.subs = _partners(fp.element_names, rel.element_pairs)
         self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
-        # the swap quotient: each relation class is named by its least code,
-        # erep and grep map element and gamma codes to their classes
+        # the swap quotient: each relation class is named by the character
+        # of its least code, erep and grep map element and gamma codes to
+        # their classes
         self.erep, self.grep = erep, grep = [
-            [c if r is None else min(c, r) for c, r in enumerate(subs)]
+            [chr(c if r is None else min(c, r)) for c, r in enumerate(subs)]
             for subs in (self.subs, self.gsubs)]
         # factorizations x g y of each element inside its own part, in table
         # order, and (X, G, Y, Z) -> the first (x, g, y, z) in table order
@@ -334,9 +355,9 @@ class _Search:
         # part-1 factorization of Z's part-1 letter comes before every
         # part-2 one in both orders.
         self.facts: dict[int, list[tuple[int, int, int]]] = {}
-        self.witness: dict[tuple, tuple[int, ...]] = {}
-        qmerge: dict[tuple, set[int]] = {}
-        qfacts: dict[int, set[tuple]] = {}
+        self.witness: dict[str, tuple[int, ...]] = {}
+        qmerge: dict[str, set[str]] = {}
+        qfacts: dict[str, set[str]] = {}
         codes = range(len(fp.element_names))
         for x in codes:
             for g in range(len(fp.gamma_names)):
@@ -344,20 +365,20 @@ class _Search:
                     z = fp.merge(x, g, y)
                     if z is not None:
                         self.facts.setdefault(z, []).append((x, g, y))
-                        key = (erep[x], grep[g], erep[y])
+                        key = erep[x] + grep[g] + erep[y]
                         qmerge.setdefault(key, set()).add(erep[z])
                         qfacts.setdefault(erep[z], set()).add(key)
-                        self.witness.setdefault((*key, erep[z]), (x, g, y, z))
+                        self.witness.setdefault(key + erep[z], (x, g, y, z))
         # (X, G, Y) -> the classes of its products; Z -> the class factors of
         # its members
         self.qmerge = {k: tuple(sorted(v)) for k, v in qmerge.items()}
         self.qfacts = {k: tuple(sorted(v)) for k, v in qfacts.items()}
         # bound -> quotient state -> the recorded component that holds it
-        self._components: dict[int, dict[tuple, frozenset]] = {}
+        self._components: dict[int, dict[str, frozenset]] = {}
 
-    def image(self, state) -> tuple:
+    def image(self, state) -> str:
         """The quotient state of a coded state."""
-        return tuple((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
+        return "".join((self.grep if k % 2 else self.erep)[c] for k, c in enumerate(state))
 
     def _step(self, kind: str, pos: int, codes) -> Step:
         """The named Step of a coded move."""
@@ -419,14 +440,17 @@ class _Search:
         state has fewer than bound element letters.  This is the one move
         loop of the swap quotient."""
         qmerge, qfacts = self.qmerge, self.qfacts
+        # the states shorter than this have fewer than bound element letters
+        unmerges_below = 2 * bound - 1
 
-        def successors(qstate) -> list[tuple]:
-            m = (len(qstate) + 1) // 2
-            out = [qstate[:2 * k] + (z,) + qstate[2 * k + 3:]
-                   for k in range(m - 1) for z in qmerge.get(qstate[2 * k:2 * k + 3], ())]
-            if m < bound:
-                out += [qstate[:2 * k] + piece + qstate[2 * k + 1:]
-                        for k in range(m) for piece in qfacts.get(qstate[2 * k], ())]
+        def successors(qstate: str) -> list[str]:
+            # i steps over the positions of the element letters
+            n = len(qstate)
+            out = [qstate[:i] + z + qstate[i + 3:]
+                   for i in range(0, n - 2, 2) for z in qmerge.get(qstate[i:i + 3], ())]
+            if n < unmerges_below:
+                out += [qstate[:i] + piece + qstate[i + 1:]
+                        for i in range(0, n, 2) for piece in qfacts.get(qstate[i], ())]
             return out
         return successors
 
@@ -550,7 +574,7 @@ class _Search:
         found = frozenset(found)
         self._components.setdefault(bound, {}).update(dict.fromkeys(found, found))
 
-    def walk(self, begin, bound: int, budget: int) -> tuple[set, str]:
+    def walk(self, begin: str, bound: int, budget: int) -> tuple[set, str]:
         """Breadth-first search of the swap quotient from the quotient state
         begin: (the quotient states it found, stop reason).  It stops on
         "budget" as soon as it holds more than budget states; otherwise it
@@ -579,8 +603,8 @@ class _Search:
         alone: each lies in the component of code, whose own walk stops on
         budget too."""
         erep = self.erep
-        seen, limit = self.walk((erep[code],), bound, budget)
-        members = frozenset(c for c, r in enumerate(erep) if (r,) in seen)
+        seen, limit = self.walk(erep[code], bound, budget)
+        members = frozenset(c for c, r in enumerate(erep) if r in seen)
         return {c: (members if limit == "exhausted" else frozenset((c,)), limit)
                 for c in members}
 
@@ -669,10 +693,12 @@ def words_equal_within(a: GammaAmalgam, w1: Word, w2: Word,
     An inconclusive verdict carries no claim at all: the pair may be equal
     through longer words or not equal at all."""
     search = _search_within(a, bound, budget)
+    states = []
     for w in (w1, w2):
-        if not search.fp.is_reduced(w):
+        states.append(search.fp.encode(w))
+        if not search.fp._reduced(states[-1]):
             raise MalformedSequence(f"word {w} is not reduced")
-    start, target = search.fp.encode(w1), search.fp.encode(w2)
+    start, target = states
     chain, limit = search.explore(start, bound, budget, target)
     return EqualityVerdict(chain is not None, chain, limit, bound, budget)
 

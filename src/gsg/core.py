@@ -77,10 +77,11 @@ class GammaSemigroup:
     """A named finite carrier with a total table ``a gamma b``.
 
     ``table[i, j, k]`` holds the element index of ``elements[i] gammas[j]
-    elements[k]``.  Instances are immutable; the array is locked after
-    construction.  A -1 entry marks a missing one: the first such cell in
-    index order raises MissingEntry.  Associativity is NOT enforced here,
-    use :func:`check_associativity`, which scans each instance at most once.
+    elements[k]``.  Instances are immutable; the table is a locked copy of
+    the given array, which stays the caller's to change.  A -1 entry marks
+    a missing one: the first such cell in index order raises MissingEntry.
+    Associativity is NOT enforced here, use :func:`check_associativity`,
+    which scans each instance at most once.
     """
 
     name: str
@@ -100,7 +101,8 @@ class GammaSemigroup:
         n, g = len(elements), len(gammas)
         if n < 1 or g < 1:
             raise ValueError("a gamma-semigroup needs at least one element and one gamma")
-        table = np.ascontiguousarray(np.asarray(self.table, dtype=np.int64))
+        # a copy, so that locking it leaves the caller's array writable
+        table = np.array(self.table, dtype=np.int64, order="C")
         if table.shape != (n, g, n):
             raise ValueError(f"table shape {table.shape} does not match ({n}, {g}, {n})")
         if table.min() < 0 or table.max() >= n:

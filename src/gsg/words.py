@@ -195,13 +195,15 @@ class FreeProduct:
             raise ModeMismatch("word does not belong to this product's mode")
         state = []
         for k, l in enumerate(w.letters):
+            # a letter of a decoded word is the product's own object, so the
+            # identity test spares the dataclass comparison
             if k % 2 == 0:
                 c = self._ecode.get(l.element)
-                if c is None or self._eletters[c] != l:
+                if c is None or (l is not self._eletters[c] and self._eletters[c] != l):
                     raise UnknownIdentifier(l.element, "element of the family")
             else:
                 c = self._gcode.get(l.gamma)
-                if c is None or self._gletters[c] != l:
+                if c is None or (l is not self._gletters[c] and self._gletters[c] != l):
                     raise UnknownIdentifier(l.gamma, "gamma of the family")
             state.append(c)
         return tuple(state)
@@ -279,7 +281,11 @@ class FreeProduct:
         return self.normalize(text.split())
 
     def is_reduced(self, w: Word) -> bool:
-        state = self.encode(w)
+        return self._reduced(self.encode(w))
+
+    def _reduced(self, state: tuple) -> bool:
+        """Whether a coded state is a reduced word: odd length, nothing to
+        merge."""
         return len(state) % 2 == 1 and not self.reduce(state)[1]
 
     # arithmetic ----------------------------------------------------------

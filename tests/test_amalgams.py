@@ -49,6 +49,7 @@ from gsg import (
     check_natural_embedding,
     constant,
     injective,
+    left_zero,
     mu,
     necessary_condition,
     parse,
@@ -359,6 +360,19 @@ def test_search_rejects_words_from_another_mode():
     w = other.free_product().embed(0, "p")
     with pytest.raises(ModeMismatch):
         words_equal_within(same, w, w)
+
+
+def test_search_checks_each_word_in_turn():
+    # each word is encoded and then checked to be reduced before the next:
+    # an unreduced first word is named before a foreign second word, and a
+    # foreign first word before an unreduced second word
+    a = make_two_copies()
+    bad = Word((Letter(0, "a0"), GammaLetter("g"), Letter(0, "a0")), Mode.SAME_GAMMA)
+    foreign = make_disjoint_amalgam().free_product().embed(0, "p")
+    with pytest.raises(MalformedSequence):
+        words_equal_within(a, bad, foreign)
+    with pytest.raises(ModeMismatch):
+        words_equal_within(a, foreign, bad)
 
 
 def test_equal_verdicts_are_monotone_in_bound():
@@ -839,7 +853,7 @@ def test_witness_is_the_first_factorization_with_its_classes(swapped):
         ordered = [(x, g, y, z) for z, pieces in search.facts.items() for x, g, y in pieces]
 
         def classes(x, g, y, z):
-            return search.image((x, g, y)) + (search.erep[z],)
+            return search.image((x, g, y)) + search.erep[z]
 
         for key, (x, g, y, z) in search.witness.items():
             where = (a.name, key)
@@ -847,8 +861,44 @@ def test_witness_is_the_first_factorization_with_its_classes(swapped):
             assert classes(x, g, y, z) == key, where
             assert next(f for f in ordered if classes(*f) == key) == (x, g, y, z), where
         assert search.witness.keys() == {
-            (*triple, product) for triple, products in search.qmerge.items()
+            triple + product for triple, products in search.qmerge.items()
             for product in products}, a.name
+
+
+def test_quotient_state_is_the_class_code_of_each_letter():
+    # a quotient state has one character per letter, whose code point is
+    # the least code of that letter's relation class
+    rng = np.random.default_rng(29)
+    for a in _all_amalgams():
+        search = gsg.amalgams._Search(a)
+        for state in _seeded_states(search.fp, rng, 20):
+            partners = [(search.gsubs if k % 2 else search.subs)[c]
+                        for k, c in enumerate(state)]
+            classes = tuple(c if r is None else min(c, r) for c, r in zip(state, partners))
+            assert tuple(map(ord, search.image(state))) == classes, (a.name, state)
+
+
+def test_letter_codes_past_one_byte_give_the_expected_classes():
+    # two 130-element left-zero parts over a one-element core number their
+    # letters 0 to 259.  At bound 2 the images a0, b0 of the core element
+    # form one class and every other letter a class of its own, and each
+    # walk holds the images of the deque BFS's states
+    u = trivial("u", name="U")
+    parts = [left_zero([f"{p}{i}" for i in range(130)], ["g"], name=f"S{k + 1}")
+             for k, p in enumerate("ab")]
+    maps = [GammaHomomorphism(f"f{k + 1}", u, s, {"u": s.elements[0]}, {"g": "g"})
+            for k, s in enumerate(parts)]
+    search = gsg.amalgams._Search(GammaAmalgam("wide", u, tuple(parts), tuple(maps)))
+    assert search.erep[259] == chr(259)
+    classes = search.classes(2, gsg.amalgams.DEFAULT_BUDGET)
+    assert classes[0] == classes[130] == (frozenset((0, 130)), "exhausted")
+    assert all(classes[c] == (frozenset((c,)), "exhausted")
+               for c in range(260) if c not in (0, 130))
+    for code in (0, 1, 129, 130, 131, 259):
+        visited, limit = component_bfs(search, (code,), 2, 200_000)
+        assert limit == "exhausted", code
+        assert search.walk(search.image((code,)), 2, gsg.amalgams.DEFAULT_BUDGET) == (
+            set(map(search.image, visited)), "exhausted"), code
 
 
 def _seeded_states(fp, rng, count, letters=3):
@@ -1337,7 +1387,8 @@ def test_embedding_report_explores_each_class_once(monkeypatch):
     # at most one walk per start, n1 + n2 = 4; in fact one per class,
     # {a0, b0} and {a1, b1}, each from the image of its part-1 member
     fp = a.free_product()
-    assert [fp.decode(s) for s in starts] == [fp.embed(0, "a0"), fp.embed(0, "a1")]
+    assert [fp.decode(tuple(map(ord, s))) for s in starts] == [fp.embed(0, "a0"),
+                                                                fp.embed(0, "a1")]
     # every class exhausted: no probe ran
     assert explores == []
     # class explorations never run it: at the default bound and a budget

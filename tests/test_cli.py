@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import os
 import subprocess
 import sys
 
@@ -663,13 +664,21 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_output_is_byte_deterministic():
-    argv = [sys.executable, "-m", "gsg", "amalgam-check", TWO_COPIES,
-            "--amalgam", "two_copies"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stderr == second.stderr == b""
+    # two runs under each of two string-hash seeds print the same bytes:
+    # quotient states are strings, whose hashes are salted per process, and
+    # no output may follow their order in a set.  null_collision at bound 3
+    # proves its collisions through chains
+    cases = [([TWO_COPIES, "--amalgam", "two_copies"], 0),
+             ([str(DATA / "amalgam_null_collision.gsg"), "--amalgam", "null_collision",
+               "--bound", "3"], 1)]
+    for args, code in cases:
+        runs = [subprocess.run([sys.executable, "-m", "gsg", "amalgam-check", *args],
+                               capture_output=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed})
+                for seed in ("0", "0", "1", "1")]
+        assert [r.returncode for r in runs] == [code] * 4, args
+        assert len({r.stdout for r in runs}) == 1, args
+        assert {r.stderr for r in runs} == {b""}, args
 
 
 def non_associative_workspace(tmp_path) -> str:

@@ -92,6 +92,17 @@ def test_table_shape_and_range_checked():
         GammaSemigroup("S", ("a",), ("g",), np.full((1, 1, 1), 3, dtype=np.int64))
 
 
+def test_table_is_a_locked_copy_of_the_given_array():
+    # a contiguous int64 array is copied before it is locked, so the
+    # caller's array stays writable and later writes do not reach the table
+    t = np.zeros((2, 1, 2), dtype=np.int64)
+    s = GammaSemigroup("S", ("a", "b"), ("g",), t)
+    t[0, 0, 0] = 1
+    assert s.table[0, 0, 0] == 0 and not s.table.flags.writeable
+    with pytest.raises(ValueError):
+        s.table[0, 0, 0] = 1
+
+
 def test_minus_one_cell_is_a_missing_entry():
     # -1 marks an empty cell: the first in index order is named
     table = zmod(2).table.copy()
