@@ -80,7 +80,7 @@ from .errors import (
 )
 from .families import constant, left_zero, relabel, right_zero, zmod
 from .textio import Workspace, parse, serialize
-from .words import FreeProduct, GammaLetter, Letter, Mode, Word
+from .words import FreeProduct, Mode, Word
 
 __version__ = "0.1.0"
 

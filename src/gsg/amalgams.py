@@ -299,15 +299,15 @@ class EqualityVerdict:
 _GAMMA_SLOTS = {"swap": (), "gswap": (0, 1), "merge": (1,), "unmerge": (2,)}
 
 
-def _partners(names: tuple[str, ...], pairs) -> list[Optional[int]]:
-    """Letter code -> the code it may be swapped for, or None.  Both
-    structure maps are monomorphisms, so a letter has at most one partner:
-    the other image of its core element, or in disjoint mode of its core
-    gamma."""
-    code = {n: c for c, n in enumerate(names)}
-    out: list[Optional[int]] = [None] * len(names)
+def _partners(fp: FreeProduct, pairs, gamma: bool) -> list[Optional[int]]:
+    """Letter code -> the code it may be swapped for, or None: for the
+    element pairs, or with gamma for the gamma pairs.  Both structure maps
+    are monomorphisms, so a letter has at most one partner: the other image
+    of its core element, or in disjoint mode of its core gamma."""
+    out: list[Optional[int]] = [None] * len(fp.gamma_names if gamma else fp.element_names)
     for n1, n2 in pairs:
-        out[code[n1]], out[code[n2]] = code[n2], code[n1]
+        c1, c2 = fp._code(n1, gamma), fp._code(n2, gamma)
+        out[c1], out[c2] = c2, c1
     return out
 
 
@@ -339,8 +339,8 @@ class _Search:
     def __init__(self, a: GammaAmalgam):
         rel = relation_generators(a)
         self.fp = fp = a.free_product()
-        self.subs = _partners(fp.element_names, rel.element_pairs)
-        self.gsubs = _partners(fp.gamma_names, rel.gamma_pairs)
+        self.subs = _partners(fp, rel.element_pairs, False)
+        self.gsubs = _partners(fp, rel.gamma_pairs, True)
         # the swap quotient: each relation class is named by the character
         # of its least code, erep and grep map element and gamma codes to
         # their classes
@@ -677,8 +677,10 @@ class _Decider:
 
 def _search_within(a: GammaAmalgam, bound: int, budget: int) -> _Search:
     """The amalgam's search, for an entry point that runs it at bound and
-    budget, once both are checked to be positive."""
-    if bound < 1 or budget < 1:
+    budget, once both are checked to be positive integers: values that
+    `operator.index` takes, such as numpy integers, but not 2.5 or 3.0."""
+    if not (hasattr(bound, "__index__") and hasattr(budget, "__index__")
+            and bound >= 1 and budget >= 1):
         raise NonPositiveLimit(
             f"bound and budget must be positive integers, got {bound} and {budget}")
     return a._search
@@ -724,7 +726,7 @@ def mu(a: GammaAmalgam, part: int, element: str,
     word because the search starts from one.  A search that stops on budget
     claims nothing, and the representative is the element's own word;
     `pushout_mediator` reports which case its representatives are in."""
-    if part not in (1, 2):
+    if not hasattr(part, "__index__") or part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     search = _search_within(a, bound, budget)
     fp = search.fp
@@ -789,7 +791,7 @@ def check_natural_embedding(a: GammaAmalgam,
     """
     search = _search_within(a, bound, budget)
     decide = _Decider(search, bound, budget)
-    code = {e: c for c, e in enumerate(search.fp.element_names)}
+    code = search.fp._ecode
     within = [{(e, f): decide.pair(code[e], code[f]) for e, f in combinations(s.elements, 2)}
               for s in a.parts]
     across = {(e1, e2): decide.pair(code[e1], code[e2])
@@ -879,10 +881,9 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
     classes = search.classes(bound, budget)
     limit = "exhausted" if all(lim == "exhausted" for _, lim in classes.values()) else "budget"
     diagram_ok, diagram_witness = True, None
-    for code, e in enumerate(fp.element_names):
-        part = 1 if code < a.parts[0].n else 2
-        if fold((min(classes[code][0]),)) != (g1, g2)[part - 1].carrier_map[e]:
-            diagram_ok, diagram_witness = False, (part, e)
+    for code, (p, e) in enumerate(zip(fp._owner, fp.element_names)):
+        if fold((min(classes[code][0]),)) != (g1, g2)[p].carrier_map[e]:
+            diagram_ok, diagram_witness = False, (p + 1, e)
             break
     return MediatorReport(a.name, v.name, True, None, diagram_ok, diagram_witness,
                           True, None, bound, limit)

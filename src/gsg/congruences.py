@@ -8,6 +8,7 @@ so every construction here is deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -46,7 +47,7 @@ class Congruence:
 
     def __post_init__(self):
         n = self.subject.n
-        reps = tuple(int(r) for r in self.reps)
+        reps = tuple(operator.index(r) for r in self.reps)
         if len(reps) != n or any(not 0 <= r < n for r in reps):
             raise ValueError("reps must assign one element index per element")
         # canonical form: the representative really is the class minimum

@@ -98,7 +98,7 @@ class MissingHomomorphism(GsgError):
 
 
 class NonPositiveLimit(GsgError, ValueError):
-    """A search bound or budget below 1."""
+    """A search bound or budget that is no integer, or is below 1."""
 
 
 class NotCompatible(GsgError):

@@ -1,21 +1,23 @@
 """Reduced words over the free product of a family of gamma-semigroups.
 
 A word is a nonempty alternating sequence x1 g1 x2 g2 ... xm of element
-letters and gamma letters.  Every element letter carries a pointer naming
-the family member it came from.  Two merge disciplines exist:
+letters and gamma letters, and a letter is its name.  The family rule
+makes every element name, and in disjoint mode every gamma name, belong to
+one member only, so the product, not the word, knows each letter's member.
+Two merge disciplines exist:
 
 * same-gamma: all members share one gamma list.  A factor (x, g, y) merges
-  to the member product x g y exactly when x and y point at the same
-  member.  Reduced means no two consecutive element letters share a
-  pointer.
+  to the member product x g y exactly when x and y come from the same
+  member.  Reduced means no two consecutive element letters from one
+  member.
 
-* disjoint: members bring mutually disjoint gamma lists, and gamma letters
-  carry pointers too.  A factor merges exactly when x, g, y all point at
-  the same member.  A factor whose outer letters agree but whose gamma is
-  foreign cannot merge; the product construction can create such factors,
-  so reduced in this mode only means "no mergeable factor".  `normalize`
-  refuses them in raw input, because a hand-written sequence of that shape
-  is almost certainly a mistake.
+* disjoint: members bring mutually disjoint gamma lists.  A factor merges
+  exactly when x, g, y all come from the same member.  A factor whose
+  outer letters share a member but whose gamma is foreign cannot merge;
+  the product construction can create such factors, so reduced in this
+  mode only means "no mergeable factor".  `normalize` refuses them in raw
+  input, because a hand-written sequence of that shape is almost
+  certainly a mistake.
 
 Both disciplines share one normal form: `FreeProduct.reduce` merges every
 mergeable factor in a single left-to-right pass over the coded letters.
@@ -57,7 +59,7 @@ from .errors import (
     UnknownIdentifier,
 )
 
-__all__ = ["Mode", "Letter", "GammaLetter", "Word", "FreeProduct"]
+__all__ = ["Mode", "Word", "FreeProduct"]
 
 
 class Mode(enum.Enum):
@@ -66,23 +68,10 @@ class Mode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Letter:
-    """An element letter: which member it points at, and the element name."""
-    pointer: int
-    element: str
-
-
-@dataclass(frozen=True)
-class GammaLetter:
-    """A gamma letter; pointer is None in same-gamma mode."""
-    gamma: str
-    pointer: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Word:
-    """An alternating letter sequence; construct through a FreeProduct."""
-    letters: tuple
+    """An alternating sequence of element and gamma names; construct
+    through a FreeProduct."""
+    letters: tuple[str, ...]
     mode: Mode
 
     @property
@@ -91,11 +80,10 @@ class Word:
         return (len(self.letters) + 1) // 2
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(l.element if isinstance(l, Letter) else l.gamma
-                     for l in self.letters)
+        return self.letters
 
     def __str__(self) -> str:
-        return " ".join(self.tokens())
+        return " ".join(self.letters)
 
 
 def _family_defects(members: Sequence[GammaSemigroup], mode: Mode,
@@ -143,7 +131,11 @@ class FreeProduct:
     Internally a word is a coded state: the tuple of its letter codes.
     Element codes number the members' elements in member order; gamma codes
     number the shared gamma list, or in disjoint mode the members' gamma
-    lists in member order.  `encode` and `decode` convert between words and
+    lists in member order.  The product is the one holder of this name to
+    code map (`element_names`, `gamma_names` and their inverses `_ecode`,
+    `_gcode`) and of each letter's member: `_owner` gives the member of an
+    element code, `_gowner` that of a gamma code, None for every gamma in
+    same-gamma mode.  `encode` and `decode` convert between words and
     states, `merge` is the merge rule and `reduce` the normal form; every
     word operation here, and the amalgam search, goes through them.
     """
@@ -158,30 +150,25 @@ class FreeProduct:
         _require_associative(*members)
         self.members = members
         self.mode = mode
-        eletters = [Letter(p, e) for p, s in enumerate(members) for e in s.elements]
-        self._ecode = {l.element: c for c, l in enumerate(eletters)}
+        self.element_names = tuple(e for s in members for e in s.elements)
+        self._owner = tuple(p for p, s in enumerate(members) for _ in s.elements)
         if mode is Mode.SAME_GAMMA:
-            self.shared_gammas = members[0].gammas
-            gletters = [GammaLetter(h, None) for h in self.shared_gammas]
-            own = [range(len(gletters))] * len(members)
+            self.shared_gammas = self.gamma_names = members[0].gammas
+            self._gowner = (None,) * len(self.gamma_names)
         else:
-            gletters, own = [], []
-            for p, s in enumerate(members):
-                own.append(range(len(gletters), len(gletters) + s.g))
-                gletters.extend(GammaLetter(h, p) for h in s.gammas)
             self.shared_gammas = None
-        self._gcode = {l.gamma: c for c, l in enumerate(gletters)}
-        self._eletters = tuple(eletters)
-        self._gletters = tuple(gletters)
-        self.element_names = tuple(l.element for l in eletters)
-        self.gamma_names = tuple(l.gamma for l in gletters)
+            self.gamma_names = tuple(h for s in members for h in s.gammas)
+            self._gowner = tuple(p for p, s in enumerate(members) for _ in s.gammas)
+        self._ecode = {e: c for c, e in enumerate(self.element_names)}
+        self._gcode = {h: c for c, h in enumerate(self.gamma_names)}
         # the merge rule as one table: _mul[g][x][y] is the code of x g y when
         # x, y and (in disjoint mode) g come from one member, else None
-        n = len(eletters)
+        n = len(self.element_names)
         self._mul: list[list[list[Optional[int]]]] = [
-            [[None] * n for _ in range(n)] for _ in gletters]
-        for s, gammas in zip(members, own):
+            [[None] * n for _ in range(n)] for _ in self.gamma_names]
+        for s in members:
             lo = self._ecode[s.elements[0]]
+            gammas = [self._gcode[h] for h in s.gammas]
             for x, by_gamma in enumerate(s.table.tolist()):
                 for g, products in zip(gammas, by_gamma):
                     self._mul[g][lo + x][lo:lo + s.n] = [lo + z for z in products]
@@ -193,24 +180,11 @@ class FreeProduct:
         UnknownIdentifier when the word belongs elsewhere."""
         if not isinstance(w, Word) or w.mode is not self.mode:
             raise ModeMismatch("word does not belong to this product's mode")
-        state = []
-        for k, l in enumerate(w.letters):
-            # a letter of a decoded word is the product's own object, so the
-            # identity test spares the dataclass comparison
-            if k % 2 == 0:
-                c = self._ecode.get(l.element)
-                if c is None or (l is not self._eletters[c] and self._eletters[c] != l):
-                    raise UnknownIdentifier(l.element, "element of the family")
-            else:
-                c = self._gcode.get(l.gamma)
-                if c is None or (l is not self._gletters[c] and self._gletters[c] != l):
-                    raise UnknownIdentifier(l.gamma, "gamma of the family")
-            state.append(c)
-        return tuple(state)
+        return tuple(self._code(name, k % 2 == 1) for k, name in enumerate(w.letters))
 
     def decode(self, state: tuple) -> Word:
         """The word a coded state stands for."""
-        return Word(tuple((self._gletters if k % 2 else self._eletters)[c]
+        return Word(tuple((self.gamma_names if k % 2 else self.element_names)[c]
                           for k, c in enumerate(state)), self.mode)
 
     def merge(self, x: int, g: int, y: int) -> Optional[int]:
@@ -250,13 +224,14 @@ class FreeProduct:
         s = self.members[i]
         if not s.has_element(a):
             raise UnknownIdentifier(a, f"element of {s.name}")
-        return Word((Letter(i, a),), self.mode)
+        return Word((a,), self.mode)
 
     def _code(self, name: str, gamma: bool) -> int:
-        table = self._gcode if gamma else self._ecode
-        if name not in table:
-            raise UnknownIdentifier(name, f"{'gamma' if gamma else 'element'} of the family")
-        return table[name]
+        """The code of a letter name: the one name to code lookup."""
+        try:
+            return (self._gcode if gamma else self._ecode)[name]
+        except KeyError:
+            raise UnknownIdentifier(name, f"{'gamma' if gamma else 'element'} of the family") from None
 
     def normalize(self, tokens: Sequence[str]) -> Word:
         """Canonical reduced word for a raw alternating name sequence.
@@ -272,7 +247,7 @@ class FreeProduct:
         state, _ = self.reduce(tuple(self._code(tok, k % 2 == 1)
                                      for k, tok in enumerate(tokens)))
         for x, g, y in zip(state[0::2], state[1::2], state[2::2]):
-            if self._eletters[x].pointer == self._eletters[y].pointer:
+            if self._owner[x] == self._owner[y]:
                 raise CrossFamilyGamma(self.element_names[x], self.gamma_names[g],
                                        self.element_names[y])
         return self.decode(state)
@@ -307,8 +282,7 @@ class FreeProduct:
         in disjoint mode each gamma letter goes through its own member's
         gamma map.
         """
-        state = self.encode(w)
-        return self.folder(target, homs)(state)
+        return self.folder(target, homs)(self.encode(w))
 
     def folder(self, target: GammaSemigroup,
                homs: Sequence[Optional[GammaHomomorphism]]) -> Callable[[tuple], str]:
@@ -323,9 +297,9 @@ class FreeProduct:
             _require_homomorphism(homs[i])
         for defect in _family_defects(self.members, self.mode, homs):
             raise defect
-        images = [homs[l.pointer].apply(l.element) for l in self._eletters]
-        gimages = [l.gamma if self.mode is Mode.SAME_GAMMA
-                   else homs[l.pointer].apply_gamma(l.gamma) for l in self._gletters]
+        images = [homs[p].apply(e) for p, e in zip(self._owner, self.element_names)]
+        gimages = [h if p is None else homs[p].apply_gamma(h)
+                   for p, h in zip(self._gowner, self.gamma_names)]
         mul = target.mul
 
         def fold_state(state: tuple) -> str:
@@ -344,5 +318,4 @@ class FreeProduct:
         compare against element codes and gamma codes against gamma codes;
         codes follow member order, then the order inside each member.
         """
-        state = self.encode(w)
-        return (len(state), state)
+        return (len(w.letters), self.encode(w))

@@ -115,25 +115,25 @@ def make_embedded_z4_fixture():
 def words_up_to(fp, max_m: int) -> list:
     """Every reduced word of a same-gamma product with <= max_m element
     letters, in a deterministic order."""
-    from gsg.words import GammaLetter, Letter, Word
+    from gsg.words import Word
 
     out = []
 
-    def extend(prefix, m):
+    def extend(prefix, last, m):
+        # last: the member of the prefix's last element letter
         out.append(Word(tuple(prefix), fp.mode))
         if m == max_m:
             return
-        last = prefix[-1].pointer
         for p, s in enumerate(fp.members):
             if p == last:
                 continue
             for g in fp.shared_gammas:
                 for e in s.elements:
-                    extend(prefix + [GammaLetter(g, None), Letter(p, e)], m + 1)
+                    extend(prefix + [g, e], p, m + 1)
 
     for p, s in enumerate(fp.members):
         for e in s.elements:
-            extend([Letter(p, e)], 1)
+            extend([e], p, 1)
     return out
 
 

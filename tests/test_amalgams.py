@@ -31,11 +31,9 @@ from gsg import (
     FreeProduct,
     GammaAmalgam,
     GammaHomomorphism,
-    GammaLetter,
     GammaMismatch,
     GammaSemigroup,
     GsgError,
-    Letter,
     MalformedSequence,
     Mode,
     ModeMismatch,
@@ -193,7 +191,7 @@ def test_search_entry_points_require_associative_parts():
               for i, s, p in ((1, s1, "a"), (2, s2, "b")))
     a = GammaAmalgam("A", u, (s1, s2), (f1, f2))
     assert validate_amalgam(a) == []
-    w1, w2 = (Word((Letter(i, e),), Mode.SAME_GAMMA) for i, e in ((0, "a0"), (0, "a1")))
+    w1, w2 = (Word((e,), Mode.SAME_GAMMA) for e in ("a0", "a1"))
     for call in (lambda: FreeProduct(a.parts), lambda: check_natural_embedding(a),
                  lambda: words_equal_within(a, w1, w2), lambda: mu(a, 1, "a0")):
         with pytest.raises(NotAssociative, match=r"associativity fails at \(a0, g, a0, g, a1\)"):
@@ -331,9 +329,13 @@ def test_bound_and_budget_must_be_positive():
     with pytest.raises(ValueError) as exc:
         words_equal_within(a, w, w, budget=0)
     assert isinstance(exc.value, GsgError)
+    # a limit must be an integer too, a numpy one included
+    with pytest.raises(ValueError, match="positive integers, got 2.5 and 10"):
+        words_equal_within(a, w, w, 2.5, 10)
+    assert words_equal_within(a, w, w, np.int64(3), 10).bound == 3
 
 
-@pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2)])
+@pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2), (2.5, 10), (3, 10.5)])
 @pytest.mark.parametrize("call", [
     lambda a, t, p1, p2, bound, budget: mu(a, 2, "b0", bound=bound, budget=budget),
     lambda a, t, p1, p2, bound, budget: check_natural_embedding(a, bound, budget),
@@ -349,7 +351,7 @@ def test_search_rejects_unreduced_input():
     a = make_two_copies()
     fp = a.free_product()
     # a0 g a0 merges to a1, so handing it in raw is a malformed query
-    bad = Word((Letter(0, "a0"), GammaLetter("g"), Letter(0, "a0")), Mode.SAME_GAMMA)
+    bad = Word(("a0", "g", "a0"), Mode.SAME_GAMMA)
     with pytest.raises(MalformedSequence):
         words_equal_within(a, bad, fp.embed(0, "a0"))
 
@@ -367,7 +369,7 @@ def test_search_checks_each_word_in_turn():
     # an unreduced first word is named before a foreign second word, and a
     # foreign first word before an unreduced second word
     a = make_two_copies()
-    bad = Word((Letter(0, "a0"), GammaLetter("g"), Letter(0, "a0")), Mode.SAME_GAMMA)
+    bad = Word(("a0", "g", "a0"), Mode.SAME_GAMMA)
     foreign = make_disjoint_amalgam().free_product().embed(0, "p")
     with pytest.raises(MalformedSequence):
         words_equal_within(a, bad, foreign)
@@ -596,6 +598,8 @@ def test_mu_keeps_the_own_word_of_a_budget_stopped_class():
 def test_mu_part_must_be_one_or_two():
     with pytest.raises(ValueError):
         mu(make_trivial_amalgam(), 3, "u1")
+    with pytest.raises(ValueError, match="part must be 1 or 2"):
+        mu(make_trivial_amalgam(), 1.0, "u1")
 
 
 def test_mu_respects_the_defining_maps():

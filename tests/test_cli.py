@@ -16,6 +16,7 @@ from gsg import check_natural_embedding, parse
 from gsg.cli import run
 
 TWO_COPIES = str(DATA / "amalgam_two_copies.gsg")
+DISJOINT = str(DATA / "amalgam_disjoint.gsg")
 Z2 = str(DATA / "z2.gsg")
 Z4 = str(DATA / "z4.gsg")
 K2 = str(DATA / "k2.gsg")
@@ -168,6 +169,15 @@ def test_word_mul_merges_same_member(capsys):
                           "--gamma", "g", "--left", "a1", "--right", "a1")
     assert code == 0
     assert out == "a0\n"
+
+
+def test_word_mul_disjoint_mode(capsys):
+    # in disjoint mode a gamma merges only inside its own member: g1 is
+    # S1's, so p g1 q merges to p, while g2 is S2's and separates p from r
+    for gamma, right, expected in (("g1", "q", "p\n"), ("g2", "r", "p g2 r\n")):
+        code, out, err = invoke(capsys, "word-mul", DISJOINT, "--mode", "disjoint",
+                                "--left", "p", "--gamma", gamma, "--right", right)
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_word_mul_unknown_letter(capsys):

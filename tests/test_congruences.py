@@ -46,6 +46,13 @@ def test_reps_must_be_class_minima():
         Congruence(z4, (0, 1, 1, 4))
 
 
+def test_reps_must_be_integers():
+    # 0.5 is no element index, so it is not cut down to 0
+    with pytest.raises(TypeError):
+        Congruence(zmod(3), (0, 0, 0.5))
+    assert Congruence(zmod(3), tuple(np.zeros(3, dtype=np.int64))).reps == (0, 0, 0)
+
+
 def test_from_classes_and_accessors():
     z4 = zmod(4)
     rho = Congruence.from_classes(z4, [["0", "2"], ["1", "3"]])

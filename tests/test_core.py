@@ -92,6 +92,14 @@ def test_table_shape_and_range_checked():
         GammaSemigroup("S", ("a",), ("g",), np.full((1, 1, 1), 3, dtype=np.int64))
 
 
+def test_table_entries_must_be_whole_indices():
+    # 1.0 is the index 1, but 0.7 and 1.2 are no indices and are not cut down
+    s = GammaSemigroup("S", ("a", "b"), ("g",), [[[0.0, 1.0]], [[1.0, 0.0]]])
+    assert s.table.tolist() == [[[0, 1]], [[1, 0]]]
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        GammaSemigroup("S", ("a", "b"), ("g",), [[[0.7, 1.2]], [[1.0, 0.0]]])
+
+
 def test_table_is_a_locked_copy_of_the_given_array():
     # a contiguous int64 array is copied before it is locked, so the
     # caller's array stays writable and later writes do not reach the table

@@ -1,12 +1,16 @@
 """Free-product words: normalization, multiplication, fold."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    make_core_not_regular_amalgam,
     make_disjoint_amalgam,
     make_embedded_z4_fixture,
+    make_two_copies,
     trivial,
     words_up_to,
 )
@@ -26,7 +30,7 @@ from gsg import (
     replay_chain,
 )
 from gsg.families import left_zero, zmod
-from gsg.words import GammaLetter, Letter, Word
+from gsg.words import Word
 from oracles import brute_fold, brute_normalize
 
 
@@ -61,7 +65,7 @@ def test_disjoint_requires_disjoint_gamma_names():
 def test_embed():
     fp = family()
     w = fp.embed(1, "p")
-    assert w.m == 1 and w.letters == (Letter(1, "p"),)
+    assert w.m == 1 and w.letters == ("p",)
     assert str(fp.embed(0, "1")) == "1"
     with pytest.raises(UnknownIdentifier):
         fp.embed(0, "p")
@@ -186,14 +190,15 @@ def test_words_rebuild_from_their_letters():
     fp = family()
     for w in words_up_to(fp, 3):
         acc = None
-        for k, l in enumerate(w.letters):
+        for k, name in enumerate(w.letters):
             if k % 2 == 1:
                 continue
-            piece = fp.embed(l.pointer, l.element)
+            member = next(p for p, s in enumerate(fp.members) if s.has_element(name))
+            piece = fp.embed(member, name)
             if acc is None:
                 acc = piece
             else:
-                acc = fp.gamma_multiply(acc, w.letters[k - 1].gamma, piece)
+                acc = fp.gamma_multiply(acc, w.letters[k - 1], piece)
         assert acc == w
 
 
@@ -342,7 +347,7 @@ def test_single_member_product_collapses_to_the_table():
     for x in "0123":
         for y in "0123":
             w = fp.gamma_multiply(fp.embed(0, x), "g", fp.embed(0, y))
-            assert w.m == 1 and w.letters[0].element == zmod(4).mul(x, "g", y)
+            assert w.m == 1 and w.letters[0] == zmod(4).mul(x, "g", y)
 
 
 def test_word_equality_and_hash():
@@ -350,4 +355,27 @@ def test_word_equality_and_hash():
     assert fp.parse_word("1 g p") == fp.parse_word("1 g p")
     assert hash(fp.parse_word("1")) != hash(fp.parse_word("0")) or True
     assert fp.parse_word("1") != fp.parse_word("0")
-    assert GammaLetter("g", None) != Letter(0, "g")
+
+
+def test_words_round_trip_through_their_codes():
+    # a word is its names: decoding its coded state gives the word back, in
+    # both modes, and a word encodes alike in every product with its names
+    fp = family()
+    for w in words_up_to(fp, 3):
+        assert fp.decode(fp.encode(w)) == w
+    rng = random.Random(7)
+    for a in (make_disjoint_amalgam(), make_core_not_regular_amalgam()):
+        dj = a.free_product()
+        for _ in range(200):
+            state = [rng.randrange(len(dj.element_names))]
+            for _ in range(rng.randrange(4)):
+                state += [rng.randrange(len(dj.gamma_names)), rng.randrange(len(dj.element_names))]
+            w = dj.decode(dj.reduce(tuple(state))[0])
+            assert dj.decode(dj.encode(w)) == w and dj.is_reduced(w)
+    a = make_two_copies()
+    built = a.free_product()
+    for w in words_up_to(built, 3):
+        assert a._search.fp.encode(w) == built.encode(w)
+    # the same names in products that list the members in another order
+    z2, lz = zmod(2), left_zero(["p", "q"], ["g"], name="LZ")
+    assert FreeProduct([z2, lz]).embed(1, "p") == FreeProduct([lz, z2]).embed(0, "p")
