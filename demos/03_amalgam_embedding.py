@@ -98,8 +98,9 @@ for pair in report.cross_pairs:
 print("necessary condition:", necessary_condition(a).status)
 
 # Finally, any compatible pair of maps into a common target factors
-# through the amalgam.  Z2 receives both parts; the mediator survives
-# all three checks.
+# through the amalgam.  Z2 is associative and receives both parts through
+# homomorphisms that agree on the core, so the mediator accepts them; it
+# raises on the first of those hypotheses that fails, and searches nothing.
 z2 = zmod(2, name="V")
 g1 = GammaHomomorphism("g1", a.parts[0], z2, {"a0": "0", "a1": "1"}, {"g": "g"})
 g2 = GammaHomomorphism("g2", a.parts[1], z2, {"b0": "0", "b1": "1"}, {"g": "g"})

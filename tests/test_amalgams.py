@@ -335,7 +335,8 @@ def test_bound_and_budget_must_be_positive():
     assert words_equal_within(a, w, w, np.int64(3), 10).bound == 3
 
 
-@pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2), (2.5, 10), (3, 10.5)])
+@pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5), (5, -2), (2.5, 10), (3, 10.5),
+                                    (True, 10), (3, True)])
 @pytest.mark.parametrize("call", [
     lambda a, t, p1, p2, bound, budget: mu(a, 2, "b0", bound=bound, budget=budget),
     lambda a, t, p1, p2, bound, budget: check_natural_embedding(a, bound, budget),
@@ -600,6 +601,8 @@ def test_mu_part_must_be_one_or_two():
         mu(make_trivial_amalgam(), 3, "u1")
     with pytest.raises(ValueError, match="part must be 1 or 2"):
         mu(make_trivial_amalgam(), 1.0, "u1")
+    with pytest.raises(ValueError, match="part must be 1 or 2"):
+        mu(make_two_copies(), True, "a0")
 
 
 def test_mu_respects_the_defining_maps():
@@ -1572,20 +1575,20 @@ def test_mediator_disjoint_target():
 
 
 def test_mediator_embedded_two_z4():
-    # bound 3 reaches every canonical representative, and so does the default
+    # the report does not depend on the bound: bound 3 answers as the default
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     r = pushout_mediator(a, t, psi1, psi2, bound=3, budget=20_000)
     assert r.all_pass
-    r = pushout_mediator(a, t, psi1, psi2)
-    assert r.all_pass and r.limit == "exhausted"
+    assert pushout_mediator(a, t, psi1, psi2) == r
 
 
-def test_mediator_reports_budget_stops():
+def test_mediator_ignores_budget_stops():
+    # a budget that stops every class walk leaves the report as it is
     a, t, psi1, psi2 = make_embedded_z4_fixture()
     fp = a.free_product()
     truncated = pushout_mediator(a, t, psi1, psi2, bound=4, budget=1)
-    assert truncated.limit == "budget"
-    assert pushout_mediator(a, t, psi1, psi2, bound=4).limit == "exhausted"
+    assert truncated.all_pass
+    assert truncated == pushout_mediator(a, t, psi1, psi2, bound=4)
     # a one-state budget leaves b0 its own least word; the full class of b0
     # holds a0
     assert mu(a, 2, "b0", bound=4, budget=1) == fp.embed(1, "b0")
@@ -1602,40 +1605,138 @@ def test_mediator_checks_the_homomorphisms_once(monkeypatch):
     assert calls == ["psi1", "psi2"]
 
 
+def _associative_tables(k: int):
+    """Every labelled associative table on v0 .. v(k-1) over the one gamma
+    g, in the order of its cells."""
+    names = tuple(f"v{i}" for i in range(k))
+    for cells in itertools.product(range(k), repeat=k * k):
+        v = GammaSemigroup("V", names, ("g",), np.array(cells).reshape(k, 1, k))
+        if check_associativity(v) is None:
+            yield v
+
+
+def _maps_agreeing_on_the_core(a, v, rng):
+    """Random maps g1, g2 of the parts into v whose carrier square commutes:
+    g2 sends each core image f2(u) where g1 sends f1(u)."""
+    def draw(s):
+        return {e: v.elements[int(rng.integers(len(v.elements)))] for e in s.elements}
+    (f1, f2), (c1, c2) = a.maps, map(draw, a.parts)
+    c2.update({f2.carrier_map[u]: c1[f1.carrier_map[u]] for u in a.core.elements})
+    return _hom("g1", a.parts[0], v, c1), _hom("g2", a.parts[1], v, c2)
+
+
 def test_mediator_relations_and_products_hold_whenever_it_returns():
-    # the square check and the homomorphism checks of FreeProduct.folder
-    # imply both equations, so the mediator reports them as constants and
-    # only diagram_commutes can fail.  Whenever it returns, the relation
-    # pairs fold to one element, and a one-letter product folds as the
-    # product in v's table of its folded letters.  Random 2- and 3-element
-    # targets over the gamma g, with random maps into them
+    # the square checks, the associativity of v and the homomorphism checks
+    # of FreeProduct.folder imply every equation, so a returned report
+    # passes.  Whenever it returns, the relation pairs fold to one element,
+    # and a one-letter product folds as the product in v's table of its
+    # folded letters.  Every labelled associative one-gamma table of 2 and
+    # 3 elements, with random maps into it whose square commutes; a random
+    # table that is not associative raises
+    tables = [v for k in (2, 3) for v in _associative_tables(k)]
+    assert len(tables) == 8 + 113
     rng = np.random.default_rng(19)
-    returned = 0
+    returned = refused = 0
     for a in (make_two_copies(), make_trivial_amalgam(), make_leftzero_amalgam()):
-        for _ in range(400):
+        fp = a.free_product()
+        letters = [(p, e) for p, s in enumerate(a.parts) for e in s.elements]
+        for v in tables:
+            for _ in range(3):
+                homs = _maps_agreeing_on_the_core(a, v, rng)
+                try:
+                    r = pushout_mediator(a, v, *homs, bound=3)
+                except NotAHomomorphism:
+                    continue
+                returned += 1
+                for e1, e2 in relation_generators(a).element_pairs:
+                    assert fp.fold(fp.embed(0, e1), v, homs) == fp.fold(fp.embed(1, e2), v, homs)
+                for (p, x), (q, y) in itertools.product(letters, repeat=2):
+                    product = fp.gamma_multiply(fp.embed(p, x), "g", fp.embed(q, y))
+                    assert fp.fold(product, v, homs) == v.mul(
+                        homs[p].carrier_map[x], "g", homs[q].carrier_map[y]), (a.name, x, y)
+                assert r.all_pass and r.diagram_commutes, a.name
+                assert (r.relations_respected, r.relations_witness) == (True, None), a.name
+                assert (r.products_respected, r.products_witness) == (True, None), a.name
+        for _ in range(40):
             k = int(rng.integers(2, 4))
             v = GammaSemigroup("V", tuple(f"v{i}" for i in range(k)), ("g",),
                                rng.integers(k, size=(k, 1, k)))
-            g1, g2 = (_hom(f"g{p + 1}", s, v, {e: v.elements[int(rng.integers(k))]
-                                                for e in s.elements})
-                      for p, s in enumerate(a.parts))
-            try:
-                r = pushout_mediator(a, v, g1, g2, bound=3)
-            except (CommutingSquareFails, NotAHomomorphism):
+            if check_associativity(v) is None:
                 continue
-            returned += 1
-            fp, homs = a.free_product(), [g1, g2]
-            for e1, e2 in relation_generators(a).element_pairs:
-                assert fp.fold(fp.embed(0, e1), v, homs) == fp.fold(fp.embed(1, e2), v, homs)
-            letters = [(p, e) for p, s in enumerate(a.parts) for e in s.elements]
-            for (p, x), (q, y) in itertools.product(letters, repeat=2):
-                product = fp.gamma_multiply(fp.embed(p, x), "g", fp.embed(q, y))
-                assert fp.fold(product, v, homs) == v.mul(
-                    homs[p].carrier_map[x], "g", homs[q].carrier_map[y]), (a.name, x, y)
-            assert (r.relations_respected, r.relations_witness) == (True, None), a.name
-            assert (r.products_respected, r.products_witness) == (True, None), a.name
-            assert r.all_pass == r.diagram_commutes
-    assert returned >= 50
+            refused += 1
+            with pytest.raises(NotAssociative):
+                pushout_mediator(a, v, *_maps_agreeing_on_the_core(a, v, rng), bound=3)
+    assert returned >= 50 and refused >= 50
+
+
+def _mediator_cocones():
+    """(amalgam, v, g1, g2) with g1, g2 homomorphisms into an associative
+    v whose squares commute: the trivial and the two-copies amalgams into
+    Z2, the embedded z4 cocone, the disjoint amalgam into a one-element
+    target, and core_not_regular into T, S1 with a third gamma."""
+    z2 = zmod(2, name="V")
+    trivial_amalgam, two = make_trivial_amalgam(), make_two_copies()
+    out = [(trivial_amalgam, z2, _hom("g1", trivial_amalgam.parts[0], z2, {"u1": "0"}),
+            _hom("g2", trivial_amalgam.parts[1], z2, {"u2": "0"})),
+           (two, z2, _hom("g1", two.parts[0], z2, {"a0": "0", "a1": "1"}),
+            _hom("g2", two.parts[1], z2, {"b0": "0", "b1": "1"})),
+           make_embedded_z4_fixture()]
+    dj = make_disjoint_amalgam()
+    v = GammaSemigroup("V", ("v",), ("gv", "hv"), np.zeros((1, 2, 1), dtype=np.int64))
+    out.append((dj, v, GammaHomomorphism("g1", dj.parts[0], v, {"p": "v", "q": "v"}, {"g1": "gv"}),
+                GammaHomomorphism("g2", dj.parts[1], v, {"r": "v"}, {"g2": "gv"})))
+    cnr = make_core_not_regular_amalgam()
+    s1, s2 = cnr.parts
+    t = GammaSemigroup("T", ("x", "y"), ("g", "h1", "h2"), s1.table[:, [0, 1, 1], :])
+    out.append((cnr, t, GammaHomomorphism("g1", s1, t, {"ax": "x", "ay": "y"}, {"g1": "g", "h1": "h1"}),
+                GammaHomomorphism("g2", s2, t, {"bx": "x", "by": "y"}, {"g2": "g", "h2": "h2"})))
+    return out
+
+
+def test_mediator_diagram_holds_without_a_walk(monkeypatch):
+    # mu's class walks as an oracle for the diagram: whenever the mediator
+    # returns, mu's representative of every part element folds to the
+    # element's image, at every bound.  The mediator itself walks no class
+    walked = []
+    walk = gsg.amalgams._Search.walk
+    monkeypatch.setattr(gsg.amalgams._Search, "walk",
+                        lambda self, *args: walked.append(args) or walk(self, *args))
+    for a, v, g1, g2 in _mediator_cocones():
+        fp = a.free_product()
+        for bound in range(1, 5):
+            walked.clear()
+            assert pushout_mediator(a, v, g1, g2, bound).all_pass
+            assert walked == [], (a.name, bound)
+            for p, (s, g) in enumerate(zip(a.parts, (g1, g2))):
+                for e in s.elements:
+                    assert fp.fold(mu(a, p + 1, e, bound), v, (g1, g2)) == g.carrier_map[e], \
+                        (a.name, bound, e)
+            assert walked, a.name       # mu walks the classes that the mediator skips
+
+
+def test_mediator_refuses_a_target_that_is_not_associative():
+    # on null_collision, the 9-element V whose products are X·U = A,
+    # X·V = B, P·Q = U, P·R = V and Z for all others: (X·P)·Q = Z but
+    # X·(P·Q) = A.  The evident maps are homomorphisms whose square commutes,
+    # so only associativity refuses the target, at every bound.  The diagram
+    # does fail here: at bound 3 mu's representative of a folds apart from
+    # the image of a, which only reflects the bad target
+    a = null_collision_amalgam()
+    names = ("P", "U", "V", "Z", "X", "A", "B", "Q", "R")
+    at = {x: i for i, x in enumerate(names)}
+    table = np.full((9, 1, 9), at["Z"], dtype=np.int64)
+    for x, y, z in (("X", "U", "A"), ("X", "V", "B"), ("P", "Q", "U"), ("P", "R", "V")):
+        table[at[x], 0, at[y]] = at[z]
+    v = GammaSemigroup("V", names, ("g",), table)
+    s1, s2 = a.parts
+    g1 = _hom("g1", s1, v, {e: e[0].upper() for e in s1.elements})
+    g2 = _hom("g2", s2, v, {e: e[0].upper() for e in s2.elements})
+    assert verify_homomorphism(g1) is None and verify_homomorphism(g2) is None
+    assert a.free_product().fold(mu(a, 1, "a", 3), v, (g1, g2)) != g1.carrier_map["a"]
+    for bound in range(1, gsg.amalgams.DEFAULT_BOUND + 1):
+        with pytest.raises(NotAssociative) as exc:
+            pushout_mediator(a, v, g1, g2, bound)
+        assert exc.value.witness == check_associativity(v)
 
 
 # --------------------------------------------------------- necessary condition

@@ -1,5 +1,6 @@
 """Free-product words: normalization, multiplication, fold."""
 
+import itertools
 import random
 
 import pytest
@@ -353,8 +354,25 @@ def test_single_member_product_collapses_to_the_table():
 def test_word_equality_and_hash():
     fp = family()
     assert fp.parse_word("1 g p") == fp.parse_word("1 g p")
-    assert hash(fp.parse_word("1")) != hash(fp.parse_word("0")) or True
     assert fp.parse_word("1") != fp.parse_word("0")
+    # equal words hash alike, however they were built: through either
+    # association order of gamma_multiply, and in a product that lists its
+    # members in the other order
+    short = words_up_to(fp, 2)
+    for x, y, z in itertools.product(short, repeat=3):
+        left = fp.gamma_multiply(fp.gamma_multiply(x, "g", y), "g", z)
+        right = fp.gamma_multiply(x, "g", fp.gamma_multiply(y, "g", z))
+        assert left == right and hash(left) == hash(right), (x, y, z)
+    swapped = FreeProduct(fp.members[::-1], Mode.SAME_GAMMA)
+    for w in words_up_to(fp, 3):
+        other = swapped.parse_word(str(w))
+        assert other == w and hash(other) == hash(w), w
+    for x, y in itertools.product(short, repeat=2):
+        w = fp.gamma_multiply(x, "g", y)
+        other = swapped.gamma_multiply(swapped.parse_word(str(x)), "g",
+                                       swapped.parse_word(str(y)))
+        assert other == w and hash(other) == hash(w), (x, y)
+    assert len(set(words_up_to(fp, 3)) | set(words_up_to(swapped, 3))) == len(words_up_to(fp, 3))
 
 
 def test_words_round_trip_through_their_codes():
