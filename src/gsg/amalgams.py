@@ -844,11 +844,13 @@ def pushout_mediator(a: GammaAmalgam, v: GammaSemigroup,
                      bound: int = DEFAULT_BOUND,
                      budget: int = DEFAULT_BUDGET) -> MediatorReport:
     """Check that the maps g_i from the parts into v fold words to a map
-    out of the amalgamated product.  Each hypothesis is checked once, in
-    this order, and the first that fails raises: the maps' ends, the
-    carrier square (the relations), the gamma square, that v is
-    associative (NotAssociative), and that g1, g2 are homomorphisms
-    (`FreeProduct.folder`, the products).
+    out of the amalgamated product.  The hypotheses are checked in this
+    order, and the first that fails raises: the maps' ends, first so that
+    the squares can read the maps; the carrier square (the relations); the
+    gamma square; that v is associative (NotAssociative); and, in
+    `FreeProduct.folder`, which reads the ends once more, that g1, g2 are
+    homomorphisms (the products) and, in same-gamma mode, map the shared
+    gamma list identically (GammaMismatch).
 
     Nothing is left to search.  Every element is joined to its canonical
     representative (`mu`'s) by moves, and every move keeps the fold: a swap

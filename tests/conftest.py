@@ -4,7 +4,16 @@ import pathlib
 
 import numpy as np
 
-from gsg import GammaAmalgam, GammaHomomorphism, GammaSemigroup, Mode
+from gsg import (
+    GammaAmalgam,
+    GammaHomomorphism,
+    GammaSemigroup,
+    Mode,
+    first_isomorphism_check,
+    injective,
+    kernel_congruence,
+    verify_homomorphism,
+)
 from gsg.families import constant, left_zero, relabel, right_zero, zmod
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -110,6 +119,23 @@ def make_embedded_z4_fixture():
     psi2 = GammaHomomorphism("psi2", s2, t,
                              {f"b{k}": f"t{k}" for k in range(4)}, {"g": "g"})
     return a, t, psi1, psi2
+
+
+def check_first_isomorphism(f: GammaHomomorphism):
+    """The first isomorphism theorem for f, checked on the induced map that
+    `first_isomorphism_check` builds but does not verify: from the quotient
+    into f's target, it is a homomorphism, injective on carriers, and f on
+    every element's kernel class.  Returns the report."""
+    report = first_isomorphism_check(f)
+    induced = GammaHomomorphism(f"{f.name}_induced", report.quotient_semigroup,
+                                f.target, report.mediator, f.gamma_map)
+    assert verify_homomorphism(induced) is None, f.carrier_map
+    assert injective(induced)[0], f.carrier_map
+    rho = kernel_congruence(f)
+    for e in f.source.elements:
+        # a class is named after its least member, which class_of lists first
+        assert f.carrier_map[e] == report.mediator[rho.class_of(e)[0]], (f.carrier_map, e)
+    return report
 
 
 def words_up_to(fp, max_m: int) -> list:

@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import (
     DATA,
+    check_first_isomorphism,
     k2,
     make_core_not_regular_amalgam,
     make_embedded_z4_fixture,
@@ -45,7 +46,6 @@ from gsg import (
     check_associativity,
     check_natural_embedding,
     classify,
-    first_isomorphism_check,
     generate_congruence,
     kernel_congruence,
     necessary_condition,
@@ -195,7 +195,7 @@ def test_criterion_05():
     for src in tables:
         for dst in tables:
             for f in _enumerable_homs(src, dst):
-                report = first_isomorphism_check(f)
+                report = check_first_isomorphism(f)
                 assert report.all_pass, (src.name, dst.name, f.carrier_map)
                 checked += 1
     assert checked > 100

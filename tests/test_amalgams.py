@@ -52,6 +52,7 @@ from gsg import (
     necessary_condition,
     parse,
     pushout_mediator,
+    relabel,
     relation_generators,
     replay_chain,
     validate_amalgam,
@@ -1550,6 +1551,17 @@ def test_mediator_rejects_maps_that_miss_the_parts():
         pushout_mediator(a, t, psi2, psi1)
     with pytest.raises(GammaMismatch, match="has target"):
         pushout_mediator(a, a.parts[0], psi1, psi2)
+
+
+def test_mediator_rejects_maps_that_move_the_shared_gammas():
+    # in same-gamma mode the maps must fix the shared gamma list (the family
+    # rule), even when both squares commute and the target associates
+    a = make_two_copies()
+    v = relabel(zmod(2), "V", ["0", "1"], ["h"])
+    g1 = _hom("g1", a.parts[0], v, {"a0": "0", "a1": "1"}, {"g": "h"})
+    g2 = _hom("g2", a.parts[1], v, {"b0": "0", "b1": "1"}, {"g": "h"})
+    with pytest.raises(GammaMismatch, match="shared gamma list identically"):
+        pushout_mediator(a, v, g1, g2)
 
 
 def test_mediator_rejects_non_commuting_gamma_square():

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_tables, small_fixture_tables, trivial, z6_times_two
+from conftest import (
+    check_first_isomorphism,
+    family_tables,
+    small_fixture_tables,
+    trivial,
+    z6_times_two,
+)
 from gsg import (
     Congruence,
     GammaHomomorphism,
     GammaSemigroup,
+    IsoReport,
     NotAHomomorphism,
     NotAssociative,
     NotCompatible,
@@ -50,6 +57,9 @@ def test_reps_must_be_integers():
     # 0.5 is no element index, so it is not cut down to 0
     with pytest.raises(TypeError):
         Congruence(zmod(3), (0, 0, 0.5))
+    # True has __index__, but a flag is no element index
+    with pytest.raises(TypeError):
+        Congruence(zmod(2), (0, True))
     assert Congruence(zmod(3), tuple(np.zeros(3, dtype=np.int64))).reps == (0, 0, 0)
 
 
@@ -269,6 +279,16 @@ def test_first_isomorphism_identity():
     assert rep.all_pass and rep.mediator == {"0": "0", "1": "1", "2": "2"}
 
 
+def test_first_isomorphism_reports_hash_like_their_equals():
+    f = identity_homomorphism(zmod(2))
+    a, b = first_isomorphism_check(f), first_isomorphism_check(f)
+    assert a == b and hash(a) == hash(b)
+    # the mediator stays out of the hash but not out of equality
+    other = IsoReport(a.hom, a.quotient_semigroup, a.image_elements,
+                      {"0": "1", "1": "0"})
+    assert other != a and hash(other) == hash(a)
+
+
 def test_first_isomorphism_constant_map():
     # x -> 0 is a homomorphism on Z2 because 0 g 0 = 0
     z2 = zmod(2)
@@ -308,6 +328,6 @@ def test_every_enumerable_hom_passes_first_isomorphism():
                     {s.gammas[0]: t.gammas[0]})
                 if verify_homomorphism(f) is not None:
                     continue
-                assert first_isomorphism_check(f).all_pass
+                assert check_first_isomorphism(f).all_pass
                 checked += 1
     assert checked > 50   # the enumeration really covered something
