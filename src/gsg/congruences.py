@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -39,11 +40,15 @@ class Congruence:
     """An equivalence on a semigroup's carrier, stored as one representative
     index per element (the minimum index of its class).
 
-    Only `generate_congruence` and `kernel_congruence` promise
-    compatibility.  The constructor and `from_classes` accept any
-    partition, such as {0, 1}, {2}, {3} of Z4, and `quotient` refuses one
+    Each instance has one compatibility verdict, computed at most once
+    (`_compat_verdict`, read by `compatibility_violation` and `quotient`).
+    `generate_congruence` and `kernel_congruence` build their congruences
+    compatible and set the verdict, so nothing scans them.  The
+    constructor and `from_classes` accept any partition, such as {0, 1},
+    {2}, {3} of Z4: the first read scans it, and `quotient` refuses one
     that is no congruence with NotCompatible and its witness, here
-    (0, 1, g, 1)."""
+    (0, 1, g, 1).  The verdict is no field: equality and hashing read the
+    subject and reps only."""
 
     subject: GammaSemigroup
     reps: tuple[int, ...]
@@ -60,6 +65,25 @@ class Congruence:
             if reps[r] != r or r > i:
                 raise ValueError("representatives must be the class minima")
         object.__setattr__(self, "reps", reps)
+
+    @cached_property
+    def _compat_verdict(self) -> Optional[tuple[str, str, str, str]]:
+        """The scan behind `compatibility_violation`.  Every element is
+        compared with its class minimum in one pass; if all agree, every
+        pair of a class agrees.  Otherwise the first x is the least minimum
+        of a class with a disagreeing member, since that member and x form a
+        violating pair, and its (y, gamma, z) is read off one comparison of
+        x with the later members of its class."""
+        s, reps = self.subject, np.array(self.reps)
+        r = reps[s.table]
+        disagree = (r != r[reps]).any(axis=(1, 2)) | (r != r[:, :, reps]).any(axis=(0, 1))
+        if not disagree.any():
+            return None
+        x = int(reps[np.flatnonzero(disagree)].min())
+        ys = np.flatnonzero(reps == x)[1:]
+        bad = (r[ys] != r[x]) | (r[:, :, ys].T != r[:, :, x].T)
+        k, j, z = (int(v) for v in np.argwhere(bad)[0])
+        return (s.elements[x], s.elements[int(ys[k])], s.gammas[j], s.elements[z])
 
     @classmethod
     def from_classes(cls, subject: GammaSemigroup,
@@ -107,6 +131,10 @@ def generate_congruence(s: GammaSemigroup,
     with its new label y.  An x whose label stayed put had its translations
     joined in an earlier round, and x ~ y composes through the labels, so
     the closure is complete once no queued pair crosses two classes.
+
+    The closure has joined the translations of every moved element, so the
+    congruence is compatible by construction (that argument uses no
+    associativity).  It carries that verdict: nothing scans it.
     """
     _require_associative(s)
     seeds = [(s.index(a), s.index(b)) for a, b in pairs]
@@ -122,7 +150,15 @@ def generate_congruence(s: GammaSemigroup,
         y = label[x]
         a = np.concatenate([t[x].ravel(), t[:, :, x].ravel()])
         b = np.concatenate([t[y].ravel(), t[:, :, y].ravel()])
-    return Congruence(s, tuple(label.tolist()))
+    return _compatible(s, label.tolist())
+
+
+def _compatible(s: GammaSemigroup, reps) -> Congruence:
+    """The congruence with these reps, which its construction proved
+    compatible: its verdict is set, so it is never scanned."""
+    rho = Congruence(s, tuple(reps))
+    rho.__dict__["_compat_verdict"] = None
+    return rho
 
 
 def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -143,23 +179,10 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def compatibility_violation(c: Congruence) -> Optional[tuple[str, str, str, str]]:
     """First (x, y, gamma, z) with x < y and x ~ y but a translation
     separating them, in index order, or None when the relation is a
-    congruence.
-
-    Every element is compared with its class minimum in one pass; if all
-    agree, every pair of a class agrees.  Otherwise the first x is the least
-    minimum of a class with a disagreeing member, since that member and x
-    form a violating pair, and its (y, gamma, z) is read off one comparison
-    of x with the later members of its class."""
-    s, reps = c.subject, np.array(c.reps)
-    r = reps[s.table]
-    disagree = (r != r[reps]).any(axis=(1, 2)) | (r != r[:, :, reps]).any(axis=(0, 1))
-    if not disagree.any():
-        return None
-    x = int(reps[np.flatnonzero(disagree)].min())
-    ys = np.flatnonzero(reps == x)[1:]
-    bad = (r[ys] != r[x]) | (r[:, :, ys].T != r[:, :, x].T)
-    k, j, z = (int(v) for v in np.argwhere(bad)[0])
-    return (s.elements[x], s.elements[int(ys[k])], s.gammas[j], s.elements[z])
+    congruence.  This is c's one verdict: None at once for the congruences
+    `generate_congruence` and `kernel_congruence` build, and any other is
+    scanned on the first call for each instance only."""
+    return c._compat_verdict
 
 
 class QuotientResult(NamedTuple):
@@ -171,39 +194,40 @@ def quotient(s: GammaSemigroup, rho: Congruence) -> QuotientResult:
     """The quotient table on classes, each named after its representative,
     plus the projection homomorphism.
 
-    Well-definedness is asserted over all representative choices; a failure
-    raises NotCompatible with a concrete witness.
+    The table is well defined when rho is compatible.  quotient reads rho's
+    one verdict (`compatibility_violation`): a congruence that
+    `generate_congruence` or `kernel_congruence` built is not scanned, any
+    other at most once, and one that is no congruence raises NotCompatible
+    with its witness.
     """
     if rho.subject != s:
         raise ValueError("congruence was built over a different semigroup")
-    reps = np.array(rho.reps)
-    rep_list = sorted(set(rho.reps))
-    pos = {r: i for i, r in enumerate(rep_list)}
-    cls = np.array([pos[r] for r in rho.reps])   # element index -> class position
     v = compatibility_violation(rho)
     if v is not None:
         raise NotCompatible(*v)
+    # the sorted class minima, and each element's class position
+    rep_list, cls = np.unique(rho.reps, return_inverse=True)
     q = cls[s.table[np.ix_(rep_list, range(s.g), rep_list)]]
     names = tuple(s.elements[r] for r in rep_list)
     quotient_s = GammaSemigroup(f"{s.name}_q", names, s.gammas, q)
-    proj = GammaHomomorphism(
-        f"{s.name}_proj", s, quotient_s,
-        {e: s.elements[reps[i]] for i, e in enumerate(s.elements)},
-        {h: h for h in s.gammas},
-    )
+    proj = GammaHomomorphism(f"{s.name}_proj", s, quotient_s,
+                             {e: s.elements[r] for e, r in zip(s.elements, rho.reps)},
+                             {h: h for h in s.gammas})
     return QuotientResult(quotient_s, proj)
 
 
 def kernel_congruence(f: GammaHomomorphism) -> Congruence:
-    """x ~ y iff f'(x) = f'(y); the gamma map plays no part in the classes."""
+    """x ~ y iff f'(x) = f'(y); the gamma map plays no part in the classes.
+
+    Compatible by construction, so the congruence carries that verdict and
+    nothing scans it: f is a homomorphism, so x ~ y gives f'(x g z) =
+    f'(x) f''(g) f'(z) = f'(y g z), and likewise on the left.  That step
+    uses no associativity."""
     _require_homomorphism(f)
-    s = f.source
-    first: dict[str, int] = {}
-    reps = []
-    for i, e in enumerate(s.elements):
-        img = f.carrier_map[e]
-        reps.append(first.setdefault(img, i))
-    return Congruence(s, tuple(reps))
+    images = [f.carrier_map[e] for e in f.source.elements]
+    # the first element with each image, read back per element
+    _, first, inverse = np.unique(images, return_index=True, return_inverse=True)
+    return _compatible(f.source, first[inverse].tolist())
 
 
 @dataclass(frozen=True)

@@ -102,12 +102,14 @@ class GammaSemigroup:
         if n < 1 or g < 1:
             raise ValueError("a gamma-semigroup needs at least one element and one gamma")
         # a copy, so that locking it leaves the caller's array writable; an
-        # entry the copy does not hold exactly, such as 0.7, is no index
+        # entry the copy does not hold exactly, such as 0.7, is no index,
+        # and neither is a flag, though True would cast to 1
         given = np.asarray(self.table)
         table = np.array(given, dtype=np.int64, order="C")
         if table.shape != (n, g, n):
             raise ValueError(f"table shape {table.shape} does not match ({n}, {g}, {n})")
-        if table.min() < 0 or table.max() >= n or not np.array_equal(table, given):
+        if (given.dtype == bool or table.min() < 0 or table.max() >= n
+                or not np.array_equal(table, given)):
             # -1 marks a cell that no entry filled
             missing = np.argwhere(table == -1)
             if missing.size:

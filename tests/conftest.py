@@ -15,6 +15,7 @@ from gsg import (
     verify_homomorphism,
 )
 from gsg.families import constant, left_zero, relabel, right_zero, zmod
+from oracles import brute_compat_witness
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -125,13 +126,16 @@ def check_first_isomorphism(f: GammaHomomorphism):
     """The first isomorphism theorem for f, checked on the induced map that
     `first_isomorphism_check` builds but does not verify: from the quotient
     into f's target, it is a homomorphism, injective on carriers, and f on
-    every element's kernel class.  Returns the report."""
+    every element's kernel class.  The kernel congruence, which the library
+    takes as compatible by construction, is checked by the brute-force scan.
+    Returns the report."""
     report = first_isomorphism_check(f)
     induced = GammaHomomorphism(f"{f.name}_induced", report.quotient_semigroup,
                                 f.target, report.mediator, f.gamma_map)
     assert verify_homomorphism(induced) is None, f.carrier_map
     assert injective(induced)[0], f.carrier_map
     rho = kernel_congruence(f)
+    assert brute_compat_witness(rho) is None, f.carrier_map
     for e in f.source.elements:
         # a class is named after its least member, which class_of lists first
         assert f.carrier_map[e] == report.mediator[rho.class_of(e)[0]], (f.carrier_map, e)

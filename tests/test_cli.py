@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -677,14 +678,18 @@ def test_output_is_byte_deterministic():
     # two runs under each of two string-hash seeds print the same bytes:
     # quotient states are strings, whose hashes are salted per process, and
     # no output may follow their order in a set.  null_collision at bound 3
-    # proves its collisions through chains
+    # proves its collisions through chains.  The subprocesses find gsg
+    # through the checkout's src, ahead of any PYTHONPATH already set
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cases = [([TWO_COPIES, "--amalgam", "two_copies"], 0),
              ([str(DATA / "amalgam_null_collision.gsg"), "--amalgam", "null_collision",
                "--bound", "3"], 1)]
     for args, code in cases:
         runs = [subprocess.run([sys.executable, "-m", "gsg", "amalgam-check", *args],
                                capture_output=True,
-                               env={**os.environ, "PYTHONHASHSEED": seed})
+                               env={**os.environ, "PYTHONHASHSEED": seed,
+                                    "PYTHONPATH": path})
                 for seed in ("0", "0", "1", "1")]
         assert [r.returncode for r in runs] == [code] * 4, args
         assert len({r.stdout for r in runs}) == 1, args

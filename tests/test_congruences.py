@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA,
     check_first_isomorphism,
     family_tables,
     small_fixture_tables,
@@ -28,6 +29,7 @@ from gsg import (
     kernel_congruence,
     quotient,
 )
+from gsg.cli import run
 from gsg.families import left_zero, zmod
 from oracles import (
     brute_compat_witness,
@@ -138,7 +140,8 @@ def test_generate_matches_fixpoint_closure_on_family_tables(s):
             seeds += [(s.elements[a], s.elements[b]) for a, b in zip(chain, chain[1:])]
         rho = generate_congruence(s, seeds)
         assert congruence_blocks(rho) == brute_least_congruence(s, seeds), seeds
-        assert compatibility_violation(rho) is None
+        # the verdict is set by the construction, so the oracle checks it
+        assert brute_compat_witness(rho) is None
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -168,7 +171,7 @@ def test_compatibility_violation_found():
     assert bad.same(x, y)
     assert not bad.same(z4.mul(x, g, z), z4.mul(y, g, z)) or \
         not bad.same(z4.mul(z, g, x), z4.mul(z, g, y))
-    assert compatibility_violation(generate_congruence(z4, [("0", "2")])) is None
+    assert brute_compat_witness(generate_congruence(z4, [("0", "2")])) is None
 
 
 @given(st.data())
@@ -196,6 +199,62 @@ def test_quotient_witness_is_the_reference_scans():
             with pytest.raises(NotCompatible) as exc:
                 quotient(s, rho)
             assert (exc.value.x, exc.value.y, exc.value.gamma, exc.value.z) == expected
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The congruences whose compatibility is scanned, in scan order."""
+    verdict = Congruence.__dict__["_compat_verdict"]
+    seen = []
+
+    def spy(c, scan=verdict.func):
+        seen.append(c)
+        return scan(c)
+
+    monkeypatch.setattr(verdict, "func", spy)
+    return seen
+
+
+def test_built_congruences_are_never_scanned(scans):
+    # the sequence of one benchmark tables operation, on an n = 64 table
+    s = zmod(64, gammas=2)
+    rho = generate_congruence(s, [("0", "2")])
+    q, proj = quotient(s, rho)
+    assert compatibility_violation(rho) is None
+    assert first_isomorphism_check(proj).quotient_semigroup.n == q.n == 2
+    assert scans == []
+    assert run(["quotient", str(DATA / "z4.gsg"), "--semigroup", "Z4", "--pairs", "0~2"]) == 0
+    assert run(["iso-check", str(DATA / "hom_z4_to_z2.gsg"), "--hom", "dbl"]) == 0
+    assert scans == []
+
+
+def test_a_given_partition_is_scanned_once(scans):
+    z4 = zmod(4)
+    good = Congruence.from_classes(z4, [["0", "2"], ["1", "3"]])
+    assert quotient(z4, good).semigroup.n == 2
+    assert compatibility_violation(good) is None
+    assert len(scans) == 1 and scans[0] is good
+    # a partition that is no congruence gives the same witness on every read
+    bad = Congruence.from_classes(z4, [["0", "1"], ["2"], ["3"]])
+    witness = brute_compat_witness(bad)
+    for _ in range(2):
+        with pytest.raises(NotCompatible) as exc:
+            quotient(z4, bad)
+        assert (exc.value.x, exc.value.y, exc.value.gamma, exc.value.z) == witness
+        assert compatibility_violation(bad) == witness
+    assert len(scans) == 2 and scans[1] is bad
+
+
+def test_the_verdict_is_no_part_of_equality():
+    # a generated congruence carries its verdict, a given one has none until
+    # it is read; both compare and hash by subject and reps alone
+    z4 = zmod(4)
+    built = generate_congruence(z4, [("0", "2")])
+    given = Congruence.from_classes(z4, [["0", "2"], ["1", "3"]])
+    assert built == given and hash(built) == hash(given)
+    assert compatibility_violation(given) is None
+    assert built == given and hash(built) == hash(given)
+    assert len({built, given}) == 1
 
 
 def test_quotient_by_identity_is_a_renaming():

@@ -98,6 +98,11 @@ def test_table_entries_must_be_whole_indices():
     assert s.table.tolist() == [[[0, 1]], [[1, 0]]]
     with pytest.raises(ValueError, match="table entries must be element indices"):
         GammaSemigroup("S", ("a", "b"), ("g",), [[[0.7, 1.2]], [[1.0, 0.0]]])
+    # a flag is no index either: a table of bools is not read as Z2's
+    flags = [[[False, True]], [[True, False]]]
+    for table in (flags, np.array(flags)):
+        with pytest.raises(ValueError, match="table entries must be element indices"):
+            GammaSemigroup("B", ("0", "1"), ("g",), table)
 
 
 def test_table_is_a_locked_copy_of_the_given_array():
